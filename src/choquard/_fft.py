@@ -30,3 +30,21 @@ def rfftn(a: np.ndarray) -> np.ndarray:
 
 def irfftn(a: np.ndarray, shape) -> np.ndarray:
     return _sfft.irfftn(a, s=shape, workers=_WORKERS)
+
+
+def rfft(a: np.ndarray, n: int, axis: int) -> np.ndarray:
+    return _sfft.rfft(a, n=n, axis=axis, workers=_WORKERS)
+
+
+def irfft(a: np.ndarray, n: int, axis: int) -> np.ndarray:
+    return _sfft.irfft(a, n=n, axis=axis, workers=_WORKERS)
+
+
+# the complex transforms only ever see intermediate spectra, so they may
+# reuse their input's memory
+def fft(a: np.ndarray, n: int, axis: int) -> np.ndarray:
+    return _sfft.fft(a, n=n, axis=axis, overwrite_x=True, workers=_WORKERS)
+
+
+def ifft(a: np.ndarray, axis: int) -> np.ndarray:
+    return _sfft.ifft(a, axis=axis, overwrite_x=True, workers=_WORKERS)

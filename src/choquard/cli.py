@@ -464,6 +464,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        if args.threads is not None and args.threads < 1:
+            raise SchemaError("--threads", "threads must be >= 1")
     except (SchemaError, RangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

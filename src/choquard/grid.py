@@ -110,19 +110,25 @@ def _radius_sq(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _wavevectors_rfft(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Per-axis wavevectors, broadcastable onto the rfftn layout (last axis halved)."""
+    m, h = grid.points_per_axis, grid.spacing
+    axes = [np.fft.fftfreq(m, d=h)] * (grid.dim - 1) + [np.fft.rfftfreq(m, d=h)]
+    ks = tuple(
+        (2.0 * np.pi * k).reshape((1,) * d + (-1,) + (1,) * (grid.dim - d - 1))
+        for d, k in enumerate(axes)
+    )
+    for k in ks:
+        k.setflags(write=False)
+    return ks
+
+
+@lru_cache(maxsize=32)
 def _k_sq_rfft(grid: GridSpec) -> np.ndarray:
     """|k|^2 on the rfftn layout (last axis halved)."""
-    m, h = grid.points_per_axis, grid.spacing
-    kfull = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-    khalf = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
-    parts = []
-    for d in range(grid.dim):
-        k = khalf if d == grid.dim - 1 else kfull
-        parts.append(k.reshape((1,) * d + (-1,) + (1,) * (grid.dim - d - 1)) ** 2)
-    k2 = parts[0]
-    for p in parts[1:]:
-        k2 = k2 + p
-    k2 = np.ascontiguousarray(np.broadcast_to(k2, grid.shape[:-1] + (m // 2 + 1,)))
+    k2 = sum(k**2 for k in _wavevectors_rfft(grid))
+    half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    k2 = np.ascontiguousarray(np.broadcast_to(k2, half))
     k2.setflags(write=False)
     return k2
 
@@ -234,6 +240,15 @@ def neg_laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 def neg_laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, neg_laplacian_values(f.grid, f.values))
+
+
+def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """x . grad f, with each partial derivative a periodic Fourier multiplier."""
+    spec = _fft.rfftn(values)
+    out = np.zeros(grid.shape)
+    for x, k in zip(grid.coords(), _wavevectors_rfft(grid)):
+        out += x * _fft.irfftn(1j * k * spec, grid.shape)
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -23,9 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _fft
 from .errors import AlphaOutOfRange, NotSupercritical, RangeError
-from .grid import GridSpec
+from .grid import GridSpec, x_grad_values
 
 GN_SAFETY = 2.0  # headroom over the Gaussian-family Gagliardo-Nirenberg estimate
 
@@ -171,18 +170,7 @@ def coupling_x_grad_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
     if spec.kind == "rational_decay":
         r2 = grid.radius_sq()
         return -2.0 * spec.decay * spec.beta0 * r2 * (1.0 + r2) ** (-spec.decay - 1.0)
-    beta = coupling_values(spec, grid)
-    spec_hat = _fft.rfftn(beta)
-    m, h = grid.points_per_axis, grid.spacing
-    kfull = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-    khalf = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
-    out = np.zeros(grid.shape)
-    for d, x in enumerate(grid.coords()):
-        k = khalf if d == grid.dim - 1 else kfull
-        kshape = (1,) * d + (-1,) + (1,) * (grid.dim - d - 1)
-        deriv = _fft.irfftn(1j * k.reshape(kshape) * spec_hat, grid.shape)
-        out += x * deriv
-    return out
+    return x_grad_values(grid, coupling_values(spec, grid))
 
 
 def coupling_scaled_values(spec: CouplingSpec, grid: GridSpec, scale: float) -> np.ndarray:

@@ -5,10 +5,17 @@ differ from normalized Riesz potentials in other conventions by a constant.
 
 The fast path is Hockney-style: sample the kernel in real space on a grid
 padded to twice the extent per axis, transform once, and convolve data by
-zero-padding, multiplying spectra, and cropping.  This is an exact (to
+multiplying spectra on the padded grid and cropping.  This is an exact (to
 roundoff) evaluation of the discrete sum
 
     (K * rho)_i = h^N sum_j K(x_i - x_j) rho_j.
+
+The kernel samples are even in every axis, so their spectrum is real and
+is stored as float64.  The data transform is pruned (Markel 1971): it runs
+axis by axis, last axis first, so the forward pass transforms no row that
+is all zeros; the inverse pass crops each axis to its first M entries
+before transforming the next, so it transforms no row whose output would
+be discarded.
 
 The singular sample K(0) is replaced by the quadrature-matched cell value:
 the constant that makes the punctured midpoint sum reproduce the kernel
@@ -81,7 +88,10 @@ def _wrapped_offsets(m: int) -> np.ndarray:
 
 @dataclass
 class RieszConvolver:
-    """Precomputed padded-kernel spectrum for one (grid, alpha) pair."""
+    """Precomputed padded-kernel spectrum for one (grid, alpha) pair.
+
+    kernel_spectrum is the real rfftn spectrum of the (2M)^N kernel samples,
+    contiguous float64 of shape (2M, ..., 2M, M + 1)."""
 
     grid: GridSpec
     alpha: float
@@ -101,7 +111,8 @@ def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
     with np.errstate(divide="ignore"):
         kern = r2 ** ((alpha - grid.dim) / 2.0)
     kern[(0,) * grid.dim] = sing
-    return RieszConvolver(grid, alpha, _fft.rfftn(kern), sing)
+    spectrum = np.ascontiguousarray(_fft.rfftn(kern).real)
+    return RieszConvolver(grid, alpha, spectrum, sing)
 
 
 def riesz_convolve(conv: RieszConvolver, rho: ScalarField) -> ScalarField:
@@ -112,12 +123,17 @@ def riesz_convolve(conv: RieszConvolver, rho: ScalarField) -> ScalarField:
 
 
 def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
+    """Kernel convolution of values by the pruned transform of the module docstring."""
     grid = conv.grid
-    m = grid.points_per_axis
-    pad = np.zeros((2 * m,) * grid.dim)
-    pad[(slice(0, m),) * grid.dim] = values
-    out = _fft.irfftn(_fft.rfftn(pad) * conv.kernel_spectrum, pad.shape)
-    return out[(slice(0, m),) * grid.dim] * grid.cell_volume
+    m, n = grid.points_per_axis, 2 * grid.points_per_axis
+    spec = _fft.rfft(values, n, axis=-1)
+    for ax in range(grid.dim - 2, -1, -1):
+        spec = _fft.fft(spec, n, axis=ax)
+    spec *= conv.kernel_spectrum
+    for ax in range(grid.dim - 1):
+        spec = _fft.ifft(spec, axis=ax)[(slice(None),) * ax + (slice(0, m),)]
+    out = _fft.irfft(spec, n, axis=-1)[..., :m]
+    return out * grid.cell_volume
 
 
 def riesz_convolve_oracle(grid: GridSpec, alpha: float, rho: ScalarField) -> ScalarField:

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import _fft
 from .errors import (
     BetaTooLarge,
     DilationOutOfBox,
@@ -60,6 +59,7 @@ from .grid import (
     dilate,
     gaussian_field,
     neg_laplacian_values,
+    x_grad_values,
 )
 from .energy import (
     StateEval,
@@ -126,16 +126,7 @@ class GeometryReport:
 
 def _dilation_generator(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """(N/2) f + x . grad f, the infinitesimal mass-preserving dilation."""
-    out = 0.5 * grid.dim * values.copy()
-    spec = _fft.rfftn(values)
-    m, h = grid.points_per_axis, grid.spacing
-    kfull = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-    khalf = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
-    for d, x in enumerate(grid.coords()):
-        k = khalf if d == grid.dim - 1 else kfull
-        kshape = (1,) * d + (-1,) + (1,) * (grid.dim - d - 1)
-        out += x * _fft.irfftn(1j * k.reshape(kshape) * spec, grid.shape)
-    return out
+    return 0.5 * grid.dim * values + x_grad_values(grid, values)
 
 
 def _remove_component(
@@ -521,7 +512,7 @@ def _saddle_descend(
         ev, s_star, psi, recenter_msg = _recenter(engine, ev, s_star, psi, opts)
         if recenter_msg:
             message = (message + "; " if message else "") + recenter_msg
-        ru, rv, _, _ = _transverse_residual(engine, ev, s_star)
+        ru, rv, *_ = _transverse_residual(engine, ev, s_star)
         grad_after = engine.grad_norm(ru, rv)
         poh = engine.pohozaev(ev)
         kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
@@ -534,7 +525,7 @@ def _saddle_descend(
     if budget <= 0 and not descended:
         message = message or "iteration budget exhausted"
 
-    ru, rv, _, _ = _transverse_residual(engine, ev, s_star)
+    ru, rv, *_ = _transverse_residual(engine, ev, s_star)
     grad_norm = engine.grad_norm(ru, rv)
     poh = engine.pohozaev(ev)
     kin_final = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
@@ -590,7 +581,12 @@ def _saddle_descend(
 
 def _transverse_residual(
     engine: _SaddleEngine, ev: StateEval, s_star: float
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray, np.ndarray]:
+    """Sphere-tangential gradient with the fiber direction removed.
+
+    Returns (ru, rv, cu, cv, tu, tv): the residual, the multiplier
+    coefficients of the tangential projection, and the fiber tangent, which
+    the caller reuses to project its step."""
     params = engine.params
     gu, gv = engine.pulled_back_gradient(ev, s_star)
     if params.xi > 0.0:
@@ -603,7 +599,7 @@ def _transverse_residual(
         rv, cv = np.zeros_like(gv), 0.0
     tu, tv = engine.fiber_tangent(ev)
     ru, rv = _remove_component(ru, rv, tu, tv)
-    return ru, rv, cu, cv
+    return ru, rv, cu, cv, tu, tv
 
 
 def _descent_round(
@@ -622,13 +618,12 @@ def _descent_round(
     iters = 0
     for _ in range(budget):
         iters += 1
-        ru, rv, cu, cv = _transverse_residual(engine, ev, s_star)
+        ru, rv, cu, cv, tu, tv = _transverse_residual(engine, ev, s_star)
         grad_norm = engine.grad_norm(ru, rv)
         if grad_norm < opts.grad_tol:
             descended = True
             break
         du, dv = engine.direction(ru, rv, cu, cv, ev)
-        tu, tv = engine.fiber_tangent(ev)
         du, dv = _remove_component(du, dv, tu, tv)
         slope = engine.h_n * (float(np.sum(ru * du)) + float(np.sum(rv * dv)))
         accepted = False

@@ -106,6 +106,16 @@ class TestRunMinimize:
         path = write_config(tmp_path, payload)
         assert main(["minimize", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_override_below_one(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path, tiny_minimize_config())
+        code = main(["minimize", "--config", str(path), "--threads", threads,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert cq.get_workers() == 1
+
     def test_error_record_on_solver_exception(self, tmp_path):
         payload = tiny_minimize_config()
         payload["model"]["p"] = 3.0  # supercritical: minimize must refuse

@@ -87,6 +87,15 @@ class TestNorms:
         quad_form = cq.inner(cq.neg_laplacian(f), f)
         assert quad_form == pytest.approx(cq.grad_norm_sq(f), rel=1e-12)
 
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 64), (3, 48)])
+    def test_x_grad_gaussian(self, dim, m):
+        # x . grad e^{-r^2} = -2 r^2 e^{-r^2}
+        g = cq.GridSpec(dim, 8.0, m)
+        f = gaussian_e_r2(g)
+        want = -2.0 * g.radius_sq() * f.values
+        got = cq.grid.x_grad_values(g, f.values)
+        assert np.max(np.abs(got - want)) < 1e-8
+
 
 class TestDilate:
     def test_identity_at_zero(self, grid3_small):

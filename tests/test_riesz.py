@@ -1,4 +1,5 @@
-"""Free-space Riesz convolution: fast path vs direct-sum oracle vs analytic.
+"""Free-space Riesz convolution: fast path vs dense padded FFT, direct-sum
+oracle and analytic values.
 
 The Newtonian potential of the Gaussian e^{-r^2} in 3D is
 pi^{3/2} erf(r)/r (value 2 pi at r = 0), derived from the error-function
@@ -9,9 +10,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import erf
 
 import choquard as cq
+import choquard._fft
 from conftest import smooth_random_field
 
 
@@ -111,6 +114,69 @@ class TestConvolve:
             us = cq.dilate(u, s)
             form = cq.inner(cq.riesz_convolve(conv, us), us)
             assert abs(form / (math.exp(-alpha * s) * base) - 1) < 5e-3
+
+
+def dense_padded_convolution(conv, values):
+    """Hockney reference: zero-pad to (2M)^N, multiply full spectra, crop."""
+    g = conv.grid
+    m = g.points_per_axis
+    n = 2 * m
+    off = np.where(np.arange(n) < m, np.arange(n), np.arange(n) - n) * g.spacing
+    r2 = sum(np.meshgrid(*([off**2] * g.dim), indexing="ij", sparse=True))
+    with np.errstate(divide="ignore"):
+        kern = r2 ** ((conv.alpha - g.dim) / 2.0)
+    kern[(0,) * g.dim] = conv.singular_value
+    pad = np.zeros((n,) * g.dim)
+    pad[(slice(0, m),) * g.dim] = values
+    out = np.fft.ifftn(np.fft.fftn(pad) * np.fft.fftn(kern)).real
+    return out[(slice(0, m),) * g.dim] * g.cell_volume
+
+
+class TestPruned:
+    def test_kernel_spectrum_is_real_float64(self, grid3_small):
+        spec = cq.build_convolver(grid3_small, 2.0).kernel_spectrum
+        assert spec.dtype == np.float64
+        assert spec.flags.c_contiguous
+        m = grid3_small.points_per_axis
+        assert spec.shape == (2 * m, 2 * m, m + 1)
+
+    @pytest.mark.parametrize(
+        "dim,m,L,alpha",
+        [(1, 64, 8.0, 0.5), (2, 40, 6.0, 1.2), (3, 16, 4.0, 2.0), (3, 48, 8.0, 1.5)],
+    )
+    def test_matches_dense_padded_fft(self, dim, m, L, alpha):
+        g = cq.GridSpec(dim, L, m)
+        conv = cq.build_convolver(g, alpha)
+        vals = np.random.default_rng(m).standard_normal(g.shape)
+        fast = cq.riesz_convolve(conv, cq.ScalarField(g, vals)).values
+        ref = dense_padded_convolution(conv, vals)
+        assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) < 1e-13
+
+    def test_worker_count_reaches_transforms(self, monkeypatch):
+        g = cq.GridSpec(3, 6.0, 24)
+        conv = cq.build_convolver(g, 2.0)
+        rho = cq.ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+        one = cq.riesz_convolve(conv, rho).values
+        workers = []
+
+        class RecordingFFT:
+            def __getattr__(self, name):
+                fn = getattr(scipy.fft, name)
+
+                def call(*args, **kwargs):
+                    workers.append(kwargs.get("workers"))
+                    return fn(*args, **kwargs)
+
+                return call
+
+        monkeypatch.setattr(choquard._fft, "_sfft", RecordingFFT())
+        try:
+            cq.set_workers(2)
+            two = cq.riesz_convolve(conv, rho).values
+        finally:
+            cq.set_workers(1)
+        assert workers and set(workers) == {2}
+        assert np.max(np.abs(two - one)) <= 1e-13 * np.max(np.abs(one))
 
 
 class TestOracle:
