@@ -89,12 +89,19 @@ def _check_known(table: dict, allowed: set[str], path: str) -> None:
             raise SchemaError(f"{path}.{key}", "unknown field")
 
 
+def _load_table(table: dict, path: str) -> np.ndarray:
+    npy = _expect(table, "path", str, path, required=True)
+    try:
+        return np.load(npy)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"{path}.path", f"cannot load {npy!r}: {exc}") from exc
+
+
 def _parse_coupling(table: dict, path: str) -> CouplingSpec:
     _check_known(table, {"kind", "beta0", "decay", "path"}, path)
     kind = _expect(table, "kind", str, path, required=True)
     if kind == "tabulated":
-        npy = _expect(table, "path", str, path, required=True)
-        return CouplingSpec("tabulated", values=np.load(npy))
+        return CouplingSpec("tabulated", values=_load_table(table, path))
     beta0 = _expect(table, "beta0", float, path, default=0.0)
     if kind == "constant":
         return CouplingSpec("constant", beta0)
@@ -120,8 +127,7 @@ def _parse_potential(table: dict, path: str) -> PotentialSpec:
             "harmonic", stiffness=_expect(table, "stiffness", float, path, default=1.0)
         )
     if kind == "tabulated":
-        npy = _expect(table, "path", str, path, required=True)
-        return PotentialSpec("tabulated", values=np.load(npy))
+        return PotentialSpec("tabulated", values=_load_table(table, path))
     raise SchemaError(f"{path}.kind", f"unknown potential kind {kind!r}")
 
 
@@ -146,8 +152,15 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise SchemaError(str(path), "config file does not exist")
+
+    def finite(text: str) -> float:
+        val = float(text)
+        if not math.isfinite(val):
+            raise SchemaError(str(path), f"number {text} is not finite")
+        return val
+
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

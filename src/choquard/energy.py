@@ -21,7 +21,8 @@ Identity checks:
   + int (x . grad beta) u v, which equals the s-derivative of the energy
   along the dilation fiber at s = 0 and vanishes at critical points (only
   derived for p = q, no potentials, supercritical).
-* ``multiplier_sum_identity`` returns both sides of
+* ``multiplier_sum_identity`` (and ``multiplier_sum_from_breakdown`` for an
+  evaluated state) returns both sides of
   lambda1 xi^2 + lambda2 eta^2 = (1/delta_p - 1) K
       + int (2 beta + x . grad beta / delta_p) u v,
   whose gap is |pohozaev_residual| / delta_p.
@@ -314,14 +315,22 @@ def multiplier_sum_identity(
     _require_translation_invariant_supercritical(params, "the multiplier-sum identity")
     sampled = sample_model(params, state.grid)
     bd = evaluate_state(state.u.values, state.v.values, params, conv, sampled).breakdown
+    return multiplier_sum_from_breakdown(bd, params, sampled, state.u.values * state.v.values)
+
+
+def multiplier_sum_from_breakdown(
+    bd: EnergyBreakdown,
+    params: ModelParams,
+    sampled: SampledModel,
+    uv_product: np.ndarray,
+) -> tuple[float, float]:
+    """(lhs, rhs) of the multiplier-sum identity from an evaluated state."""
     k = bd.grad_sq_u + bd.grad_sq_v
     lhs = -k + params.mu1 * bd.b_u + params.mu2 * bd.b_v + 2.0 * bd.coupling_integral
     dp = params.delta_p
     rhs = (1.0 / dp - 1.0) * k
-    uv = state.u.values * state.v.values
+    # sample_model samples beta whenever the coupling is not identically zero
     if sampled.beta is not None:
         combo = 2.0 * sampled.beta + sampled.x_grad_beta / dp
-        rhs += _quad(state.grid, combo * uv)
-    elif sampled.beta_is_constant and sampled.beta0 != 0.0:
-        rhs += 2.0 * sampled.beta0 * _quad(state.grid, uv)
+        rhs += _quad(sampled.grid, combo * uv_product)
     return lhs, rhs

@@ -65,6 +65,7 @@ from .energy import (
     StateEval,
     _power_force,
     gradient_values,
+    multiplier_sum_from_breakdown,
     pohozaev_from_breakdown,
 )
 from .flow import SolveReport, _SphereDescent, _tangential
@@ -326,12 +327,20 @@ def fiber_energy(
     return _FiberBasis(engine, ev).energy_at(s)
 
 
-def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
+def check_geometry(
+    params: ModelParams, grid: GridSpec, conv: RieszConvolver | None = None
+) -> GeometryReport:
     """Thresholds and sampled energy estimates of the well/barrier split.
 
     k2 is the kinetic level where the barrier profile h peaks (with the
     conservative nonlocal bound constant); k1 = k2/100 bounds the low well.
-    Energies are sampled over Gaussian pairs pinned to each kinetic level.
+    Energies are sampled over mass-normalized Gaussian pairs pinned to each
+    kinetic level.  A continuum Gaussian of mass m and width w has kinetic
+    term m N / (2 w^2), so scaling a width pair by one factor lands it on a
+    level in closed form, and the pinned pair depends only on the width
+    ratio: the 8 x 8 start widths share 15 ratios, and each (ratio, level)
+    is evaluated once on the grid.  A well pair already at or below k1 is
+    sampled unscaled.  ``conv`` reuses a convolver the caller already built.
     Raises BetaTooLarge when the coupling sup-norm reaches hmax/(2 xi eta).
     """
     _require_saddle_mode(params)
@@ -348,18 +357,27 @@ def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
         raise BetaTooLarge(
             f"coupling sup-norm {beta_sup:.4g} >= admissible bound {beta_bound:.4g}"
         )
-    engine = _SaddleEngine(params, grid, SaddleOptions())
-    widths = np.geomspace(0.4, grid.half_extent / 2.0, 8)
-    barrier: list[float] = []
-    well: list[float] = []
-    for wu in widths:
-        for wv in widths:
-            e2 = _pinned_energy(engine, float(wu), float(wv), k2)
-            if e2 is not None:
-                barrier.append(e2)
-            e1 = _pinned_energy(engine, float(wu), float(wv), k1, below=True)
-            if e1 is not None:
-                well.append(e1)
+    engine = _SaddleEngine(params, grid, SaddleOptions(), conv=conv)
+
+    def kinetic(wu: float, wv: float) -> float:
+        return 0.5 * grid.dim * (params.xi**2 / wu**2 + params.eta**2 / wv**2)
+
+    def pinned(wu: float, wv: float, level: float, below: bool = False) -> float | None:
+        t = math.sqrt(kinetic(wu, wv) / level)
+        return _pinned_energy(engine, t * wu, t * wv, level, below)
+
+    widths = [float(w) for w in np.geomspace(0.4, grid.half_extent / 2.0, 8)]
+    pairs = [(i - j, wu, wv) for i, wu in enumerate(widths) for j, wv in enumerate(widths)]
+    # one representative pair per ratio widths[i] / widths[j], keyed by i - j
+    by_ratio = {d: (wu, wv) for d, wu, wv in pairs}
+    steep = {d: (wu, wv) for d, wu, wv in pairs if kinetic(wu, wv) > k1}
+    barrier = [pinned(wu, wv, k2) for wu, wv in by_ratio.values()]
+    well = [pinned(wu, wv, k1, below=True) for wu, wv in steep.values()]
+    well += [
+        _pinned_energy(engine, wu, wv, k1, below=True)
+        for _, wu, wv in pairs
+        if kinetic(wu, wv) <= k1
+    ]
     # flattest admissible state: the constant pair, kinetic exactly zero
     vol = (2.0 * grid.half_extent) ** grid.dim
     const = engine.evaluate(
@@ -367,10 +385,11 @@ def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
         np.full(grid.shape, params.eta / math.sqrt(vol)),
     )
     well.append(float(const.breakdown.total))
+    barrier = [e for e in barrier if e is not None]
     if not barrier:
         raise GeometryFailed("could not pin sample states to the barrier kinetic level")
     inf_barrier = min(barrier)
-    sup_well = max(well)
+    sup_well = max(e for e in well if e is not None)
     return GeometryReport(
         k1=k1,
         k2=k2,
@@ -391,12 +410,19 @@ def _pinned_energy(
     kinetic: float,
     below: bool = False,
 ) -> float | None:
-    """Energy of a mass-normalized Gaussian pair with the widths rescaled so
-    the measured kinetic term hits the target (or, with ``below``, lands
-    anywhere at or under it)."""
+    """Energy of a mass-normalized Gaussian pair whose measured kinetic term
+    hits the target to 2% (or, with ``below``, lands anywhere at or under it).
+
+    The first evaluation is at the given widths, which the caller pins in
+    closed form, so a resolved pair costs one energy evaluation; a pair that
+    misses the band is rescaled by its measured kinetic term, up to 12
+    evaluations.  None if a width leaves (1e-2 h, 20 L) or the pair cannot be
+    sampled."""
     grid = engine.grid
     wu, wv = width_u, width_v
     for _ in range(12):
+        if not all(1e-2 * grid.spacing < w < 20 * grid.half_extent for w in (wu, wv)):
+            return None
         try:
             u = gaussian_field(grid, wu, mass=engine.params.xi**2)
             v = gaussian_field(grid, wv, mass=engine.params.eta**2)
@@ -413,8 +439,6 @@ def _pinned_energy(
             return float(ev.breakdown.total)
         wu *= t
         wv *= t
-        if not (1e-2 * grid.spacing < wu < 20 * grid.half_extent):
-            return None
     return None
 
 
@@ -432,14 +456,14 @@ def mountain_pass_solve(
     if params.xi <= 0 or params.eta <= 0:
         raise ZeroMass("the coupled saddle needs positive masses on both components")
     grid = init.grid
+    engine = _SaddleEngine(params, grid, opts)
     if opts.geometry_check:
-        geo = check_geometry(params, grid)
+        geo = check_geometry(params, grid, conv=engine.conv)
         if not geo.separated:
             raise GeometryFailed(
                 f"sampled well max {geo.sup_well_estimate:.4g} does not sit below "
                 f"sampled barrier min {geo.inf_barrier_estimate:.4g}"
             )
-    engine = _SaddleEngine(params, grid, opts)
     return _saddle_descend(engine, init.u.values, init.v.values, opts)
 
 
@@ -550,7 +574,8 @@ def _saddle_descend(
     grid = engine.grid
     bd = ev.breakdown
     mult = engine.multipliers_of(ev)
-    gap = _identity_gap(engine, ev)
+    lhs, rhs = multiplier_sum_from_breakdown(bd, params, engine.sampled, ev.u * ev.v)
+    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     residuals = {
         "projected_gradient": grad_norm,
         "el_residual": full_el,
@@ -677,25 +702,6 @@ def _recenter(
             message = "recentering left the box"
             break
     return ev, s_star, psi, message
-
-
-def _identity_gap(engine: _SaddleEngine, ev: StateEval) -> float:
-    """Relative gap of the multiplier-sum identity at this state."""
-    params = engine.params
-    bd = ev.breakdown
-    k = bd.grad_sq_u + bd.grad_sq_v
-    lhs = -k + params.mu1 * bd.b_u + params.mu2 * bd.b_v + 2.0 * bd.coupling_integral
-    dp = params.delta_p
-    rhs = (1.0 / dp - 1.0) * k
-    if engine.sampled.beta is not None:
-        combo = 2.0 * engine.sampled.beta + engine.sampled.x_grad_beta / dp
-        rhs += float(engine.grid.cell_volume * np.sum(combo * ev.u * ev.v))
-    elif engine.sampled.beta_is_constant and engine.sampled.beta0 != 0.0:
-        rhs += 2.0 * engine.sampled.beta0 * float(
-            engine.grid.cell_volume * np.sum(ev.u * ev.v)
-        )
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
 
 
 def kinetic_bounds_check(report: SolveReport, params: ModelParams) -> tuple[bool, bool]:

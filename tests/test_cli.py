@@ -68,6 +68,31 @@ class TestParse:
         with pytest.raises(cq.SchemaError, match="does not exist"):
             parse_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("field, literal", [
+        ("xi", "NaN"), ("mu1", "Infinity"), ("mu2", "-Infinity"), ("eta", "1e999"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, field, literal):
+        payload = tiny_minimize_config()
+        payload["model"][field] = "@"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload).replace('"@"', literal))
+        with pytest.raises(cq.SchemaError, match=f"number {literal} is not finite"):
+            parse_config(path)
+        code = main(["minimize", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", ["coupling", "v1"])
+    def test_missing_tabulated_file(self, tmp_path, capsys, spec):
+        payload = tiny_minimize_config()
+        payload["model"][spec] = {"kind": "tabulated", "path": str(tmp_path / "nope.npy")}
+        path = write_config(tmp_path, payload)
+        with pytest.raises(cq.SchemaError, match=f"config.model.{spec}.path"):
+            parse_config(path)
+        assert main(["minimize", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"config error: config.model.{spec}.path" in capsys.readouterr().err
+
     def test_scan_needs_lists(self, tmp_path):
         payload = tiny_minimize_config(mode="scan")
         with pytest.raises(cq.SchemaError, match="xi_list"):

@@ -75,6 +75,41 @@ class TestGeometry:
             cq.check_geometry(params, grid32)
 
 
+class TestGeometryPinning:
+    """Closed-form pinning: one energy evaluation per width ratio and level."""
+
+    def test_evaluation_count(self, grid32, monkeypatch):
+        calls = []
+        evaluate = cq.flow.evaluate_state
+        monkeypatch.setattr(
+            cq.flow, "evaluate_state", lambda *a, **k: calls.append(1) or evaluate(*a, **k)
+        )
+        cq.check_geometry(sup_params(), grid32)
+        assert 0 < len(calls) <= 40
+
+    def test_estimates_match_measured_k_pinning(self, grid32):
+        # estimates of the former measured-kinetic rescaling, which pinned
+        # each of the 64 width pairs on its own
+        geo = cq.check_geometry(sup_params(), grid32)
+        assert geo.inf_barrier_estimate == pytest.approx(0.19441881339, rel=2e-2)
+        assert geo.sup_well_estimate == pytest.approx(-0.01462382711, abs=1e-4)
+        assert geo.separated
+
+    def test_saddle_solve_builds_one_convolver(self, grid32, monkeypatch):
+        builds = []
+        build = cq.flow.build_convolver
+        monkeypatch.setattr(
+            cq.flow, "build_convolver", lambda *a, **k: builds.append(1) or build(*a, **k)
+        )
+        monkeypatch.setattr(cq.saddle, "_saddle_descend", lambda engine, *a: engine.conv)
+        bump = cq.gaussian_field(grid32, 1.2, mass=1.0)
+        conv = cq.mountain_pass_solve(
+            sup_params(), cq.StatePair(bump, bump.copy()), cq.SaddleOptions(geometry_check=True)
+        )
+        assert builds == [1]
+        assert conv.grid == grid32
+
+
 class TestFiberMaximize:
     def test_interior_max_dominates_origin(self, grid32):
         params = sup_params()
