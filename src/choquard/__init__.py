@@ -6,7 +6,6 @@ coupled nonlocal energy, extracts the Lagrange multipliers, and checks the
 dilation and multiplier identities the critical points must satisfy.
 """
 
-from ._fft import get_workers, set_workers
 from .errors import (
     AlphaOutOfRange,
     BetaTooLarge,

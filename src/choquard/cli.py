@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
-from . import _fft
 from .errors import ChoquardError, RangeError, SchemaError
 from .grid import GridSpec, ScalarField, StatePair, gaussian_field, radial_profile
 from .model import (
@@ -89,19 +89,23 @@ def _check_known(table: dict, allowed: set[str], path: str) -> None:
             raise SchemaError(f"{path}.{key}", "unknown field")
 
 
-def _load_table(table: dict, path: str) -> np.ndarray:
+def _load_table(table: dict, path: str, grid: GridSpec) -> np.ndarray:
     npy = _expect(table, "path", str, path, required=True)
     try:
-        return np.load(npy)
+        values = np.load(npy)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"{path}.path", f"cannot load {npy!r}: {exc}") from exc
+    shape = getattr(values, "shape", None)
+    if shape != grid.shape:
+        raise SchemaError(f"{path}.path", f"{npy!r} holds shape {shape}, the grid is {grid.shape}")
+    return values
 
 
-def _parse_coupling(table: dict, path: str) -> CouplingSpec:
+def _parse_coupling(table: dict, path: str, grid: GridSpec) -> CouplingSpec:
     _check_known(table, {"kind", "beta0", "decay", "path"}, path)
     kind = _expect(table, "kind", str, path, required=True)
     if kind == "tabulated":
-        return CouplingSpec("tabulated", values=_load_table(table, path))
+        return CouplingSpec("tabulated", values=_load_table(table, path, grid))
     beta0 = _expect(table, "beta0", float, path, default=0.0)
     if kind == "constant":
         return CouplingSpec("constant", beta0)
@@ -111,7 +115,7 @@ def _parse_coupling(table: dict, path: str) -> CouplingSpec:
     raise SchemaError(f"{path}.kind", f"unknown coupling kind {kind!r}")
 
 
-def _parse_potential(table: dict, path: str) -> PotentialSpec:
+def _parse_potential(table: dict, path: str, grid: GridSpec) -> PotentialSpec:
     _check_known(table, {"kind", "depth", "width", "stiffness", "path"}, path)
     kind = _expect(table, "kind", str, path, required=True)
     if kind == "zero":
@@ -127,23 +131,24 @@ def _parse_potential(table: dict, path: str) -> PotentialSpec:
             "harmonic", stiffness=_expect(table, "stiffness", float, path, default=1.0)
         )
     if kind == "tabulated":
-        return PotentialSpec("tabulated", values=_load_table(table, path))
+        return PotentialSpec("tabulated", values=_load_table(table, path, grid))
     raise SchemaError(f"{path}.kind", f"unknown potential kind {kind!r}")
 
 
+def _mass_list(table: dict, key: str) -> list[float]:
+    masses = _expect(table, key, list, "config.scan", default=[])
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in masses):
+        raise SchemaError(f"config.scan.{key}", "expected a list of numbers")
+    return [float(x) for x in masses]
+
+
 def _options_from(table: dict, cls, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, val in table.items():
-        if key not in fields:
-            raise SchemaError(f"{path}.{key}", "unknown field")
-        want = fields[key].type
-        if isinstance(val, int) and not isinstance(val, bool) and "float" in str(want):
-            val = float(val)
-        kwargs[key] = val
+    kinds = {f.name: {"int": int, "float": float, "bool": bool, "str": str}[f.type]
+             for f in dataclasses.fields(cls)}
+    _check_known(table, set(kinds), path)
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return cls(**{key: _expect(table, key, kinds[key], path) for key in table})
+    except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -159,10 +164,18 @@ def parse_config(path: str | Path) -> RunConfig:
             raise SchemaError(str(path), f"number {text} is not finite")
         return val
 
+    def integer(text: str) -> int:
+        finite(text)
+        return int(text)
+
     try:
-        raw = json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
+        raw = json.loads(
+            path.read_text(), parse_float=finite, parse_constant=finite, parse_int=integer
+        )
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(str(path), f"cannot read: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(str(path), "config root must be an object")
     _check_known(
@@ -194,12 +207,17 @@ def parse_config(path: str | Path) -> RunConfig:
     coupling = _parse_coupling(
         _expect(mtab, "coupling", dict, "config.model", default={"kind": "constant", "beta0": 0.0}),
         "config.model.coupling",
+        grid,
     )
+    if mode == "saddle" and coupling.kind == "tabulated":
+        raise SchemaError(
+            "config.model.coupling", "saddle mode needs a built-in coupling family, not a table"
+        )
     v1 = _parse_potential(
-        _expect(mtab, "v1", dict, "config.model", default={"kind": "zero"}), "config.model.v1"
+        _expect(mtab, "v1", dict, "config.model", default={"kind": "zero"}), "config.model.v1", grid
     )
     v2 = _parse_potential(
-        _expect(mtab, "v2", dict, "config.model", default={"kind": "zero"}), "config.model.v2"
+        _expect(mtab, "v2", dict, "config.model", default={"kind": "zero"}), "config.model.v2", grid
     )
     params = ModelParams(
         dim=grid.dim,
@@ -222,13 +240,19 @@ def parse_config(path: str | Path) -> RunConfig:
 
     stab = _expect(raw, "scan", dict, "config", default={})
     _check_known(stab, {"xi_list", "eta_list", "n_starts"}, "config.scan")
-    xi_list = stab.get("xi_list", [])
-    eta_list = stab.get("eta_list", [])
+    xi_list = _mass_list(stab, "xi_list")
+    eta_list = _mass_list(stab, "eta_list")
     n_starts = _expect(stab, "n_starts", int, "config.scan", default=3)
     if mode == "scan":
         for name, lst in (("xi_list", xi_list), ("eta_list", eta_list)):
-            if not isinstance(lst, list) or len(lst) < 2:
+            if len(lst) < 2:
                 raise SchemaError(f"config.scan.{name}", "need a list of at least two masses")
+            if lst[0] < 0 or any(b <= a for a, b in zip(lst, lst[1:])):
+                raise SchemaError(
+                    f"config.scan.{name}", "masses must be >= 0 and strictly increasing"
+                )
+        if n_starts < 1:
+            raise SchemaError("config.scan.n_starts", "need at least one start")
 
     itab = _expect(raw, "init", dict, "config", default={})
     _check_known(itab, {"width_u", "width_v"}, "config.init")
@@ -239,6 +263,8 @@ def parse_config(path: str | Path) -> RunConfig:
     threads = _expect(raw, "threads", int, "config", default=1)
     if threads < 1:
         raise SchemaError("config.threads", "threads must be >= 1")
+    if seed < 0:
+        raise SchemaError("config.seed", "seed must be >= 0")
 
     cfg = RunConfig(
         mode=mode,
@@ -246,8 +272,8 @@ def parse_config(path: str | Path) -> RunConfig:
         params=params,
         flow=flow,
         saddle=sad,
-        xi_list=[float(x) for x in xi_list],
-        eta_list=[float(x) for x in eta_list],
+        xi_list=xi_list,
+        eta_list=eta_list,
         n_starts=n_starts,
         init_width_u=width_u,
         init_width_v=width_v,
@@ -351,65 +377,67 @@ def _default_init(cfg: RunConfig) -> StatePair:
 
 
 def run(cfg: RunConfig, out_dir: str | Path = ".") -> int:
-    """Execute the configured mode; write artifacts; return the exit code."""
+    """Execute the configured mode with ``cfg.threads`` FFT workers; write
+    artifacts; return the exit code.  The worker count holds for this run
+    only."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _fft.set_workers(cfg.threads)
     report: dict = {
         "schema_version": _SCHEMA_VERSION,
         "mode": cfg.mode,
         "config": cfg.resolved,
     }
-    try:
-        if cfg.mode == "minimize":
-            rep = minimize_normalized(cfg.params, _default_init(cfg), cfg.flow)
-            report["result"] = _report_of_solve(rep)
-            _write_json(out / "report.json", report)
-            _write_profiles(out / "profiles.csv", cfg, rep.state)
-            return 0 if rep.converged else 3
-        if cfg.mode == "saddle":
-            rep = mountain_pass_solve(cfg.params, _default_init(cfg), cfg.saddle)
-            report["result"] = _report_of_solve(rep)
-            _write_json(out / "report.json", report)
-            _write_profiles(out / "profiles.csv", cfg, rep.state)
-            return 0 if rep.converged else 3
-        if cfg.mode == "scan":
-            table = mass_scan(
-                cfg.params,
-                cfg.grid,
-                cfg.xi_list,
-                cfg.eta_list,
-                cfg.flow,
-                n_starts=cfg.n_starts,
-                seed=cfg.seed,
+    with scipy.fft.set_workers(cfg.threads):
+        try:
+            if cfg.mode == "minimize":
+                rep = minimize_normalized(cfg.params, _default_init(cfg), cfg.flow)
+                report["result"] = _report_of_solve(rep)
+                _write_json(out / "report.json", report)
+                _write_profiles(out / "profiles.csv", cfg, rep.state)
+                return 0 if rep.converged else 3
+            if cfg.mode == "saddle":
+                rep = mountain_pass_solve(cfg.params, _default_init(cfg), cfg.saddle)
+                report["result"] = _report_of_solve(rep)
+                _write_json(out / "report.json", report)
+                _write_profiles(out / "profiles.csv", cfg, rep.state)
+                return 0 if rep.converged else 3
+            if cfg.mode == "scan":
+                table = mass_scan(
+                    cfg.params,
+                    cfg.grid,
+                    cfg.xi_list,
+                    cfg.eta_list,
+                    cfg.flow,
+                    n_starts=cfg.n_starts,
+                    seed=cfg.seed,
+                )
+                rows = ["xi,eta,energy,converged,iterations"]
+                for i, xi in enumerate(table.xi_list):
+                    for j, eta in enumerate(table.eta_list):
+                        rows.append(
+                            f"{xi!r},{eta!r},{table.energies[i, j]!r},"
+                            f"{bool(table.converged[i, j])},{int(table.iterations[i, j])}"
+                        )
+                (out / "scan.csv").write_text("\n".join(rows) + "\n")
+                report["result"] = {
+                    "energies": table.energies.tolist(),
+                    "converged": table.converged.tolist(),
+                    "xi_list": table.xi_list,
+                    "eta_list": table.eta_list,
+                }
+                _write_json(out / "report.json", report)
+                return 0 if bool(table.converged.all()) else 3
+            if cfg.mode == "check":
+                return _run_check(cfg, out, report)
+            if cfg.mode == "oracle":
+                return _run_oracle(cfg, out, report)
+            raise SchemaError("config.mode", f"unhandled mode {cfg.mode!r}")
+        except ChoquardError as exc:
+            _write_json(
+                out / "error.json",
+                {"error": type(exc).__name__, "message": str(exc), "mode": cfg.mode},
             )
-            rows = ["xi,eta,energy,converged,iterations"]
-            for i, xi in enumerate(table.xi_list):
-                for j, eta in enumerate(table.eta_list):
-                    rows.append(
-                        f"{xi!r},{eta!r},{table.energies[i, j]!r},"
-                        f"{bool(table.converged[i, j])},{int(table.iterations[i, j])}"
-                    )
-            (out / "scan.csv").write_text("\n".join(rows) + "\n")
-            report["result"] = {
-                "energies": table.energies.tolist(),
-                "converged": table.converged.tolist(),
-                "xi_list": table.xi_list,
-                "eta_list": table.eta_list,
-            }
-            _write_json(out / "report.json", report)
-            return 0 if bool(table.converged.all()) else 3
-        if cfg.mode == "check":
-            return _run_check(cfg, out, report)
-        if cfg.mode == "oracle":
-            return _run_oracle(cfg, out, report)
-        raise SchemaError("config.mode", f"unhandled mode {cfg.mode!r}")
-    except ChoquardError as exc:
-        _write_json(
-            out / "error.json",
-            {"error": type(exc).__name__, "message": str(exc), "mode": cfg.mode},
-        )
-        raise
+            raise
 
 
 def _run_check(cfg: RunConfig, out: Path, report: dict) -> int:
@@ -479,6 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config)
         if args.threads is not None and args.threads < 1:
             raise SchemaError("--threads", "threads must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise SchemaError("--seed", "seed must be >= 0")
     except (SchemaError, RangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

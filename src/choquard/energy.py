@@ -15,8 +15,9 @@ finite differences of ``energy_total`` reproduce it to truncation error.
 
 Identity checks:
 
-* ``lagrange_multipliers`` extracts the frequencies from the constraint
-  pairing of the gradient with (u, 0) and (0, v).
+* ``lagrange_multipliers`` (and ``multipliers_from_breakdown`` for an
+  evaluated state) extracts the frequencies from the constraint pairing of
+  the gradient with (u, 0) and (0, v).
 * ``pohozaev_residual`` evaluates K - delta_p (mu1 B_u + mu2 B_v)
   + int (x . grad beta) u v, which equals the s-derivative of the energy
   along the dilation fiber at s = 0 and vanishes at critical points (only
@@ -76,35 +77,27 @@ class Multipliers:
 
 @dataclass
 class SampledModel:
-    """Grid samples of the model's spatial data, computed once per solve."""
+    """Grid samples of the model's spatial data, computed once per solve.
+
+    beta and x_grad_beta are None only for the identically-zero coupling;
+    a zero potential is None as well."""
 
     grid: GridSpec
     v1: np.ndarray | None
     v2: np.ndarray | None
     beta: np.ndarray | None
     x_grad_beta: np.ndarray | None
-    beta_is_constant: bool
-    beta0: float
 
 
 def sample_model(params: ModelParams, grid: GridSpec) -> SampledModel:
     beta = None
     xgb = None
-    const = params.coupling.kind == "constant"
-    if not (const and params.coupling.beta0 == 0.0):
+    if not (params.coupling.kind == "constant" and params.coupling.beta0 == 0.0):
         beta = coupling_values(params.coupling, grid)
         xgb = coupling_x_grad_values(params.coupling, grid)
     v1 = None if params.v1.is_zero else potential_values(params.v1, grid)
     v2 = None if params.v2.is_zero else potential_values(params.v2, grid)
-    return SampledModel(
-        grid=grid,
-        v1=v1,
-        v2=v2,
-        beta=beta,
-        x_grad_beta=xgb,
-        beta_is_constant=const,
-        beta0=params.coupling.beta0 if const else float("nan"),
-    )
+    return SampledModel(grid=grid, v1=v1, v2=v2, beta=beta, x_grad_beta=xgb)
 
 
 def _quad(grid: GridSpec, arr: np.ndarray) -> float:
@@ -168,12 +161,7 @@ def evaluate_state(
 
     pot_u = _quad(grid, sampled.v1 * u_values**2) if sampled.v1 is not None else 0.0
     pot_v = _quad(grid, sampled.v2 * v_values**2) if sampled.v2 is not None else 0.0
-    if sampled.beta is not None:
-        coup = _quad(grid, sampled.beta * u_values * v_values)
-    elif sampled.beta_is_constant and sampled.beta0 != 0.0:
-        coup = sampled.beta0 * _quad(grid, u_values * v_values)
-    else:
-        coup = 0.0
+    coup = _quad(grid, sampled.beta * u_values * v_values) if sampled.beta is not None else 0.0
 
     kinetic = 0.5 * (gu + gv)
     nl_u = -params.mu1 / (2.0 * params.p) * b_u
@@ -215,9 +203,6 @@ def gradient_values(
     if sampled.beta is not None:
         gu -= sampled.beta * ev.v
         gv -= sampled.beta * ev.u
-    elif sampled.beta_is_constant and sampled.beta0 != 0.0:
-        gu -= sampled.beta0 * ev.v
-        gv -= sampled.beta0 * ev.u
     return gu, gv
 
 
@@ -257,9 +242,24 @@ def lagrange_multipliers(
         raise ZeroMass("multipliers require both components to carry mass")
     sampled = sample_model(params, state.grid)
     bd = evaluate_state(state.u.values, state.v.values, params, conv, sampled).breakdown
-    lam1 = -(bd.grad_sq_u + bd.pot_u_integral - params.mu1 * bd.b_u - bd.coupling_integral) / mass_u
-    lam2 = -(bd.grad_sq_v + bd.pot_v_integral - params.mu2 * bd.b_v - bd.coupling_integral) / mass_v
-    return Multipliers(lam1, lam2)
+    return multipliers_from_breakdown(bd, params, mass_u, mass_v)
+
+
+def multipliers_from_breakdown(
+    bd: EnergyBreakdown, params: ModelParams, mass_u: float, mass_v: float
+) -> Multipliers:
+    """The frequencies of ``lagrange_multipliers`` from an evaluated state
+    and its masses; a component of zero mass gets 0."""
+
+    def lam(grad_sq: float, pot: float, mu: float, b: float, mass: float) -> float:
+        if mass <= 0.0:
+            return 0.0
+        return -(grad_sq + pot - mu * b - bd.coupling_integral) / mass
+
+    return Multipliers(
+        lam(bd.grad_sq_u, bd.pot_u_integral, params.mu1, bd.b_u, mass_u),
+        lam(bd.grad_sq_v, bd.pot_v_integral, params.mu2, bd.b_v, mass_v),
+    )
 
 
 def _require_translation_invariant_supercritical(params: ModelParams, what: str) -> None:
@@ -289,14 +289,12 @@ def pohozaev_from_breakdown(
     bd: EnergyBreakdown,
     params: ModelParams,
     sampled: SampledModel,
-    uv_product: np.ndarray | None,
+    uv_product: np.ndarray,
 ) -> float:
     res = (bd.grad_sq_u + bd.grad_sq_v) - params.delta_p * (
         params.mu1 * bd.b_u + params.mu2 * bd.b_v
     )
     if sampled.x_grad_beta is not None:
-        if uv_product is None:
-            raise ValueError("u*v product required for non-constant coupling")
         res += _quad(sampled.grid, sampled.x_grad_beta * uv_product)
     return res
 
@@ -329,7 +327,6 @@ def multiplier_sum_from_breakdown(
     lhs = -k + params.mu1 * bd.b_u + params.mu2 * bd.b_v + 2.0 * bd.coupling_integral
     dp = params.delta_p
     rhs = (1.0 / dp - 1.0) * k
-    # sample_model samples beta whenever the coupling is not identically zero
     if sampled.beta is not None:
         combo = 2.0 * sampled.beta + sampled.x_grad_beta / dp
         rhs += _quad(sampled.grid, combo * uv_product)

@@ -21,10 +21,6 @@ class NegativeInput(ChoquardError):
     """An operation requiring a nonnegative field received negative values."""
 
 
-class AlphaOutOfRange(ChoquardError):
-    """Riesz exponent alpha outside the open interval (0, dim)."""
-
-
 class TooLarge(ChoquardError):
     """Grid too large for the direct-sum convolution oracle."""
 
@@ -79,3 +75,7 @@ class SchemaError(ChoquardError):
 
 class RangeError(ChoquardError):
     """A parameter violates its admissible range."""
+
+
+class AlphaOutOfRange(RangeError):
+    """Riesz exponent alpha outside the open interval (0, dim)."""

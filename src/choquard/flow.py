@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
-from . import _fft
 from .errors import NoDescentStep, NonFinite, NotSubcritical, ZeroMass
 from .grid import (
     GridSpec,
@@ -43,6 +43,7 @@ from .energy import (
     StateEval,
     evaluate_state,
     gradient_values,
+    multipliers_from_breakdown,
     sample_model,
 )
 from .model import ModelParams, CouplingSpec, ZERO_POTENTIAL
@@ -72,6 +73,8 @@ class FlowOptions:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.symmetrize_every < 0:
             raise ValueError("symmetrize_every must be >= 0")
+        if self.initial_step <= 0:
+            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -124,7 +127,8 @@ def _normalized(values: np.ndarray, target_norm: float, grid: GridSpec) -> np.nd
 
 
 def _tangential(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Remove the component of g along u; return it and the Rayleigh ratio."""
+    """Remove the component of g along u; return it and the Rayleigh ratio.
+    An all-zero u (a component frozen at zero mass) gives zeros."""
     uu = float(np.sum(u * u))
     if uu == 0.0:
         return np.zeros_like(g), 0.0
@@ -132,8 +136,18 @@ def _tangential(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
     return g - c * u, c
 
 
+def _sphere_tangent(
+    gu: np.ndarray, gv: np.ndarray, ev: StateEval
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Project a gradient pair onto the tangent space of the mass spheres at
+    the evaluated state: (ru, rv, cu, cv) with the Rayleigh ratios."""
+    ru, cu = _tangential(gu, ev.u)
+    rv, cv = _tangential(gv, ev.v)
+    return ru, rv, cu, cv
+
+
 def _precondition(grid: GridSpec, r: np.ndarray, sigma: float) -> np.ndarray:
-    return _fft.irfftn(_fft.rfftn(r) / (sigma + _k_sq_rfft(grid)), grid.shape)
+    return scipy.fft.irfftn(scipy.fft.rfftn(r) / (sigma + _k_sq_rfft(grid)), s=grid.shape)
 
 
 class _SphereDescent:
@@ -163,16 +177,7 @@ class _SphereDescent:
         return ev
 
     def residual_fields(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray, float, float]:
-        gu, gv = gradient_values(ev, self.params, self.conv, self.sampled)
-        if self.params.xi > 0.0:
-            ru, cu = _tangential(gu, ev.u)
-        else:
-            ru, cu = np.zeros_like(gu), 0.0
-        if self.params.eta > 0.0:
-            rv, cv = _tangential(gv, ev.v)
-        else:
-            rv, cv = np.zeros_like(gv), 0.0
-        return ru, rv, cu, cv
+        return _sphere_tangent(*gradient_values(ev, self.params, self.conv, self.sampled), ev)
 
     def grad_norm(self, ru: np.ndarray, rv: np.ndarray) -> float:
         return math.sqrt(self.h_n * (float(np.sum(ru * ru)) + float(np.sum(rv * rv))))
@@ -190,10 +195,7 @@ class _SphereDescent:
             du = du / (1.0 + np.maximum(self.sampled.v1, 0.0) / sigma)
         if self.sampled.v2 is not None:
             dv = dv / (1.0 + np.maximum(self.sampled.v2, 0.0) / sigma)
-        if self.params.xi > 0.0:
-            du, _ = _tangential(du, ev.u)
-        if self.params.eta > 0.0:
-            dv, _ = _tangential(dv, ev.v)
+        du, dv, _, _ = _sphere_tangent(du, dv, ev)
         return du, dv
 
     def retract(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,25 +208,6 @@ class _SphereDescent:
         mu_ = self.h_n * float(np.sum(ev.u * ev.u))
         mv_ = self.h_n * float(np.sum(ev.v * ev.v))
         return max(abs(mu_ - self.params.xi**2), abs(mv_ - self.params.eta**2))
-
-    def multipliers_of(self, ev: StateEval) -> Multipliers:
-        bd = ev.breakdown
-        lam1 = lam2 = 0.0
-        if self.params.xi > 0.0:
-            lam1 = -(
-                bd.grad_sq_u
-                + bd.pot_u_integral
-                - self.params.mu1 * bd.b_u
-                - bd.coupling_integral
-            ) / self.params.xi**2
-        if self.params.eta > 0.0:
-            lam2 = -(
-                bd.grad_sq_v
-                + bd.pot_v_integral
-                - self.params.mu2 * bd.b_v
-                - bd.coupling_integral
-            ) / self.params.eta**2
-        return Multipliers(lam1, lam2)
 
 
 def _symmetrized(engine: _SphereDescent, ev: StateEval) -> StateEval | None:
@@ -351,7 +334,7 @@ def minimize_normalized(
     return SolveReport(
         state=state,
         energy=ev.breakdown,
-        multipliers=engine.multipliers_of(ev),
+        multipliers=multipliers_from_breakdown(ev.breakdown, params, params.xi**2, params.eta**2),
         residuals=residuals,
         iterations=iters,
         converged=converged,

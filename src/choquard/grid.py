@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
-from . import _fft
 from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, ZeroMass
 
 _MAX_POINTS = 2**27  # 128^3 * 8 bytes * a few work arrays stays in RAM
@@ -226,7 +226,7 @@ def grad_norm_sq(f: ScalarField) -> float:
 
 
 def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
-    spec = _fft.rfftn(values)
+    spec = scipy.fft.rfftn(values)
     w = _parseval_weights(grid)
     k2 = _k_sq_rfft(grid)
     s = np.sum(w * k2 * (spec.real**2 + spec.imag**2))
@@ -235,7 +235,7 @@ def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
 
 def neg_laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """-Delta f, spectrally.  The exact gradient of grad_norm_sq/2."""
-    return _fft.irfftn(_k_sq_rfft(grid) * _fft.rfftn(values), grid.shape)
+    return scipy.fft.irfftn(_k_sq_rfft(grid) * scipy.fft.rfftn(values), s=grid.shape)
 
 
 def neg_laplacian(f: ScalarField) -> ScalarField:
@@ -244,10 +244,10 @@ def neg_laplacian(f: ScalarField) -> ScalarField:
 
 def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """x . grad f, with each partial derivative a periodic Fourier multiplier."""
-    spec = _fft.rfftn(values)
+    spec = scipy.fft.rfftn(values)
     out = np.zeros(grid.shape)
     for x, k in zip(grid.coords(), _wavevectors_rfft(grid)):
-        out += x * _fft.irfftn(1j * k * spec, grid.shape)
+        out += x * scipy.fft.irfftn(1j * k * spec, s=grid.shape)
     return out
 
 

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import quad
 
-from . import _fft
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
 from .grid import GridSpec, ScalarField
 
@@ -111,7 +111,7 @@ def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
     with np.errstate(divide="ignore"):
         kern = r2 ** ((alpha - grid.dim) / 2.0)
     kern[(0,) * grid.dim] = sing
-    spectrum = np.ascontiguousarray(_fft.rfftn(kern).real)
+    spectrum = np.ascontiguousarray(scipy.fft.rfftn(kern).real)
     return RieszConvolver(grid, alpha, spectrum, sing)
 
 
@@ -126,13 +126,16 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     """Kernel convolution of values by the pruned transform of the module docstring."""
     grid = conv.grid
     m, n = grid.points_per_axis, 2 * grid.points_per_axis
-    spec = _fft.rfft(values, n, axis=-1)
+    spec = scipy.fft.rfft(values, n=n, axis=-1)
+    # the complex steps only see intermediate spectra, so they may reuse
+    # their input's memory
     for ax in range(grid.dim - 2, -1, -1):
-        spec = _fft.fft(spec, n, axis=ax)
+        spec = scipy.fft.fft(spec, n=n, axis=ax, overwrite_x=True)
     spec *= conv.kernel_spectrum
     for ax in range(grid.dim - 1):
-        spec = _fft.ifft(spec, axis=ax)[(slice(None),) * ax + (slice(0, m),)]
-    out = _fft.irfft(spec, n, axis=-1)[..., :m]
+        spec = scipy.fft.ifft(spec, axis=ax, overwrite_x=True)
+        spec = spec[(slice(None),) * ax + (slice(0, m),)]
+    out = scipy.fft.irfft(spec, n=n, axis=-1)[..., :m]
     return out * grid.cell_volume
 
 

@@ -29,6 +29,10 @@ Admissibility of the coupling (sup-norm below the barrier bound, sign
 condition on 2 beta + x.grad beta / delta_p) is checked by
 ``check_geometry`` together with sampled estimates of the energy well and
 barrier separation.
+
+The fiber needs beta(e^{-s} x) off the grid, which only the built-in
+coupling families provide in closed form, so the fiber solvers refuse a
+tabulated coupling; ``check_geometry`` samples at s = 0 only and accepts it.
 """
 
 from __future__ import annotations
@@ -62,13 +66,16 @@ from .grid import (
     x_grad_values,
 )
 from .energy import (
+    SampledModel,
     StateEval,
     _power_force,
     gradient_values,
     multiplier_sum_from_breakdown,
+    multipliers_from_breakdown,
     pohozaev_from_breakdown,
+    sample_model,
 )
-from .flow import SolveReport, _SphereDescent, _tangential
+from .flow import SolveReport, _SphereDescent, _sphere_tangent
 from .model import (
     CouplingSpec,
     ModelParams,
@@ -77,7 +84,6 @@ from .model import (
     classify,
     coupling_scaled_values,
     coupling_values,
-    coupling_x_grad_values,
     h_thresholds,
 )
 from .riesz import RieszConvolver
@@ -107,6 +113,8 @@ class SaddleOptions:
             raise ValueError("fiber bracket must contain 0 in its interior")
         if self.fiber_tol <= 0 or self.grad_tol <= 0 or self.pohozaev_rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.initial_step <= 0:
+            raise ValueError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,13 @@ def _remove_component(
     return du - c * tu, dv - c * tv
 
 
+def _coupling_sup(sampled: SampledModel, pdp: float) -> float:
+    """sup |2 p delta_p beta + x.grad beta| over the grid."""
+    if sampled.beta is None:
+        return 0.0
+    return float(np.max(np.abs(2.0 * pdp * sampled.beta + sampled.x_grad_beta)))
+
+
 def _require_saddle_mode(params: ModelParams) -> None:
     if params.p != params.q:
         raise NotSupercritical("the saddle solver requires p = q")
@@ -154,31 +169,19 @@ class _FiberBasis:
 
     def __init__(self, engine: "_SaddleEngine", ev: StateEval):
         self.engine = engine
-        self.ev = ev
         bd = ev.breakdown
         self.kinetic = bd.grad_sq_u + bd.grad_sq_v
         self.weighted_b = engine.params.mu1 * bd.b_u + engine.params.mu2 * bd.b_v
-        self.uv = None
-        spec = engine.params.coupling
-        if spec.kind == "constant":
-            self.coupling0 = bd.coupling_integral
-        else:
-            self.uv = ev.u * ev.v
-            self.coupling0 = bd.coupling_integral
+        self.uv = ev.u * ev.v
+        self.coupling0 = bd.coupling_integral
 
     def coupling_at(self, s: float) -> float:
         spec = self.engine.params.coupling
         if spec.kind == "constant":
             return self.coupling0
         grid = self.engine.grid
-        if spec.kind == "rational_decay":
-            beta_s = coupling_scaled_values(spec, grid, math.exp(-s))
-            return float(grid.cell_volume * np.sum(beta_s * self.uv))
-        # tabulated: pull the fields back instead of the coupling
-        us = dilate(ScalarField(grid, self.ev.u), -s).values
-        vs = dilate(ScalarField(grid, self.ev.v), -s).values
-        beta = self.engine.sampled.beta
-        return float(grid.cell_volume * np.sum(beta * us * vs))
+        beta_s = coupling_scaled_values(spec, grid, math.exp(-s))
+        return float(grid.cell_volume * np.sum(beta_s * self.uv))
 
     def energy_at(self, s: float) -> float:
         p = self.engine.params.p
@@ -198,16 +201,11 @@ class _SaddleEngine(_SphereDescent):
         opts: SaddleOptions,
         conv: RieszConvolver | None = None,
     ):
+        if params.coupling.kind == "tabulated":
+            raise ModeMismatch("the dilation fiber needs a built-in coupling family, not a table")
         super().__init__(params, grid, precondition=opts.precondition, conv=conv)
         self.sopts = opts
-        pdp = params.p * params.delta_p
-        if self.sampled.beta is not None:
-            combo = 2.0 * pdp * self.sampled.beta + self.sampled.x_grad_beta
-            self.coupling_sup = float(np.max(np.abs(combo)))
-        elif self.sampled.beta_is_constant and self.sampled.beta0 != 0.0:
-            self.coupling_sup = 2.0 * pdp * self.sampled.beta0
-        else:
-            self.coupling_sup = 0.0
+        self.coupling_sup = _coupling_sup(self.sampled, params.p * params.delta_p)
 
     def kinetic_cap(self, level: float) -> float:
         """Trust cap on the kinetic term during descent.
@@ -263,25 +261,14 @@ class _SaddleEngine(_SphereDescent):
             gu -= b * self.params.mu1 * ev.conv_u * _power_force(ev.u, p)
         if ev.conv_v is not None:
             gv -= b * self.params.mu2 * ev.conv_v * _power_force(ev.v, p)
-        spec = self.params.coupling
-        if spec.kind == "constant":
-            if spec.beta0 != 0.0:
-                gu -= spec.beta0 * ev.v
-                gv -= spec.beta0 * ev.u
-        elif spec.kind == "rational_decay":
-            beta_s = coupling_scaled_values(spec, self.grid, math.exp(-s_star))
+        if self.sampled.beta is not None:
+            beta_s = coupling_scaled_values(self.params.coupling, self.grid, math.exp(-s_star))
             gu -= beta_s * ev.v
             gv -= beta_s * ev.u
-        else:
-            # tabulated couplings only reach here with |s_star| below the
-            # recenter threshold; the unscaled sample is accurate to O(s_star)
-            gu -= self.sampled.beta * ev.v
-            gv -= self.sampled.beta * ev.u
         return gu, gv
 
     def pohozaev(self, ev: StateEval) -> float:
-        uv = ev.u * ev.v if self.sampled.x_grad_beta is not None else None
-        return pohozaev_from_breakdown(ev.breakdown, self.params, self.sampled, uv)
+        return pohozaev_from_breakdown(ev.breakdown, self.params, self.sampled, ev.u * ev.v)
 
     def fiber_tangent(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray]:
         """Generator of the dilation fiber at the profile: (N/2) u + x.grad u.
@@ -291,10 +278,7 @@ class _SaddleEngine(_SphereDescent):
         kept orthogonal to it (the offset s plays the role of the gauge)."""
         tu = _dilation_generator(self.grid, ev.u)
         tv = _dilation_generator(self.grid, ev.v) if self.params.eta > 0 else np.zeros_like(ev.v)
-        if self.params.xi > 0.0:
-            tu, _ = _tangential(tu, ev.u)
-        if self.params.eta > 0.0:
-            tv, _ = _tangential(tv, ev.v)
+        tu, tv, _, _ = _sphere_tangent(tu, tv, ev)
         return tu, tv
 
 
@@ -357,7 +341,7 @@ def check_geometry(
         raise BetaTooLarge(
             f"coupling sup-norm {beta_sup:.4g} >= admissible bound {beta_bound:.4g}"
         )
-    engine = _SaddleEngine(params, grid, SaddleOptions(), conv=conv)
+    engine = _SphereDescent(params, grid, conv=conv)
 
     def kinetic(wu: float, wv: float) -> float:
         return 0.5 * grid.dim * (params.xi**2 / wu**2 + params.eta**2 / wv**2)
@@ -404,7 +388,7 @@ def check_geometry(
 
 
 def _pinned_energy(
-    engine: _SaddleEngine,
+    engine: _SphereDescent,
     width_u: float,
     width_v: float,
     kinetic: float,
@@ -562,9 +546,7 @@ def _saddle_descend(
             "descent/recentering alternation left a residual above tolerance "
             "(grid resolution limits the dilation identity); refine the grid"
         )
-    gu, gv = engine.pulled_back_gradient(ev, s_star)
-    fu, _ = _tangential(gu, ev.u) if params.xi > 0 else (np.zeros_like(gu), 0.0)
-    fv, _ = _tangential(gv, ev.v) if params.eta > 0 else (np.zeros_like(gv), 0.0)
+    fu, fv, _, _ = _sphere_tangent(*engine.pulled_back_gradient(ev, s_star), ev)
     full_el = engine.grad_norm(fu, fv)
     converged = (
         descended
@@ -573,7 +555,7 @@ def _saddle_descend(
     )
     grid = engine.grid
     bd = ev.breakdown
-    mult = engine.multipliers_of(ev)
+    mult = multipliers_from_breakdown(bd, params, params.xi**2, params.eta**2)
     lhs, rhs = multiplier_sum_from_breakdown(bd, params, engine.sampled, ev.u * ev.v)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     residuals = {
@@ -612,16 +594,7 @@ def _transverse_residual(
     Returns (ru, rv, cu, cv, tu, tv): the residual, the multiplier
     coefficients of the tangential projection, and the fiber tangent, which
     the caller reuses to project its step."""
-    params = engine.params
-    gu, gv = engine.pulled_back_gradient(ev, s_star)
-    if params.xi > 0.0:
-        ru, cu = _tangential(gu, ev.u)
-    else:
-        ru, cu = np.zeros_like(gu), 0.0
-    if params.eta > 0.0:
-        rv, cv = _tangential(gv, ev.v)
-    else:
-        rv, cv = np.zeros_like(gv), 0.0
+    ru, rv, cu, cv = _sphere_tangent(*engine.pulled_back_gradient(ev, s_star), ev)
     tu, tv = engine.fiber_tangent(ev)
     ru, rv = _remove_component(ru, rv, tu, tv)
     return ru, rv, cu, cv, tu, tv
@@ -716,12 +689,8 @@ def kinetic_bounds_check(report: SolveReport, params: ModelParams) -> tuple[bool
     k = bd.grad_sq_u + bd.grad_sq_v
     if k <= 0.0:
         raise NotConverged("zero state cannot be a converged saddle")
-    grid = report.state.grid
-    dp = params.delta_p
-    pdp = params.p * dp
-    beta = coupling_values(params.coupling, grid)
-    xgb = coupling_x_grad_values(params.coupling, grid)
-    sup_combo = float(np.max(np.abs(2.0 * pdp * beta + xgb)))
+    pdp = params.p * params.delta_p
+    sup_combo = _coupling_sup(sample_model(params, report.state.grid), pdp)
     half_width = sup_combo * params.xi * params.eta
     poh = abs(report.residuals.get("pohozaev", 0.0))
     level = bd.total

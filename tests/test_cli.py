@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 import choquard as cq
 from choquard.cli import main, parse_config, run
@@ -68,6 +70,16 @@ class TestParse:
         with pytest.raises(cq.SchemaError, match="does not exist"):
             parse_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{")
+        assert main(["minimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}: cannot read" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, literal", [
         ("xi", "NaN"), ("mu1", "Infinity"), ("mu2", "-Infinity"), ("eta", "1e999"),
     ])
@@ -93,10 +105,104 @@ class TestParse:
         assert main(["minimize", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"config error: config.model.{spec}.path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, expected", [
+        ("tabulated coupling shape", "config.model.coupling.path"),
+        ("tabulated potential shape", "config.model.v2.path"),
+        ("tabulated saddle coupling", "config.model.coupling"),
+        ("flow step", "config.flow"),
+        ("saddle step", "config.saddle"),
+        ("alpha above dim", "alpha must lie in (0, 1)"),
+        ("decreasing scan masses", "config.scan.xi_list"),
+        ("no scan starts", "config.scan.n_starts"),
+        ("negative seed", "config.seed"),
+        ("negative seed override", "--seed"),
+    ])
+    def test_rejected_at_parse(self, tmp_path, capsys, case, expected):
+        payload = tiny_minimize_config()
+        flags = []
+        table = tmp_path / "table.npy"
+        tabulated = {"kind": "tabulated", "path": str(table)}
+        np.save(table, np.full((7,), 0.01))
+        if case == "tabulated coupling shape":
+            payload["model"]["coupling"] = tabulated
+        elif case == "tabulated potential shape":
+            payload["model"]["v2"] = tabulated
+        elif case == "tabulated saddle coupling":
+            np.save(table, np.full((16,) * 3, 0.01))
+            payload["mode"] = "saddle"
+            payload["model"].update(p=3.0, q=3.0, coupling=tabulated)
+        elif case == "flow step":
+            payload["flow"]["initial_step"] = -1
+        elif case == "saddle step":
+            payload["saddle"] = {"initial_step": 0.0}
+        elif case == "alpha above dim":
+            payload["grid"].update(dim=1, points_per_axis=32)
+            payload["model"]["alpha"] = 1.5
+        elif case == "negative seed":
+            payload["seed"] = -1
+        elif case == "negative seed override":
+            flags = ["--seed", "-1"]
+        else:
+            payload["mode"] = "scan"
+            payload["scan"] = {"xi_list": [1.0, 0.5], "eta_list": [0.0, 1.0]}
+            if case == "no scan starts":
+                payload["scan"].update(xi_list=[0.5, 1.0], n_starts=0)
+        path = write_config(tmp_path, payload)
+        code = main([payload["mode"], "--config", str(path), "--out", str(tmp_path / "out")] + flags)
+        assert code == 2
+        assert f"config error: {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_scan_needs_lists(self, tmp_path):
         payload = tiny_minimize_config(mode="scan")
         with pytest.raises(cq.SchemaError, match="xi_list"):
             parse_config(write_config(tmp_path, payload))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZED_FIELDS = [
+    ("mode",), ("seed",), ("threads",), ("extra",),
+    ("grid",), ("grid", "dim"), ("grid", "half_extent"), ("grid", "points_per_axis"),
+    ("model",), ("model", "dim"), ("model", "alpha"), ("model", "p"), ("model", "q"),
+    ("model", "mu1"), ("model", "xi"), ("model", "eta"),
+    ("model", "coupling"), ("model", "coupling", "kind"), ("model", "coupling", "beta0"),
+    ("model", "coupling", "decay"), ("model", "coupling", "path"),
+    ("model", "v1"), ("model", "v1", "kind"), ("model", "v2", "stiffness"),
+    ("flow",), ("flow", "max_iters"), ("flow", "initial_step"), ("flow", "step_rule"),
+    ("flow", "precondition"), ("saddle",), ("saddle", "initial_step"), ("saddle", "s_min"),
+    ("scan",), ("scan", "xi_list"), ("scan", "n_starts"), ("init",), ("init", "width_u"),
+]
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(field=st.sampled_from(FUZZED_FIELDS), value=JSON_VALUES)
+    def test_only_config_errors_escape(self, tmp_path_factory, field, value):
+        # a tiny 1-D config with one field set to an arbitrary JSON value
+        payload = {
+            "mode": "minimize",
+            "grid": {"dim": 1, "half_extent": 8.0, "points_per_axis": 16},
+            "model": {"alpha": 0.5, "p": 2.0, "q": 2.0,
+                      "coupling": {"kind": "constant", "beta0": 0.1}},
+            "flow": {"max_iters": 10},
+        }
+        table = payload
+        for key in field[:-1]:
+            table = table.setdefault(key, {})
+        table[field[-1]] = value
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(payload))
+        try:
+            parse_config(path)
+        except (cq.SchemaError, cq.RangeError):
+            pass
 
 
 class TestRunMinimize:
@@ -139,7 +245,7 @@ class TestRunMinimize:
         assert code == 2
         assert "config error: --threads" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
-        assert cq.get_workers() == 1
+        assert scipy.fft.get_workers() == 1
 
     def test_error_record_on_solver_exception(self, tmp_path):
         payload = tiny_minimize_config()
@@ -246,14 +352,21 @@ class TestScanMode:
 
 
 class TestThreads:
-    def test_energies_agree_across_worker_counts(self, tmp_path):
+    def test_energies_agree_across_worker_counts(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, tiny_minimize_config())
+        solve = cq.cli.minimize_normalized
+        inside = []
+        monkeypatch.setattr(
+            cq.cli, "minimize_normalized",
+            lambda *a: inside.append(scipy.fft.get_workers()) or solve(*a),
+        )
         totals = []
         for threads, name in ((1, "t1"), (2, "t2")):
             code = main(["minimize", "--config", str(path), "--threads", str(threads),
                          "--out", str(tmp_path / name)])
             assert code == 0
+            assert scipy.fft.get_workers() == 1
             rep = json.loads((tmp_path / name / "report.json").read_text())
             totals.append(rep["result"]["energy"]["total"])
-        cq.set_workers(1)
+        assert inside == [1, 2]
         assert abs(totals[0] - totals[1]) <= 1e-10 * max(1.0, abs(totals[0]))

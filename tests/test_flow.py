@@ -112,6 +112,12 @@ class TestGroundState:
         assert ground.multipliers.lambda1 > 0
         assert ground.multipliers.lambda2 > 0
 
+    def test_multipliers_match_returned_state(self, ground, grid24):
+        conv = cq.build_convolver(grid24, 2.0)
+        lam = cq.lagrange_multipliers(ground.state, coupled_params(), conv)
+        assert ground.multipliers.lambda1 == pytest.approx(lam.lambda1, rel=1e-12)
+        assert ground.multipliers.lambda2 == pytest.approx(lam.lambda2, rel=1e-12)
+
     def test_discrete_el_equation(self, ground, grid24):
         # the converged state solves the discrete system: assemble
         # -Lap u + (lam1 + V1) u - mu (K*|u|^p)|u|^{p-2}u - beta v directly

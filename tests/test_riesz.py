@@ -14,7 +14,6 @@ import scipy.fft
 from scipy.special import erf
 
 import choquard as cq
-import choquard._fft
 from conftest import smooth_random_field
 
 
@@ -158,24 +157,18 @@ class TestPruned:
         rho = cq.ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
         one = cq.riesz_convolve(conv, rho).values
         workers = []
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            fn = getattr(scipy.fft, name)
 
-        class RecordingFFT:
-            def __getattr__(self, name):
-                fn = getattr(scipy.fft, name)
+            def call(*args, _fn=fn, **kwargs):
+                workers.append(kwargs.get("workers") or scipy.fft.get_workers())
+                return _fn(*args, **kwargs)
 
-                def call(*args, **kwargs):
-                    workers.append(kwargs.get("workers"))
-                    return fn(*args, **kwargs)
-
-                return call
-
-        monkeypatch.setattr(choquard._fft, "_sfft", RecordingFFT())
-        try:
-            cq.set_workers(2)
+            monkeypatch.setattr(scipy.fft, name, call)
+        with scipy.fft.set_workers(2):
             two = cq.riesz_convolve(conv, rho).values
-        finally:
-            cq.set_workers(1)
-        assert workers and set(workers) == {2}
+        assert len(workers) == 2 * g.dim and set(workers) == {2}
+        assert scipy.fft.get_workers() == 1
         assert np.max(np.abs(two - one)) <= 1e-13 * np.max(np.abs(one))
 
 

@@ -149,6 +149,68 @@ class TestFiberMaximize:
             cq.fiber_maximize(state, params)
 
 
+class TestPulledBackGradient:
+    """The descent gradient at a frozen fiber offset s is the exact profile
+    derivative of the fiber energy E(s * state)."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, -0.2])
+    @pytest.mark.parametrize(
+        "coupling",
+        [cq.CouplingSpec("constant", 0.015), cq.CouplingSpec("rational_decay", 0.01, 2.0 / 3.0)],
+        ids=["constant", "rational_decay"],
+    )
+    def test_matches_fiber_energy_differences(self, coupling, s):
+        from conftest import smooth_random_field
+
+        g = cq.GridSpec(3, 8.0, 16)
+        conv = cq.build_convolver(g, 2.0)
+        params = cq.ModelParams(**SUP, coupling=coupling)
+        engine = cq.saddle._SaddleEngine(params, g, cq.SaddleOptions(), conv=conv)
+        u = cq.gaussian_field(g, 1.6, mass=1.0)
+        v = cq.gaussian_field(g, 1.3, mass=1.0)
+        gu, gv = engine.pulled_back_gradient(engine.evaluate(u.values, v.values), s)
+        rng = np.random.default_rng(11)
+        t = 1e-5
+        for _ in range(3):
+            pu = smooth_random_field(g, rng).values
+            pv = smooth_random_field(g, rng).values
+            fiber = [
+                cq.fiber_energy(
+                    cq.StatePair(cq.ScalarField(g, u.values + sign * t * pu),
+                                 cq.ScalarField(g, v.values + sign * t * pv)),
+                    params, s, conv,
+                )
+                for sign in (1.0, -1.0)
+            ]
+            fd = (fiber[0] - fiber[1]) / (2 * t)
+            ip = g.cell_volume * (np.sum(gu * pu) + np.sum(gv * pv))
+            assert fd == pytest.approx(ip, rel=1e-6)
+
+
+class TestTabulatedCoupling:
+    """The fiber solvers refuse a table; the s = 0 geometry check takes it."""
+
+    @staticmethod
+    def tabulated(grid):
+        return cq.ModelParams(
+            **SUP, coupling=cq.CouplingSpec("tabulated", values=np.full(grid.shape, 0.015))
+        )
+
+    @pytest.mark.parametrize("solve", [
+        lambda state, params: cq.mountain_pass_solve(params, state),
+        lambda state, params: cq.fiber_maximize(state, params),
+    ], ids=["mountain_pass_solve", "fiber_maximize"])
+    def test_fiber_solvers_refuse(self, grid32, solve):
+        bump = cq.gaussian_field(grid32, 1.2, mass=1.0)
+        with pytest.raises(cq.ModeMismatch, match="built-in coupling"):
+            solve(cq.StatePair(bump, bump.copy()), self.tabulated(grid32))
+
+    def test_geometry_accepts_table(self, grid32):
+        # the table samples the constant coupling, so every estimate agrees
+        geo = cq.check_geometry(self.tabulated(grid32), grid32)
+        assert geo == cq.check_geometry(sup_params(0.015), grid32)
+
+
 class TestKineticIdentity:
     def test_assembled_identity(self, grid32):
         # 2 p dp E - dE/ds|_0 = (p dp - 1) K - int (2 p dp beta + x.grad beta) uv
