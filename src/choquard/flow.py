@@ -4,11 +4,16 @@ The solver is a projected gradient descent on the product of L2 spheres:
 take the energy gradient, remove the radial (constraint-violating)
 component on each sphere, precondition with (sigma - Laplacian)^{-1}
 (a Sobolev-gradient step that tames the stiffness of the spectral
-Laplacian), step, and retract by exact mass rescaling.  A backtracking
-line search keeps the energy trace nonincreasing.  Optionally every k-th
-iterate is replaced by the radial decreasing rearrangement of its absolute
-value, which never raises the energy for constant coupling and radial
-nonincreasing wells and accelerates convergence to the radial minimizer.
+Laplacian), step, and retract by exact mass rescaling.  Optionally every
+k-th iterate is replaced by the radial decreasing rearrangement of its
+absolute value, which never raises the energy for constant coupling and
+radial nonincreasing wells and accelerates convergence to the radial
+minimizer.
+
+Both this flow and the saddle step with one backtracking search,
+``_line_search``, which scores trial states with the engine's ``measure``:
+the energy here, the fiber-maximized energy in ``saddle``.  The flow asks
+for plain decrease, which keeps its energy trace nonincreasing.
 
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import NoDescentStep, NonFinite, NotSubcritical, ZeroMass
+from .errors import NoDescentStep, NoInteriorMax, NonFinite, NotSubcritical, ZeroMass
 from .grid import (
     GridSpec,
     ScalarField,
@@ -49,28 +54,25 @@ from .energy import (
 from .model import ModelParams, CouplingSpec, ZERO_POTENTIAL
 from .riesz import RieszConvolver, build_convolver
 
+_STEP_GROWTH = 1.3  # an accepted step grows by this factor for the next search,
+_MAX_STEP = 50.0  # up to this cap
+
 
 @dataclass
 class FlowOptions:
     """Knobs of the projected-descent loop."""
 
     max_iters: int = 2000
-    step_rule: str = "adaptive-halving"  # or "fixed"
     initial_step: float = 1.0
     energy_tol: float = 1e-10
     grad_tol: float = 1e-5
     symmetrize_every: int = 0  # 0 = never
-    precondition: bool = True
-    step_growth: float = 1.3
-    max_step: float = 50.0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.energy_tol <= 0 or self.grad_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.step_rule not in ("adaptive-halving", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.symmetrize_every < 0:
             raise ValueError("symmetrize_every must be >= 0")
         if self.initial_step <= 0:
@@ -153,19 +155,14 @@ def _precondition(grid: GridSpec, r: np.ndarray, sigma: float) -> np.ndarray:
 class _SphereDescent:
     """Shared projected-descent machinery for the pair of mass spheres.
 
-    Subclasses provide the merit function via ``measure`` (plain energy for
-    the ground-state flow; the fiber-maximized energy for the saddle)."""
+    ``measure`` scores a state for ``_line_search``: the plain energy at
+    fiber offset 0 here; the saddle engine overrides it with the
+    fiber-maximized energy and its offset, and ``kinetic_cap`` with its
+    kinetic trust cap."""
 
-    def __init__(
-        self,
-        params: ModelParams,
-        grid: GridSpec,
-        precondition: bool = True,
-        conv: RieszConvolver | None = None,
-    ):
+    def __init__(self, params: ModelParams, grid: GridSpec, conv: RieszConvolver | None = None):
         self.params = params
         self.grid = grid
-        self.precondition = precondition
         self.conv = conv if conv is not None else build_convolver(grid, params.alpha)
         self.sampled = sample_model(params, grid)
         self.h_n = grid.cell_volume
@@ -175,6 +172,15 @@ class _SphereDescent:
         if not math.isfinite(ev.breakdown.total):
             raise NonFinite("energy evaluated to a non-finite value")
         return ev
+
+    def measure(self, u: np.ndarray, v: np.ndarray) -> tuple[StateEval, float, float]:
+        """(ev, merit, fiber offset) of a state on the spheres."""
+        ev = self.evaluate(u, v)
+        return ev, ev.breakdown.total, 0.0
+
+    def kinetic_cap(self, merit: float) -> float:
+        """Largest kinetic term a trial state at this merit may have."""
+        return math.inf
 
     def residual_fields(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray, float, float]:
         return _sphere_tangent(*gradient_values(ev, self.params, self.conv, self.sampled), ev)
@@ -186,8 +192,6 @@ class _SphereDescent:
         """Sobolev-preconditioned tangential step: solve with (sigma - Lap)
         spectrally, then damp regions where a trapping potential dominates
         (split Jacobi factor), and re-project onto the constraint tangent."""
-        if not self.precondition:
-            return ru, rv
         sigma = max(1.0, abs(cu), abs(cv))
         du = _precondition(self.grid, ru, sigma)
         dv = _precondition(self.grid, rv, sigma)
@@ -229,6 +233,32 @@ def _symmetrized(engine: _SphereDescent, ev: StateEval) -> StateEval | None:
     return None
 
 
+def _line_search(
+    engine: _SphereDescent, ev: StateEval, merit: float, du: np.ndarray, dv: np.ndarray,
+    tau: float, initial_step: float, slope: float = 0.0,
+) -> tuple[tuple[StateEval, float, float] | None, float]:
+    """Backtracking search along -(du, dv) from the evaluated state.
+
+    A trial is the retracted step scored by ``engine.measure``; it is
+    accepted when merit_t <= merit - 1e-4 tau slope (with slope 0, a plain
+    decrease) and its kinetic term is within ``engine.kinetic_cap(merit_t)``.
+    The step halves after a rejected or non-finite trial.  Returns the
+    accepted ``measure`` triple and the grown step for the next search, or
+    None and the step once it underflows 1e-18 * initial_step."""
+    while tau > 1e-18 * initial_step:
+        try:
+            trial = engine.measure(*engine.retract(ev.u - tau * du, ev.v - tau * dv))
+        except (NonFinite, NoInteriorMax):
+            tau *= 0.5
+            continue
+        ev_t, merit_t, _ = trial
+        kin_t = ev_t.breakdown.grad_sq_u + ev_t.breakdown.grad_sq_v
+        if merit_t <= merit - 1e-4 * tau * slope and kin_t <= engine.kinetic_cap(merit_t):
+            return trial, min(tau * _STEP_GROWTH, _MAX_STEP)
+        tau *= 0.5
+    return None, tau
+
+
 def _descend(
     engine: _SphereDescent,
     u0: np.ndarray,
@@ -262,22 +292,9 @@ def _descend(
             break
 
         du, dv = engine.direction(ru, rv, cu, cv, ev)
-        accepted = False
-        while tau > 1e-18 * opts.initial_step:
-            try:
-                ut, vt = engine.retract(ev.u - tau * du, ev.v - tau * dv)
-                ev_t = engine.evaluate(ut, vt)
-            except NonFinite:
-                tau *= 0.5
-                continue
-            if opts.step_rule == "fixed" or ev_t.breakdown.total <= ev.breakdown.total:
-                ev = ev_t
-                accepted = True
-                if opts.step_rule == "adaptive-halving":
-                    tau = min(tau * opts.step_growth, opts.max_step)
-                break
-            tau *= 0.5
-        if not accepted:
+        merit = ev.breakdown.total
+        trial, tau = _line_search(engine, ev, merit, du, dv, tau, opts.initial_step)
+        if trial is None:
             if grad_norm < 10.0 * opts.grad_tol:
                 message = "line search exhausted at small residual"
                 converged = grad_norm < opts.grad_tol
@@ -285,6 +302,7 @@ def _descend(
             raise NoDescentStep(
                 f"step size underflowed at iteration {it} with residual {grad_norm:.3e}"
             )
+        ev = trial[0]
         trace.append(ev.breakdown.total)
 
     else:
@@ -322,7 +340,7 @@ def minimize_normalized(
             f"ground-state flow requires subcritical exponents, got {regime.label_p}/{regime.label_q}"
         )
     grid = init.grid
-    engine = _SphereDescent(params, grid, precondition=opts.precondition)
+    engine = _SphereDescent(params, grid)
     if params.xi > 0.0 and not np.any(init.u.values):
         raise ZeroMass("initial u has zero mass but xi > 0")
     if params.eta > 0.0 and not np.any(init.v.values):

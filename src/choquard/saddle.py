@@ -50,7 +50,6 @@ from .errors import (
     GeometryFailed,
     ModeMismatch,
     NoInteriorMax,
-    NonFinite,
     NotConverged,
     NotSupercritical,
     Stalled,
@@ -75,11 +74,9 @@ from .energy import (
     pohozaev_from_breakdown,
     sample_model,
 )
-from .flow import SolveReport, _SphereDescent, _sphere_tangent
+from .flow import SolveReport, _SphereDescent, _line_search, _scalar_params, _sphere_tangent
 from .model import (
-    CouplingSpec,
     ModelParams,
-    ZERO_POTENTIAL,
     c_xi_eta,
     classify,
     coupling_scaled_values,
@@ -99,18 +96,18 @@ class SaddleOptions:
     max_iters: int = 800
     grad_tol: float = 1e-5
     pohozaev_rel_tol: float = 1e-6  # |d_s E| below this times the kinetic term
-    energy_tol: float = 1e-11
     initial_step: float = 1.0
     geometry_check: bool = True
     # recenter (dilate the profile to its own fiber maximum) whenever the
     # maximizing s exceeds this; the dilation-identity residual of the
     # reported profile scales with the leftover offset, so keep it tiny
     recenter_threshold: float = 1e-7
-    precondition: bool = True
 
     def __post_init__(self) -> None:
         if not self.s_min < 0.0 < self.s_max:
             raise ValueError("fiber bracket must contain 0 in its interior")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.fiber_tol <= 0 or self.grad_tol <= 0 or self.pohozaev_rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.initial_step <= 0:
@@ -203,7 +200,7 @@ class _SaddleEngine(_SphereDescent):
     ):
         if params.coupling.kind == "tabulated":
             raise ModeMismatch("the dilation fiber needs a built-in coupling family, not a table")
-        super().__init__(params, grid, precondition=opts.precondition, conv=conv)
+        super().__init__(params, grid, conv=conv)
         self.sopts = opts
         self.coupling_sup = _coupling_sup(self.sampled, params.p * params.delta_p)
 
@@ -222,6 +219,12 @@ class _SaddleEngine(_SphereDescent):
             2.0 * pdp * max(level, 0.0) + self.coupling_sup * params.xi * params.eta
         ) / (pdp - 1.0)
         return 4.0 * max(bound, 1e-6)
+
+    def measure(self, u: np.ndarray, v: np.ndarray) -> tuple[StateEval, float, float]:
+        """(ev, fiber-maximized energy, maximizing offset) of a profile."""
+        ev = self.evaluate(u, v)
+        s_star, psi = self.fiber_max(ev)
+        return ev, psi, s_star
 
     def fiber_max(self, ev: StateEval) -> tuple[float, float]:
         basis = _FiberBasis(self, ev)
@@ -296,8 +299,8 @@ def fiber_maximize(
     _require_saddle_mode(params)
     opts = opts or SaddleOptions()
     engine = _SaddleEngine(params, state.grid, opts, conv=conv)
-    ev = engine.evaluate(state.u.values, state.v.values)
-    return engine.fiber_max(ev)
+    _, psi, s_star = engine.measure(state.u.values, state.v.values)
+    return s_star, psi
 
 
 def fiber_energy(
@@ -465,19 +468,7 @@ def scalar_constrained_saddle(
     if c <= 0:
         raise ZeroMass("scalar mass c must be positive")
     opts = opts or SaddleOptions()
-    params = ModelParams(
-        dim=grid.dim,
-        alpha=alpha,
-        p=p,
-        q=p,
-        mu1=mu,
-        mu2=mu,
-        xi=c,
-        eta=0.0,
-        coupling=CouplingSpec("constant", 0.0),
-        v1=ZERO_POTENTIAL,
-        v2=ZERO_POTENTIAL,
-    )
+    params = _scalar_params(c, mu, p, grid.dim, alpha)
     _require_saddle_mode(params)
     engine = _SaddleEngine(params, grid, opts)
     init_u = gaussian_field(grid, init_width, mass=c**2)
@@ -488,9 +479,7 @@ def _saddle_descend(
     engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray, opts: SaddleOptions
 ) -> SolveReport:
     params = engine.params
-    u, v = engine.retract(u0, v0)
-    ev = engine.evaluate(u, v)
-    s_star, psi = engine.fiber_max(ev)
+    ev, psi, s_star = engine.measure(*engine.retract(u0, v0))
 
     # Round structure: the merit is invariant along each profile's dilation
     # fiber in the continuum but carries a small resolution-induced slope on
@@ -499,11 +488,11 @@ def _saddle_descend(
     # only between rounds.  Each re-centering perturbs the profile at the
     # grid's dilation-defect scale; the following round cleans it up, and the
     # offsets shrink geometrically, so a few rounds converge both the
-    # transverse residual and the dilation identity.
+    # transverse residual and the dilation identity.  Every round ends with
+    # the certificate of its recentered state; the last one is the report's.
     trace: list[float] = [psi]
     total_iters = 0
     message = ""
-    descended = False
     budget = opts.max_iters
     tau = opts.initial_step
     for round_no in range(6):
@@ -521,38 +510,25 @@ def _saddle_descend(
         if recenter_msg:
             message = (message + "; " if message else "") + recenter_msg
         ru, rv, *_ = _transverse_residual(engine, ev, s_star)
-        grad_after = engine.grad_norm(ru, rv)
+        grad_norm = engine.grad_norm(ru, rv)
         poh = engine.pohozaev(ev)
         kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
-        if (
+        converged = (
             descended
-            and grad_after <= opts.grad_tol
+            and grad_norm <= opts.grad_tol
             and abs(poh) <= opts.pohozaev_rel_tol * max(kin, 1e-300)
-        ):
+        )
+        if converged:
             break
     if budget <= 0 and not descended:
         message = message or "iteration budget exhausted"
-
-    ru, rv, *_ = _transverse_residual(engine, ev, s_star)
-    grad_norm = engine.grad_norm(ru, rv)
-    poh = engine.pohozaev(ev)
-    kin_final = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
-    if (
-        not message
-        and descended
-        and grad_norm > opts.grad_tol
-    ):
+    if not message and descended and grad_norm > opts.grad_tol:
         message = (
             "descent/recentering alternation left a residual above tolerance "
             "(grid resolution limits the dilation identity); refine the grid"
         )
     fu, fv, _, _ = _sphere_tangent(*engine.pulled_back_gradient(ev, s_star), ev)
     full_el = engine.grad_norm(fu, fv)
-    converged = (
-        descended
-        and grad_norm <= opts.grad_tol
-        and abs(poh) <= opts.pohozaev_rel_tol * max(kin_final, 1e-300)
-    )
     grid = engine.grid
     bd = ev.breakdown
     mult = multipliers_from_breakdown(bd, params, params.xi**2, params.eta**2)
@@ -624,23 +600,8 @@ def _descent_round(
         du, dv = engine.direction(ru, rv, cu, cv, ev)
         du, dv = _remove_component(du, dv, tu, tv)
         slope = engine.h_n * (float(np.sum(ru * du)) + float(np.sum(rv * dv)))
-        accepted = False
-        while tau > 1e-18 * opts.initial_step:
-            try:
-                ut, vt = engine.retract(ev.u - tau * du, ev.v - tau * dv)
-                ev_t = engine.evaluate(ut, vt)
-                s_t, psi_t = engine.fiber_max(ev_t)
-            except (NonFinite, NoInteriorMax):
-                tau *= 0.5
-                continue
-            kin_t = ev_t.breakdown.grad_sq_u + ev_t.breakdown.grad_sq_v
-            if psi_t <= psi - 1e-4 * tau * slope and kin_t <= engine.kinetic_cap(psi_t):
-                ev, s_star, psi = ev_t, s_t, psi_t
-                accepted = True
-                tau = min(tau * 1.3, 50.0)
-                break
-            tau *= 0.5
-        if not accepted:
+        trial, tau = _line_search(engine, ev, psi, du, dv, tau, opts.initial_step, slope)
+        if trial is None:
             if grad_norm < 10.0 * opts.grad_tol:
                 message = "line search exhausted near the residual tolerance"
                 descended = grad_norm < opts.grad_tol
@@ -649,6 +610,7 @@ def _descent_round(
                 f"saddle step underflowed (transverse residual {grad_norm:.3e}); "
                 "the state is likely under-resolved on this grid"
             )
+        ev, psi, s_star = trial
         if trace is not None:
             trace.append(psi)
     return ev, s_star, psi, iters, descended, tau, message
@@ -668,9 +630,7 @@ def _recenter(
         try:
             ud = dilate(ScalarField(grid, ev.u), s_star).values
             vd = dilate(ScalarField(grid, ev.v), s_star).values if params.eta > 0 else ev.v
-            ud, vd = engine.retract(ud, vd)
-            ev = engine.evaluate(ud, vd)
-            s_star, psi = engine.fiber_max(ev)
+            ev, psi, s_star = engine.measure(*engine.retract(ud, vd))
         except DilationOutOfBox:
             message = "recentering left the box"
             break

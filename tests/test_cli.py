@@ -111,6 +111,7 @@ class TestParse:
         ("tabulated saddle coupling", "config.model.coupling"),
         ("flow step", "config.flow"),
         ("saddle step", "config.saddle"),
+        ("saddle iterations", "config.saddle"),
         ("alpha above dim", "alpha must lie in (0, 1)"),
         ("decreasing scan masses", "config.scan.xi_list"),
         ("no scan starts", "config.scan.n_starts"),
@@ -135,6 +136,8 @@ class TestParse:
             payload["flow"]["initial_step"] = -1
         elif case == "saddle step":
             payload["saddle"] = {"initial_step": 0.0}
+        elif case == "saddle iterations":
+            payload["saddle"] = {"max_iters": 0}
         elif case == "alpha above dim":
             payload["grid"].update(dim=1, points_per_axis=32)
             payload["model"]["alpha"] = 1.5

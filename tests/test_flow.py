@@ -77,8 +77,6 @@ class TestOptions:
         with pytest.raises(ValueError):
             cq.FlowOptions(grad_tol=-1.0)
         with pytest.raises(ValueError):
-            cq.FlowOptions(step_rule="warp")
-        with pytest.raises(ValueError):
             cq.FlowOptions(symmetrize_every=-1)
 
 
@@ -190,14 +188,36 @@ class TestRegimeGuards:
         with pytest.raises(cq.ZeroMass):
             cq.minimize_normalized(params, init)
 
-    def test_fixed_step_rule_runs(self, grid24):
-        params = coupled_params()
-        init = cq.StatePair(
-            cq.gaussian_field(grid24, 1.5, mass=1.0), cq.gaussian_field(grid24, 1.5, mass=1.0)
+
+class TestExhaustedLineSearch:
+    """Every trial state scores non-finite, so the line search halves its
+    step until it underflows: a large residual is a solver failure, one
+    within 10 grad_tol ends the descent with a message."""
+
+    class Engine(cq.flow._SphereDescent):
+        def measure(self, u, v):
+            raise cq.NonFinite("trial state is not finite")
+
+    def start(self, grid):
+        engine = self.Engine(coupled_params(), grid)
+        u = cq.gaussian_field(grid, 1.5, mass=1.0).values
+        ru, rv, _, _ = engine.residual_fields(engine.evaluate(*engine.retract(u, u)))
+        return engine, u, engine.grad_norm(ru, rv)
+
+    def test_large_residual_raises(self, grid24):
+        engine, u, grad_norm = self.start(grid24)
+        with pytest.raises(cq.NoDescentStep):
+            cq.flow._descend(engine, u, u, cq.FlowOptions(grad_tol=grad_norm / 100.0))
+
+    def test_near_tolerance_stops(self, grid24):
+        engine, u, grad_norm = self.start(grid24)
+        ev, residuals, iters, converged, trace, message = cq.flow._descend(
+            engine, u, u, cq.FlowOptions(grad_tol=grad_norm / 5.0)
         )
-        opts = cq.FlowOptions(max_iters=20, step_rule="fixed", initial_step=0.2, grad_tol=1e-5)
-        rep = cq.minimize_normalized(params, init, opts)
-        assert rep.iterations == 20 or rep.converged
+        assert message == "line search exhausted at small residual"
+        assert not converged
+        assert iters == 1 and trace == [ev.breakdown.total]
+        assert residuals["projected_gradient"] == grad_norm
 
 
 class TestSymmetrizationNeverRaises:

@@ -187,6 +187,37 @@ class TestPulledBackGradient:
             assert fd == pytest.approx(ip, rel=1e-6)
 
 
+class TestExhaustedLineSearch:
+    """Every trial profile scores non-finite, so the saddle's line search
+    halves its step until it underflows: a large transverse residual stalls
+    the descent, one within 10 grad_tol ends the round with a message."""
+
+    class Engine(cq.saddle._SaddleEngine):
+        def measure(self, u, v):
+            raise cq.NonFinite("trial profile is not finite")
+
+    def descend(self, tol_factor):
+        g = cq.GridSpec(3, 8.0, 16)
+        engine = self.Engine(sup_params(), g, cq.SaddleOptions())
+        u = cq.gaussian_field(g, 1.6, mass=1.0).values
+        v = cq.gaussian_field(g, 1.3, mass=1.0).values
+        ev = engine.evaluate(u, v)
+        s_star, psi = engine.fiber_max(ev)
+        ru, rv, *_ = cq.saddle._transverse_residual(engine, ev, s_star)
+        opts = cq.SaddleOptions(grad_tol=tol_factor * engine.grad_norm(ru, rv))
+        return ev, cq.saddle._descent_round(engine, ev, s_star, psi, opts, 5, 1.0, None)
+
+    def test_large_residual_stalls(self):
+        with pytest.raises(cq.Stalled):
+            self.descend(0.01)
+
+    def test_near_tolerance_stops(self):
+        ev, (ev_out, _, _, iters, descended, tau, message) = self.descend(0.2)
+        assert message == "line search exhausted near the residual tolerance"
+        assert ev_out is ev and iters == 1 and not descended
+        assert tau <= 1e-18
+
+
 class TestTabulatedCoupling:
     """The fiber solvers refuse a table; the s = 0 geometry check takes it."""
 
