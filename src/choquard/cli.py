@@ -49,6 +49,7 @@ from .saddle import SaddleOptions, check_geometry, mountain_pass_solve
 
 _MODES = ("minimize", "saddle", "scan", "check", "oracle")
 _SCHEMA_VERSION = 1
+_MAX_COUNT = 1024  # most FFT workers or scan starts a config may ask for
 
 
 @dataclass
@@ -89,10 +90,11 @@ def _check_known(table: dict, allowed: set[str], path: str) -> None:
             raise SchemaError(f"{path}.{key}", "unknown field")
 
 
-def _load_table(table: dict, path: str, grid: GridSpec) -> np.ndarray:
+def _load_table(table: dict, path: str, grid: GridSpec, here: Path) -> np.ndarray:
+    """The ``.npy`` array at ``table["path"]``, relative to the config's directory ``here``."""
     npy = _expect(table, "path", str, path, required=True)
     try:
-        values = np.load(npy)
+        values = np.load(here / npy)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"{path}.path", f"cannot load {npy!r}: {exc}") from exc
     shape = getattr(values, "shape", None)
@@ -101,11 +103,11 @@ def _load_table(table: dict, path: str, grid: GridSpec) -> np.ndarray:
     return values
 
 
-def _parse_coupling(table: dict, path: str, grid: GridSpec) -> CouplingSpec:
+def _parse_coupling(table: dict, path: str, grid: GridSpec, here: Path) -> CouplingSpec:
     _check_known(table, {"kind", "beta0", "decay", "path"}, path)
     kind = _expect(table, "kind", str, path, required=True)
     if kind == "tabulated":
-        return CouplingSpec("tabulated", values=_load_table(table, path, grid))
+        return CouplingSpec("tabulated", values=_load_table(table, path, grid, here))
     beta0 = _expect(table, "beta0", float, path, default=0.0)
     if kind == "constant":
         return CouplingSpec("constant", beta0)
@@ -115,7 +117,7 @@ def _parse_coupling(table: dict, path: str, grid: GridSpec) -> CouplingSpec:
     raise SchemaError(f"{path}.kind", f"unknown coupling kind {kind!r}")
 
 
-def _parse_potential(table: dict, path: str, grid: GridSpec) -> PotentialSpec:
+def _parse_potential(table: dict, path: str, grid: GridSpec, here: Path) -> PotentialSpec:
     _check_known(table, {"kind", "depth", "width", "stiffness", "path"}, path)
     kind = _expect(table, "kind", str, path, required=True)
     if kind == "zero":
@@ -131,7 +133,7 @@ def _parse_potential(table: dict, path: str, grid: GridSpec) -> PotentialSpec:
             "harmonic", stiffness=_expect(table, "stiffness", float, path, default=1.0)
         )
     if kind == "tabulated":
-        return PotentialSpec("tabulated", values=_load_table(table, path, grid))
+        return PotentialSpec("tabulated", values=_load_table(table, path, grid, here))
     raise SchemaError(f"{path}.kind", f"unknown potential kind {kind!r}")
 
 
@@ -208,16 +210,18 @@ def parse_config(path: str | Path) -> RunConfig:
         _expect(mtab, "coupling", dict, "config.model", default={"kind": "constant", "beta0": 0.0}),
         "config.model.coupling",
         grid,
+        path.parent,
     )
     if mode == "saddle" and coupling.kind == "tabulated":
         raise SchemaError(
             "config.model.coupling", "saddle mode needs a built-in coupling family, not a table"
         )
-    v1 = _parse_potential(
-        _expect(mtab, "v1", dict, "config.model", default={"kind": "zero"}), "config.model.v1", grid
-    )
-    v2 = _parse_potential(
-        _expect(mtab, "v2", dict, "config.model", default={"kind": "zero"}), "config.model.v2", grid
+    v1, v2 = (
+        _parse_potential(
+            _expect(mtab, key, dict, "config.model", default={"kind": "zero"}),
+            f"config.model.{key}", grid, path.parent,
+        )
+        for key in ("v1", "v2")
     )
     params = ModelParams(
         dim=grid.dim,
@@ -251,18 +255,21 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise SchemaError(
                     f"config.scan.{name}", "masses must be >= 0 and strictly increasing"
                 )
-        if n_starts < 1:
-            raise SchemaError("config.scan.n_starts", "need at least one start")
+        if not 1 <= n_starts <= _MAX_COUNT:
+            raise SchemaError("config.scan.n_starts", f"need 1 to {_MAX_COUNT} starts")
 
     itab = _expect(raw, "init", dict, "config", default={})
     _check_known(itab, {"width_u", "width_v"}, "config.init")
     width_u = _expect(itab, "width_u", float, "config.init")
     width_v = _expect(itab, "width_v", float, "config.init")
+    for k, w in (("width_u", width_u), ("width_v", width_v)):
+        if w is not None and not (w > 0 and 0 < w * w < math.inf):
+            raise SchemaError(f"config.init.{k}", "width must be > 0 with a nonzero finite square")
 
     seed = _expect(raw, "seed", int, "config", default=0)
     threads = _expect(raw, "threads", int, "config", default=1)
-    if threads < 1:
-        raise SchemaError("config.threads", "threads must be >= 1")
+    if not 1 <= threads <= _MAX_COUNT:
+        raise SchemaError("config.threads", f"threads must be in [1, {_MAX_COUNT}]")
     if seed < 0:
         raise SchemaError("config.seed", "seed must be >= 0")
 
@@ -505,8 +512,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        if args.threads is not None and args.threads < 1:
-            raise SchemaError("--threads", "threads must be >= 1")
+        if args.threads is not None and not 1 <= args.threads <= _MAX_COUNT:
+            raise SchemaError("--threads", f"threads must be in [1, {_MAX_COUNT}]")
         if args.seed is not None and args.seed < 0:
             raise SchemaError("--seed", "seed must be >= 0")
     except (SchemaError, RangeError) as exc:

@@ -10,10 +10,12 @@ absolute value, which never raises the energy for constant coupling and
 radial nonincreasing wells and accelerates convergence to the radial
 minimizer.
 
-Both this flow and the saddle step with one backtracking search,
-``_line_search``, which scores trial states with the engine's ``measure``:
-the energy here, the fiber-maximized energy in ``saddle``.  The flow asks
-for plain decrease, which keeps its energy trace nonincreasing.
+Both this flow and the saddle run one descent loop, ``_descent_round``,
+with one backtracking search, ``_line_search``.  What differs is an engine
+method that the saddle's engine overrides: ``residual``, ``step``,
+``prepare``, ``settled``, ``measure`` and ``stuck``.  The flow's step has
+slope 0, so its search asks for plain decrease and its energy trace is
+nonincreasing.
 
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
@@ -63,7 +65,6 @@ class FlowOptions:
     """Knobs of the projected-descent loop."""
 
     max_iters: int = 2000
-    initial_step: float = 1.0
     energy_tol: float = 1e-10
     grad_tol: float = 1e-5
     symmetrize_every: int = 0  # 0 = never
@@ -75,8 +76,6 @@ class FlowOptions:
             raise ValueError("tolerances must be positive")
         if self.symmetrize_every < 0:
             raise ValueError("symmetrize_every must be >= 0")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -153,16 +152,19 @@ def _precondition(grid: GridSpec, r: np.ndarray, sigma: float) -> np.ndarray:
 
 
 class _SphereDescent:
-    """Shared projected-descent machinery for the pair of mass spheres.
+    """Projected descent on the pair of mass spheres, as the flow runs it.
+    ``_SaddleEngine`` overrides the loop's hooks (``residual``, ``step``,
+    ``prepare``, ``settled``, ``stuck``, ``exhausted``), ``measure`` and
+    ``kinetic_cap``.  ``opts`` holds the engine's options."""
 
-    ``measure`` scores a state for ``_line_search``: the plain energy at
-    fiber offset 0 here; the saddle engine overrides it with the
-    fiber-maximized energy and its offset, and ``kinetic_cap`` with its
-    kinetic trust cap."""
+    exhausted = "line search exhausted at small residual"
 
-    def __init__(self, params: ModelParams, grid: GridSpec, conv: RieszConvolver | None = None):
+    def __init__(
+        self, params: ModelParams, grid: GridSpec, opts=None, conv: RieszConvolver | None = None
+    ):
         self.params = params
         self.grid = grid
+        self.opts = opts or FlowOptions()
         self.conv = conv if conv is not None else build_convolver(grid, params.alpha)
         self.sampled = sample_model(params, grid)
         self.h_n = grid.cell_volume
@@ -182,16 +184,19 @@ class _SphereDescent:
         """Largest kinetic term a trial state at this merit may have."""
         return math.inf
 
-    def residual_fields(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray, float, float]:
-        return _sphere_tangent(*gradient_values(ev, self.params, self.conv, self.sampled), ev)
+    def residual(self, ev: StateEval, s: float):
+        """(ru, rv, cu, cv, gauge): the sphere-tangential energy gradient, its
+        Rayleigh ratios, and no gauge direction."""
+        gu, gv = gradient_values(ev, self.params, self.conv, self.sampled)
+        return *_sphere_tangent(gu, gv, ev), None
 
     def grad_norm(self, ru: np.ndarray, rv: np.ndarray) -> float:
         return math.sqrt(self.h_n * (float(np.sum(ru * ru)) + float(np.sum(rv * rv))))
 
-    def direction(self, ru, rv, cu, cv, ev) -> tuple[np.ndarray, np.ndarray]:
-        """Sobolev-preconditioned tangential step: solve with (sigma - Lap)
-        spectrally, then damp regions where a trapping potential dominates
-        (split Jacobi factor), and re-project onto the constraint tangent."""
+    def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
+        """(du, dv, slope): solve with (sigma - Lap) spectrally, damp regions
+        where a trapping potential dominates (split Jacobi factor), re-project
+        onto the constraint tangent; slope 0 makes the search a plain decrease."""
         sigma = max(1.0, abs(cu), abs(cv))
         du = _precondition(self.grid, ru, sigma)
         dv = _precondition(self.grid, rv, sigma)
@@ -200,7 +205,24 @@ class _SphereDescent:
         if self.sampled.v2 is not None:
             dv = dv / (1.0 + np.maximum(self.sampled.v2, 0.0) / sigma)
         du, dv, _, _ = _sphere_tangent(du, dv, ev)
-        return du, dv
+        return du, dv, 0.0
+
+    def prepare(self, it: int, ev: StateEval, merit: float, s: float):
+        """(ev, merit, s) to start iteration ``it`` from: every k-th iterate is
+        symmetrized (k = ``symmetrize_every``) unless that raises the energy."""
+        k = self.opts.symmetrize_every
+        ev_s = _symmetrized(self, ev) if k and it % k == 0 else None
+        return (ev, merit, s) if ev_s is None else (ev_s, ev_s.breakdown.total, s)
+
+    def settled(self, trace: list[float]) -> bool:
+        """Whether the energy moved less than ``energy_tol`` (relative) over
+        the last ten steps."""
+        if len(trace) <= 10:
+            return False
+        return abs(trace[-1] - trace[-11]) < self.opts.energy_tol * max(1.0, abs(trace[-1]))
+
+    def stuck(self, it: int, res: float) -> Exception:
+        return NoDescentStep(f"step size underflowed at iteration {it} with residual {res:.3e}")
 
     def retract(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -235,7 +257,7 @@ def _symmetrized(engine: _SphereDescent, ev: StateEval) -> StateEval | None:
 
 def _line_search(
     engine: _SphereDescent, ev: StateEval, merit: float, du: np.ndarray, dv: np.ndarray,
-    tau: float, initial_step: float, slope: float = 0.0,
+    tau: float, slope: float,
 ) -> tuple[tuple[StateEval, float, float] | None, float]:
     """Backtracking search along -(du, dv) from the evaluated state.
 
@@ -244,8 +266,8 @@ def _line_search(
     decrease) and its kinetic term is within ``engine.kinetic_cap(merit_t)``.
     The step halves after a rejected or non-finite trial.  Returns the
     accepted ``measure`` triple and the grown step for the next search, or
-    None and the step once it underflows 1e-18 * initial_step."""
-    while tau > 1e-18 * initial_step:
+    None once the step underflows 1e-18."""
+    while tau > 1e-18:
         try:
             trial = engine.measure(*engine.retract(ev.u - tau * du, ev.v - tau * dv))
         except (NonFinite, NoInteriorMax):
@@ -259,62 +281,58 @@ def _line_search(
     return None, tau
 
 
-def _descend(
-    engine: _SphereDescent,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    opts: FlowOptions,
-) -> tuple[StateEval, dict[str, float], int, bool, list[float], str]:
-    u, v = engine.retract(u0, v0)
-    ev = engine.evaluate(u, v)
-    trace = [ev.breakdown.total]
-    tau = opts.initial_step
-    grad_norm = math.inf
+def _descent_round(
+    engine: _SphereDescent, ev: StateEval, s: float, merit: float, budget: int, tau: float,
+    trace: list[float] | None,
+):
+    """Up to ``budget`` steps from the measured state (ev, s, merit), each
+    accepted merit appended to ``trace`` unless it is None.  Returns (ev, s,
+    merit, iters, settled, tau, message).  A search that runs dry within 10
+    grad_tol ends the round with the ``exhausted`` message and the step
+    reset to 1 for the next round; farther out it raises ``engine.stuck``."""
+    grad_tol = engine.opts.grad_tol
     message = ""
-    converged = False
+    settled = False
     iters = 0
-
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, budget + 1):
         iters = it
-        if opts.symmetrize_every and it % opts.symmetrize_every == 0:
-            ev_s = _symmetrized(engine, ev)
-            if ev_s is not None:
-                ev = ev_s
-        ru, rv, cu, cv = engine.residual_fields(ev)
+        ev, merit, s = engine.prepare(it, ev, merit, s)
+        ru, rv, cu, cv, gauge = engine.residual(ev, s)
         grad_norm = engine.grad_norm(ru, rv)
-
-        flat = False
-        if len(trace) > 10:
-            scale = max(1.0, abs(trace[-1]))
-            flat = abs(trace[-1] - trace[-11]) < opts.energy_tol * scale
-        if grad_norm < opts.grad_tol and flat:
-            converged = True
+        if grad_norm < grad_tol and engine.settled(trace):
+            settled = True
             break
-
-        du, dv = engine.direction(ru, rv, cu, cv, ev)
-        merit = ev.breakdown.total
-        trial, tau = _line_search(engine, ev, merit, du, dv, tau, opts.initial_step)
+        du, dv, slope = engine.step(ev, ru, rv, cu, cv, gauge)
+        trial, tau = _line_search(engine, ev, merit, du, dv, tau, slope)
         if trial is None:
-            if grad_norm < 10.0 * opts.grad_tol:
-                message = "line search exhausted at small residual"
-                converged = grad_norm < opts.grad_tol
+            if grad_norm < 10.0 * grad_tol:
+                message, settled, tau = engine.exhausted, grad_norm < grad_tol, 1.0
                 break
-            raise NoDescentStep(
-                f"step size underflowed at iteration {it} with residual {grad_norm:.3e}"
-            )
-        ev = trial[0]
-        trace.append(ev.breakdown.total)
+            raise engine.stuck(it, grad_norm)
+        ev, merit, s = trial
+        if trace is not None:
+            trace.append(merit)
+    return ev, s, merit, iters, settled, tau, message
 
-    else:
+
+def _descend(
+    engine: _SphereDescent, u0: np.ndarray, v0: np.ndarray
+) -> tuple[StateEval, dict[str, float], int, bool, list[float], str]:
+    start = [engine.evaluate(*engine.retract(u0, v0))]
+    trace = [start[0].breakdown.total]
+    # popped, so that only the loop holds the start state and frees it
+    ev, _, _, iters, converged, _, message = _descent_round(
+        engine, start.pop(), 0.0, trace[0], engine.opts.max_iters, 1.0, trace
+    )
+    if not (converged or message):
         message = "iteration budget exhausted"
-
-    if opts.symmetrize_every:
+    if engine.opts.symmetrize_every:
         # leave a symmetrized (hence exactly nonnegative, radially
         # nonincreasing) state when symmetrization is requested
         ev_s = _symmetrized(engine, ev)
         if ev_s is not None:
             ev = ev_s
-    ru, rv, _, _ = engine.residual_fields(ev)
+    ru, rv, *_ = engine.residual(ev, 0.0)
     grad_norm = engine.grad_norm(ru, rv)
     residuals = {
         "projected_gradient": grad_norm,
@@ -333,21 +351,18 @@ def minimize_normalized(
     below there).  Components with a zero mass target are frozen at zero,
     which is how the scalar problem and scan edge cells are realized.
     """
-    opts = opts or FlowOptions()
     regime = params.regime()
     if not (regime.label_p == "subcritical" and regime.label_q == "subcritical"):
         raise NotSubcritical(
             f"ground-state flow requires subcritical exponents, got {regime.label_p}/{regime.label_q}"
         )
     grid = init.grid
-    engine = _SphereDescent(params, grid)
+    engine = _SphereDescent(params, grid, opts)
     if params.xi > 0.0 and not np.any(init.u.values):
         raise ZeroMass("initial u has zero mass but xi > 0")
     if params.eta > 0.0 and not np.any(init.v.values):
         raise ZeroMass("initial v has zero mass but eta > 0")
-    ev, residuals, iters, converged, trace, message = _descend(
-        engine, init.u.values, init.v.values, opts
-    )
+    ev, residuals, iters, converged, trace, message = _descend(engine, init.u.values, init.v.values)
     state = StatePair(ScalarField(grid, ev.u), ScalarField(grid, ev.v))
     return SolveReport(
         state=state,
@@ -425,7 +440,7 @@ def mass_scan(
             raise ValueError(f"{name} must be nonnegative")
     rng = np.random.default_rng(seed)
     widths = np.exp(
-        rng.uniform(math.log(0.4), math.log(grid.half_extent / 2.5), size=n_starts)
+        rng.uniform(math.log(0.4), math.log(max(grid.half_extent / 2.5, 0.4)), size=n_starts)
     )
     energies = np.zeros((len(xi_list), len(eta_list)))
     flags = np.zeros_like(energies, dtype=bool)

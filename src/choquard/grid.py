@@ -50,11 +50,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.half_extent > 0:
-            raise ValueError("half_extent must be positive")
         m = self.points_per_axis
         if m < 8 or m % 2 != 0:
             raise ValueError("points_per_axis must be an even integer >= 8")
+        if not 1e-100 < self.spacing < 1e100:  # keeps the cell volume a positive finite float
+            raise ValueError("half_extent must give a grid spacing in (1e-100, 1e100)")
         if m**self.dim > _MAX_POINTS:
             raise ValueError("grid too large to address in memory")
 

@@ -307,12 +307,15 @@ def nonlocal_bound_constant(dim: int, alpha: float, p: float) -> float:
 
 def c_xi_eta(params: ModelParams) -> float:
     """Mass-weighted constant bounding mu1 B(u,p) + mu2 B(v,p) by kinetic powers."""
-    c = nonlocal_bound_constant(params.dim, params.alpha, params.p)
     dp = params.delta_p
-    return c * max(
-        params.mu1 * params.xi ** (2.0 * params.p * (1.0 - dp)),
-        params.mu2 * params.eta ** (2.0 * params.p * (1.0 - dp)),
-    )
+    try:
+        c = nonlocal_bound_constant(params.dim, params.alpha, params.p)
+        return c * max(
+            params.mu1 * params.xi ** (2.0 * params.p * (1.0 - dp)),
+            params.mu2 * params.eta ** (2.0 * params.p * (1.0 - dp)),
+        )
+    except OverflowError as exc:
+        raise RangeError(f"the nonlocal bound constant overflows: {exc}") from exc
 
 
 def h_function(x, c: float, p: float, dp: float):

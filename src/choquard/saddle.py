@@ -15,15 +15,17 @@ condition d/ds E(s * state) = 0 is exactly the dilation (Pohozaev-type)
 identity, so states at their fiber maximum satisfy it by construction.
 
 ``mountain_pass_solve`` minimizes the fiber-maximized energy over profiles.
-The merit is dilation-invariant, so the fiber direction is a gauge: each
-descent round quotients it out of the steps and residuals (an Armijo line
-search on the merit, preconditioned and tangentially projected, with the
-kinetic trust cap rejecting sub-resolution spike states), and the profile
-is dilated to its own fiber maximum only between rounds.  At the fixed
-point the state is simultaneously a fiber maximum (dilation identity
-holds) and transversally critical: a discrete mountain-pass critical
-point.  The level is reported without any minimality claim among such
-points.
+The merit is dilation-invariant, so the fiber direction is a gauge.  Each
+descent round is the flow's loop, ``flow._descent_round``, run with
+``_SaddleEngine``: its ``residual`` is the pulled-back gradient with the
+fiber tangent removed, its ``step`` removes that gauge from the
+preconditioned direction and returns the Armijo slope, its ``measure`` is
+the fiber-maximized energy, and its kinetic trust cap rejects
+sub-resolution spike states.  The profile is dilated to its own fiber
+maximum only between rounds.  At the fixed point the state is
+simultaneously a fiber maximum (dilation identity holds) and transversally
+critical: a discrete mountain-pass critical point.  The level is reported
+without any minimality claim among such points.
 
 Admissibility of the coupling (sup-norm below the barrier bound, sign
 condition on 2 beta + x.grad beta / delta_p) is checked by
@@ -74,7 +76,7 @@ from .energy import (
     pohozaev_from_breakdown,
     sample_model,
 )
-from .flow import SolveReport, _SphereDescent, _line_search, _scalar_params, _sphere_tangent
+from .flow import SolveReport, _SphereDescent, _descent_round, _scalar_params, _sphere_tangent
 from .model import (
     ModelParams,
     c_xi_eta,
@@ -85,33 +87,27 @@ from .model import (
 )
 from .riesz import RieszConvolver
 
+_FIBER_BRACKET = (-4.0, 4.0)  # first bracket of the fiber maximizer, widened once
+_FIBER_TOL = 1e-11  # tolerance on the maximizing s
+# recenter (dilate the profile to its own fiber maximum) whenever the
+# maximizing s exceeds this; the dilation-identity residual of the
+# reported profile scales with the leftover offset, so keep it tiny
+_RECENTER_TOL = 1e-7
+
 
 @dataclass
 class SaddleOptions:
     """Knobs of the fiber min-max loop."""
 
-    s_min: float = -4.0
-    s_max: float = 4.0
-    fiber_tol: float = 1e-11
     max_iters: int = 800
     grad_tol: float = 1e-5
     pohozaev_rel_tol: float = 1e-6  # |d_s E| below this times the kinetic term
-    initial_step: float = 1.0
-    geometry_check: bool = True
-    # recenter (dilate the profile to its own fiber maximum) whenever the
-    # maximizing s exceeds this; the dilation-identity residual of the
-    # reported profile scales with the leftover offset, so keep it tiny
-    recenter_threshold: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not self.s_min < 0.0 < self.s_max:
-            raise ValueError("fiber bracket must contain 0 in its interior")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.fiber_tol <= 0 or self.grad_tol <= 0 or self.pohozaev_rel_tol <= 0:
+        if self.grad_tol <= 0 or self.pohozaev_rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,6 +187,8 @@ class _FiberBasis:
 
 
 class _SaddleEngine(_SphereDescent):
+    exhausted = "line search exhausted near the residual tolerance"
+
     def __init__(
         self,
         params: ModelParams,
@@ -200,8 +198,7 @@ class _SaddleEngine(_SphereDescent):
     ):
         if params.coupling.kind == "tabulated":
             raise ModeMismatch("the dilation fiber needs a built-in coupling family, not a table")
-        super().__init__(params, grid, conv=conv)
-        self.sopts = opts
+        super().__init__(params, grid, opts, conv)
         self.coupling_sup = _coupling_sup(self.sampled, params.p * params.delta_p)
 
     def kinetic_cap(self, level: float) -> float:
@@ -230,13 +227,13 @@ class _SaddleEngine(_SphereDescent):
         basis = _FiberBasis(self, ev)
         if basis.kinetic <= 0.0:
             raise ZeroMass("fiber maximization needs a state with positive kinetic energy")
-        lo, hi = self.sopts.s_min, self.sopts.s_max
+        lo, hi = _FIBER_BRACKET
         for attempt in range(2):
             res = minimize_scalar(
                 lambda s: -basis.energy_at(s),
                 bounds=(lo, hi),
                 method="bounded",
-                options={"xatol": self.sopts.fiber_tol},
+                options={"xatol": _FIBER_TOL},
             )
             s_star = float(res.x)
             margin = 1e-3 * (hi - lo)
@@ -284,12 +281,34 @@ class _SaddleEngine(_SphereDescent):
         tu, tv, _, _ = _sphere_tangent(tu, tv, ev)
         return tu, tv
 
+    def residual(self, ev: StateEval, s: float):
+        """Sphere-tangential gradient of the merit with the fiber direction
+        removed: (ru, rv, cu, cv, gauge) with the fiber tangent as gauge."""
+        ru, rv, cu, cv = _sphere_tangent(*self.pulled_back_gradient(ev, s), ev)
+        gauge = self.fiber_tangent(ev)
+        return *_remove_component(ru, rv, *gauge), cu, cv, gauge
+
+    def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
+        """The flow's step with the gauge removed, and its Armijo slope."""
+        du, dv, _ = super().step(ev, ru, rv, cu, cv, gauge)
+        du, dv = _remove_component(du, dv, *gauge)
+        return du, dv, self.h_n * (float(np.sum(ru * du)) + float(np.sum(rv * dv)))
+
+    def prepare(self, it: int, ev: StateEval, merit: float, s: float):
+        return ev, merit, s
+
+    def settled(self, trace: list[float] | None) -> bool:
+        return True
+
+    def stuck(self, it: int, res: float) -> Exception:
+        return Stalled(
+            f"saddle step underflowed (transverse residual {res:.3e}); "
+            "the state is likely under-resolved on this grid"
+        )
+
 
 def fiber_maximize(
-    state: StatePair,
-    params: ModelParams,
-    conv: RieszConvolver | None = None,
-    opts: SaddleOptions | None = None,
+    state: StatePair, params: ModelParams, conv: RieszConvolver | None = None
 ) -> tuple[float, float]:
     """Maximize the fiber energy s -> E(s * state); returns (s_star, value).
 
@@ -297,8 +316,7 @@ def fiber_maximize(
     NoInteriorMax if the maximum sits on the (once-widened) bracket edge.
     """
     _require_saddle_mode(params)
-    opts = opts or SaddleOptions()
-    engine = _SaddleEngine(params, state.grid, opts, conv=conv)
+    engine = _SaddleEngine(params, state.grid, SaddleOptions(), conv=conv)
     _, psi, s_star = engine.measure(state.u.values, state.v.values)
     return s_star, psi
 
@@ -444,14 +462,13 @@ def mountain_pass_solve(
         raise ZeroMass("the coupled saddle needs positive masses on both components")
     grid = init.grid
     engine = _SaddleEngine(params, grid, opts)
-    if opts.geometry_check:
-        geo = check_geometry(params, grid, conv=engine.conv)
-        if not geo.separated:
-            raise GeometryFailed(
-                f"sampled well max {geo.sup_well_estimate:.4g} does not sit below "
-                f"sampled barrier min {geo.inf_barrier_estimate:.4g}"
-            )
-    return _saddle_descend(engine, init.u.values, init.v.values, opts)
+    geo = check_geometry(params, grid, conv=engine.conv)
+    if not geo.separated:
+        raise GeometryFailed(
+            f"sampled well max {geo.sup_well_estimate:.4g} does not sit below "
+            f"sampled barrier min {geo.inf_barrier_estimate:.4g}"
+        )
+    return _saddle_descend(engine, init.u.values, init.v.values)
 
 
 def scalar_constrained_saddle(
@@ -472,13 +489,12 @@ def scalar_constrained_saddle(
     _require_saddle_mode(params)
     engine = _SaddleEngine(params, grid, opts)
     init_u = gaussian_field(grid, init_width, mass=c**2)
-    return _saddle_descend(engine, init_u.values, np.zeros(grid.shape), opts)
+    return _saddle_descend(engine, init_u.values, np.zeros(grid.shape))
 
 
-def _saddle_descend(
-    engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray, opts: SaddleOptions
-) -> SolveReport:
+def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> SolveReport:
     params = engine.params
+    opts = engine.opts
     ev, psi, s_star = engine.measure(*engine.retract(u0, v0))
 
     # Round structure: the merit is invariant along each profile's dilation
@@ -494,22 +510,22 @@ def _saddle_descend(
     total_iters = 0
     message = ""
     budget = opts.max_iters
-    tau = opts.initial_step
+    tau = 1.0
     for round_no in range(6):
         if budget <= 0:
             break
         record = trace if round_no == 0 else None
         ev, s_star, psi, used, descended, tau, msg = _descent_round(
-            engine, ev, s_star, psi, opts, budget, tau, record
+            engine, ev, s_star, psi, budget, tau, record
         )
         total_iters += used
         budget -= used
         if msg:
             message = msg
-        ev, s_star, psi, recenter_msg = _recenter(engine, ev, s_star, psi, opts)
+        ev, s_star, psi, recenter_msg = _recenter(engine, ev, s_star, psi)
         if recenter_msg:
             message = (message + "; " if message else "") + recenter_msg
-        ru, rv, *_ = _transverse_residual(engine, ev, s_star)
+        ru, rv, *_ = engine.residual(ev, s_star)
         grad_norm = engine.grad_norm(ru, rv)
         poh = engine.pohozaev(ev)
         kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
@@ -562,70 +578,14 @@ def _saddle_descend(
     )
 
 
-def _transverse_residual(
-    engine: _SaddleEngine, ev: StateEval, s_star: float
-) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray, np.ndarray]:
-    """Sphere-tangential gradient with the fiber direction removed.
-
-    Returns (ru, rv, cu, cv, tu, tv): the residual, the multiplier
-    coefficients of the tangential projection, and the fiber tangent, which
-    the caller reuses to project its step."""
-    ru, rv, cu, cv = _sphere_tangent(*engine.pulled_back_gradient(ev, s_star), ev)
-    tu, tv = engine.fiber_tangent(ev)
-    ru, rv = _remove_component(ru, rv, tu, tv)
-    return ru, rv, cu, cv, tu, tv
-
-
-def _descent_round(
-    engine: _SaddleEngine,
-    ev: StateEval,
-    s_star: float,
-    psi: float,
-    opts: SaddleOptions,
-    budget: int,
-    tau: float,
-    trace: list[float] | None,
-):
-    """Armijo descent of the fiber-maximized merit, transverse to the fiber."""
-    message = ""
-    descended = False
-    iters = 0
-    for _ in range(budget):
-        iters += 1
-        ru, rv, cu, cv, tu, tv = _transverse_residual(engine, ev, s_star)
-        grad_norm = engine.grad_norm(ru, rv)
-        if grad_norm < opts.grad_tol:
-            descended = True
-            break
-        du, dv = engine.direction(ru, rv, cu, cv, ev)
-        du, dv = _remove_component(du, dv, tu, tv)
-        slope = engine.h_n * (float(np.sum(ru * du)) + float(np.sum(rv * dv)))
-        trial, tau = _line_search(engine, ev, psi, du, dv, tau, opts.initial_step, slope)
-        if trial is None:
-            if grad_norm < 10.0 * opts.grad_tol:
-                message = "line search exhausted near the residual tolerance"
-                descended = grad_norm < opts.grad_tol
-                break
-            raise Stalled(
-                f"saddle step underflowed (transverse residual {grad_norm:.3e}); "
-                "the state is likely under-resolved on this grid"
-            )
-        ev, psi, s_star = trial
-        if trace is not None:
-            trace.append(psi)
-    return ev, s_star, psi, iters, descended, tau, message
-
-
-def _recenter(
-    engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float, opts: SaddleOptions
-):
+def _recenter(engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float):
     """Dilate the profile to its own fiber maximum (a pure gauge move) so the
     reported state itself satisfies the dilation identity."""
     params = engine.params
     grid = engine.grid
     message = ""
     for _ in range(4):
-        if abs(s_star) <= max(opts.recenter_threshold, 1e-12):
+        if abs(s_star) <= _RECENTER_TOL:
             break
         try:
             ud = dilate(ScalarField(grid, ev.u), s_star).values

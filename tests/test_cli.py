@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import choquard as cq
 from choquard.cli import main, parse_config, run
@@ -156,6 +156,32 @@ class TestParse:
         assert f"config error: {expected}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_relative_table_path(self, tmp_path, monkeypatch):
+        # a relative .npy path is read next to the config, not in the cwd
+        (tmp_path / "conf").mkdir()
+        np.save(tmp_path / "conf" / "table.npy", np.full((16,) * 3, 0.01))
+        payload = tiny_minimize_config()
+        payload["model"]["coupling"] = {"kind": "tabulated", "path": "table.npy"}
+        path = write_config(tmp_path / "conf", payload)
+        monkeypatch.chdir(tmp_path)
+        assert np.all(parse_config(path).params.coupling.values == 0.01)
+
+    @pytest.mark.parametrize("table, key, value, expected", [
+        (None, "threads", 2**64, "config.threads"),
+        ("scan", "n_starts", 2**64, "config.scan.n_starts"),
+        ("init", "width_u", 1e300, "config.init.width_u"),
+        ("init", "width_u", 0.0, "config.init.width_u"),
+        ("init", "width_v", -1.5, "config.init.width_v"),
+        ("grid", "half_extent", 5e-324, "config.grid"),
+    ])
+    def test_out_of_range_at_parse(self, tmp_path, capsys, table, key, value, expected):
+        payload = tiny_minimize_config(mode="scan")
+        payload["scan"] = {"xi_list": [0.5, 1.0], "eta_list": [0.5, 1.0]}
+        (payload[table] if table else payload)[key] = value
+        path = write_config(tmp_path, payload)
+        assert main(["scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {expected}" in capsys.readouterr().err
+
     def test_scan_needs_lists(self, tmp_path):
         payload = tiny_minimize_config(mode="scan")
         with pytest.raises(cq.SchemaError, match="xi_list"):
@@ -206,6 +232,58 @@ class TestParseFuzz:
             parse_config(path)
         except (cq.SchemaError, cq.RangeError):
             pass
+
+
+def main_fuzz_payload(mode):
+    # a tiny 1-D run: M = 16 and at most 10 iterations per solve
+    p = 4.0 if mode in ("saddle", "check") else 2.0
+    return {
+        "mode": mode,
+        "grid": {"dim": 1, "half_extent": 8.0, "points_per_axis": 16},
+        "model": {"alpha": 0.5, "p": p, "q": p, "coupling": {"kind": "constant", "beta0": 0.1}},
+        "flow": {"max_iters": 10},
+        "saddle": {"max_iters": 10},
+        "scan": {"xi_list": [0.5, 1.0], "eta_list": [0.5, 1.0], "n_starts": 1},
+    }
+
+
+# fields whose value scales the work of a run (iteration and start counts,
+# grid size, whole option tables) stay at the payload's tiny values
+MAIN_FUZZED_FIELDS = [
+    f for f in FUZZED_FIELDS
+    if f not in {("flow",), ("flow", "max_iters"), ("saddle",), ("scan", "n_starts"),
+                 ("grid", "points_per_axis")}
+] + [
+    ("model", "mu2"), ("model", "v1", "depth"), ("model", "v1", "width"), ("model", "v2"),
+    ("flow", "energy_tol"), ("flow", "grad_tol"), ("flow", "symmetrize_every"),
+    ("saddle", "grad_tol"), ("saddle", "pohozaev_rel_tol"), ("init", "width_v"),
+    ("scan", "eta_list"),
+]
+EXTREME_NUMBERS = st.sampled_from([0, -1, 2**64, 5e-324, 1e-300, 1e-12, 1e300, -1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+) | st.integers(min_value=-5, max_value=40)
+
+
+class TestMainFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        mode=st.sampled_from(cq.cli._MODES),
+        field=st.sampled_from(MAIN_FUZZED_FIELDS),
+        value=JSON_VALUES | EXTREME_NUMBERS,
+    )
+    @example(mode="check", field=("model", "alpha"), value=1e-12)
+    @example(mode="saddle", field=("model", "xi"), value=1e200)
+    @example(mode="scan", field=("grid", "half_extent"), value=0.5)
+    def test_only_exit_codes_escape(self, tmp_path_factory, mode, field, value):
+        payload = main_fuzz_payload(mode)
+        table = payload
+        for key in field[:-1]:
+            table = table.setdefault(key, {})
+        table[field[-1]] = value
+        out = tmp_path_factory.mktemp("main_fuzz")
+        path = out / "run.json"
+        path.write_text(json.dumps(payload))
+        assert main([mode, "--config", str(path), "--out", str(out / "out")]) in {0, 2, 3, 4}
 
 
 class TestRunMinimize:

@@ -201,19 +201,19 @@ class TestExhaustedLineSearch:
     def start(self, grid):
         engine = self.Engine(coupled_params(), grid)
         u = cq.gaussian_field(grid, 1.5, mass=1.0).values
-        ru, rv, _, _ = engine.residual_fields(engine.evaluate(*engine.retract(u, u)))
+        ru, rv, *_ = engine.residual(engine.evaluate(*engine.retract(u, u)), 0.0)
         return engine, u, engine.grad_norm(ru, rv)
 
     def test_large_residual_raises(self, grid24):
         engine, u, grad_norm = self.start(grid24)
+        engine.opts = cq.FlowOptions(grad_tol=grad_norm / 100.0)
         with pytest.raises(cq.NoDescentStep):
-            cq.flow._descend(engine, u, u, cq.FlowOptions(grad_tol=grad_norm / 100.0))
+            cq.flow._descend(engine, u, u)
 
     def test_near_tolerance_stops(self, grid24):
         engine, u, grad_norm = self.start(grid24)
-        ev, residuals, iters, converged, trace, message = cq.flow._descend(
-            engine, u, u, cq.FlowOptions(grad_tol=grad_norm / 5.0)
-        )
+        engine.opts = cq.FlowOptions(grad_tol=grad_norm / 5.0)
+        ev, residuals, iters, converged, trace, message = cq.flow._descend(engine, u, u)
         assert message == "line search exhausted at small residual"
         assert not converged
         assert iters == 1 and trace == [ev.breakdown.total]
