@@ -13,6 +13,12 @@ artifacts into the output directory:
 * ``scan.csv``      -- xi, eta, energy, converged, iterations (scan mode)
 * ``error.json``    -- machine-readable error record on failure
 
+Each model field of a config is named once: ``_FAMILIES`` lists the fields
+of each built-in coupling and potential kind and ``_MODEL_NUMBERS`` the
+model's numbers, each with its default (``_MODEL_SPECS`` names the three
+family slots).  Parsing, the unknown-field check and the report's config
+echo all read these tables; the grid's fields are those of ``GridSpec``.
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 validation
 failure.  Reports contain no timestamps; a fixed (config, seed) pair gives
 byte-identical output at a fixed thread count.
@@ -50,6 +56,27 @@ from .saddle import SaddleOptions, check_geometry, mountain_pass_solve
 _MODES = ("minimize", "saddle", "scan", "check", "oracle")
 _SCHEMA_VERSION = 1
 _MAX_COUNT = 1024  # most FFT workers or scan starts a config may ask for
+
+# the fields of each built-in coupling and potential kind, with their
+# defaults; the ``tabulated`` kind of either has only a ``path``
+_CONSTANT = {"beta0": 0.0}
+_FAMILIES = {
+    CouplingSpec: {"constant": _CONSTANT, "rational_decay": {**_CONSTANT, "decay": 1.0}},
+    PotentialSpec: {
+        "zero": {},
+        "gaussian_well": {"depth": 1.0, "width": 1.0},
+        "harmonic": {"stiffness": 1.0},
+    },
+}
+# the model's numbers with their defaults; None marks a required one
+_MODEL_NUMBERS = {
+    "alpha": None, "p": None, "q": None, "mu1": 1.0, "mu2": 1.0, "xi": 1.0, "eta": 1.0
+}
+# the model's family fields, each with its spec class and default kind
+_MODEL_SPECS = {
+    "coupling": (CouplingSpec, "constant"), "v1": (PotentialSpec, "zero"),
+    "v2": (PotentialSpec, "zero"),
+}
 
 
 @dataclass
@@ -103,38 +130,31 @@ def _load_table(table: dict, path: str, grid: GridSpec, here: Path) -> np.ndarra
     return values
 
 
-def _parse_coupling(table: dict, path: str, grid: GridSpec, here: Path) -> CouplingSpec:
-    _check_known(table, {"kind", "beta0", "decay", "path"}, path)
+def _parse_family(table: dict, path: str, spec_cls, grid: GridSpec, here: Path):
+    """A ``CouplingSpec`` or ``PotentialSpec``: a built-in kind of ``_FAMILIES``
+    with only its own fields, or a ``tabulated`` one with only a ``path``."""
+    families = _FAMILIES[spec_cls]
     kind = _expect(table, "kind", str, path, required=True)
     if kind == "tabulated":
-        return CouplingSpec("tabulated", values=_load_table(table, path, grid, here))
-    beta0 = _expect(table, "beta0", float, path, default=0.0)
-    if kind == "constant":
-        return CouplingSpec("constant", beta0)
-    if kind == "rational_decay":
-        decay = _expect(table, "decay", float, path, default=1.0)
-        return CouplingSpec("rational_decay", beta0, decay)
-    raise SchemaError(f"{path}.kind", f"unknown coupling kind {kind!r}")
+        _check_known(table, {"kind", "path"}, path)
+        return spec_cls(kind, values=_load_table(table, path, grid, here))
+    if kind not in families:
+        raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}, expected one of "
+                          f"{(*families, 'tabulated')}")
+    _check_known(table, {"kind", *families[kind]}, path)
+    return spec_cls(
+        kind, **{key: _expect(table, key, float, path, default=d) for key, d in families[kind].items()}
+    )
 
 
-def _parse_potential(table: dict, path: str, grid: GridSpec, here: Path) -> PotentialSpec:
-    _check_known(table, {"kind", "depth", "width", "stiffness", "path"}, path)
-    kind = _expect(table, "kind", str, path, required=True)
-    if kind == "zero":
-        return PotentialSpec("zero")
-    if kind == "gaussian_well":
-        return PotentialSpec(
-            "gaussian_well",
-            depth=_expect(table, "depth", float, path, default=1.0),
-            width=_expect(table, "width", float, path, default=1.0),
-        )
-    if kind == "harmonic":
-        return PotentialSpec(
-            "harmonic", stiffness=_expect(table, "stiffness", float, path, default=1.0)
-        )
-    if kind == "tabulated":
-        return PotentialSpec("tabulated", values=_load_table(table, path, grid, here))
-    raise SchemaError(f"{path}.kind", f"unknown potential kind {kind!r}")
+def _in_range(key: str, value: int, path: str) -> int:
+    """``value`` once its range is checked, for ``seed`` and ``threads``, the
+    fields that ``--seed`` and ``--threads`` override."""
+    if key == "seed" and value < 0:
+        raise SchemaError(path, "seed must be >= 0")
+    if key == "threads" and not 1 <= value <= _MAX_COUNT:
+        raise SchemaError(path, f"threads must be in [1, {_MAX_COUNT}]")
+    return value
 
 
 def _mass_list(table: dict, key: str) -> list[float]:
@@ -144,9 +164,14 @@ def _mass_list(table: dict, key: str) -> list[float]:
     return [float(x) for x in masses]
 
 
+def _field_kinds(cls) -> dict:
+    """The type of each field of the dataclass ``cls``, by field name."""
+    return {f.name: {"int": int, "float": float, "bool": bool, "str": str}[f.type]
+            for f in dataclasses.fields(cls)}
+
+
 def _options_from(table: dict, cls, path: str):
-    kinds = {f.name: {"int": int, "float": float, "bool": bool, "str": str}[f.type]
-             for f in dataclasses.fields(cls)}
+    kinds = _field_kinds(cls)
     _check_known(table, set(kinds), path)
     try:
         return cls(**{key: _expect(table, key, kinds[key], path) for key in table})
@@ -188,53 +213,37 @@ def parse_config(path: str | Path) -> RunConfig:
         raise SchemaError("config.mode", f"mode must be one of {_MODES}, got {mode!r}")
 
     gtab = _expect(raw, "grid", dict, "config", required=True)
-    _check_known(gtab, {"dim", "half_extent", "points_per_axis"}, "config.grid")
+    kinds = _field_kinds(GridSpec)
+    _check_known(gtab, set(kinds), "config.grid")
     try:
         grid = GridSpec(
-            dim=_expect(gtab, "dim", int, "config.grid", required=True),
-            half_extent=_expect(gtab, "half_extent", float, "config.grid", required=True),
-            points_per_axis=_expect(gtab, "points_per_axis", int, "config.grid", required=True),
+            **{key: _expect(gtab, key, kind, "config.grid", required=True)
+               for key, kind in kinds.items()}
         )
     except ValueError as exc:
         raise RangeError(f"config.grid: {exc}") from exc
 
     mtab = _expect(raw, "model", dict, "config", required=True)
-    _check_known(
-        mtab, {"dim", "alpha", "p", "q", "mu1", "mu2", "xi", "eta", "coupling", "v1", "v2"},
-        "config.model",
-    )
+    _check_known(mtab, {"dim", *_MODEL_NUMBERS, *_MODEL_SPECS}, "config.model")
     dim = _expect(mtab, "dim", int, "config.model", default=grid.dim)
     if dim != grid.dim:
         raise SchemaError("config.model.dim", f"model dim {dim} != grid dim {grid.dim}")
-    coupling = _parse_coupling(
-        _expect(mtab, "coupling", dict, "config.model", default={"kind": "constant", "beta0": 0.0}),
-        "config.model.coupling",
-        grid,
-        path.parent,
-    )
-    if mode == "saddle" and coupling.kind == "tabulated":
+    specs = {
+        key: _parse_family(
+            _expect(mtab, key, dict, "config.model", default={"kind": kind}),
+            f"config.model.{key}", spec_cls, grid, path.parent,
+        )
+        for key, (spec_cls, kind) in _MODEL_SPECS.items()
+    }
+    if mode == "saddle" and specs["coupling"].kind == "tabulated":
         raise SchemaError(
             "config.model.coupling", "saddle mode needs a built-in coupling family, not a table"
         )
-    v1, v2 = (
-        _parse_potential(
-            _expect(mtab, key, dict, "config.model", default={"kind": "zero"}),
-            f"config.model.{key}", grid, path.parent,
-        )
-        for key in ("v1", "v2")
-    )
     params = ModelParams(
         dim=grid.dim,
-        alpha=_expect(mtab, "alpha", float, "config.model", required=True),
-        p=_expect(mtab, "p", float, "config.model", required=True),
-        q=_expect(mtab, "q", float, "config.model", required=True),
-        mu1=_expect(mtab, "mu1", float, "config.model", default=1.0),
-        mu2=_expect(mtab, "mu2", float, "config.model", default=1.0),
-        xi=_expect(mtab, "xi", float, "config.model", default=1.0),
-        eta=_expect(mtab, "eta", float, "config.model", default=1.0),
-        coupling=coupling,
-        v1=v1,
-        v2=v2,
+        **{key: _expect(mtab, key, float, "config.model", default=d, required=d is None)
+           for key, d in _MODEL_NUMBERS.items()},
+        **specs,
     )
 
     flow = _options_from(_expect(raw, "flow", dict, "config", default={}), FlowOptions, "config.flow")
@@ -266,44 +275,22 @@ def parse_config(path: str | Path) -> RunConfig:
         if w is not None and not (w > 0 and 0 < w * w < math.inf):
             raise SchemaError(f"config.init.{k}", "width must be > 0 with a nonzero finite square")
 
-    seed = _expect(raw, "seed", int, "config", default=0)
-    threads = _expect(raw, "threads", int, "config", default=1)
-    if not 1 <= threads <= _MAX_COUNT:
-        raise SchemaError("config.threads", f"threads must be in [1, {_MAX_COUNT}]")
-    if seed < 0:
-        raise SchemaError("config.seed", "seed must be >= 0")
+    threads = _in_range("threads", _expect(raw, "threads", int, "config", default=1),
+                        "config.threads")
+    seed = _in_range("seed", _expect(raw, "seed", int, "config", default=0), "config.seed")
 
     cfg = RunConfig(
-        mode=mode,
-        grid=grid,
-        params=params,
-        flow=flow,
-        saddle=sad,
-        xi_list=xi_list,
-        eta_list=eta_list,
-        n_starts=n_starts,
-        init_width_u=width_u,
-        init_width_v=width_v,
-        seed=seed,
-        threads=threads,
+        mode=mode, grid=grid, params=params, flow=flow, saddle=sad, xi_list=xi_list,
+        eta_list=eta_list, n_starts=n_starts, init_width_u=width_u, init_width_v=width_v,
+        seed=seed, threads=threads,
     )
     cfg.resolved = _resolve(cfg)
     return cfg
 
 
 def _spec_dict(spec) -> dict:
-    out = {"kind": spec.kind}
-    if isinstance(spec, CouplingSpec):
-        if spec.kind == "constant":
-            out["beta0"] = spec.beta0
-        elif spec.kind == "rational_decay":
-            out.update(beta0=spec.beta0, decay=spec.decay)
-    else:
-        if spec.kind == "gaussian_well":
-            out.update(depth=spec.depth, width=spec.width)
-        elif spec.kind == "harmonic":
-            out["stiffness"] = spec.stiffness
-    return out
+    fields = _FAMILIES[type(spec)].get(spec.kind, {})
+    return {"kind": spec.kind, **{key: getattr(spec, key) for key in fields}}
 
 
 def _resolve(cfg: RunConfig) -> dict:
@@ -311,24 +298,11 @@ def _resolve(cfg: RunConfig) -> dict:
     p = cfg.params
     return {
         "mode": cfg.mode,
-        "grid": {
-            "dim": cfg.grid.dim,
-            "half_extent": cfg.grid.half_extent,
-            "points_per_axis": cfg.grid.points_per_axis,
-            "spacing": cfg.grid.spacing,
-        },
+        "grid": {**dataclasses.asdict(cfg.grid), "spacing": cfg.grid.spacing},
         "model": {
             "dim": p.dim,
-            "alpha": p.alpha,
-            "p": p.p,
-            "q": p.q,
-            "mu1": p.mu1,
-            "mu2": p.mu2,
-            "xi": p.xi,
-            "eta": p.eta,
-            "coupling": _spec_dict(p.coupling),
-            "v1": _spec_dict(p.v1),
-            "v2": _spec_dict(p.v2),
+            **{key: getattr(p, key) for key in _MODEL_NUMBERS},
+            **{key: _spec_dict(getattr(p, key)) for key in _MODEL_SPECS},
         },
         "flow": dataclasses.asdict(cfg.flow),
         "saddle": dataclasses.asdict(cfg.saddle),
@@ -340,10 +314,9 @@ def _resolve(cfg: RunConfig) -> dict:
 
 
 def _report_of_solve(rep: SolveReport) -> dict:
-    bd = dataclasses.asdict(rep.energy)
     return {
-        "energy": bd,
-        "multipliers": {"lambda1": rep.multipliers.lambda1, "lambda2": rep.multipliers.lambda2},
+        "energy": dataclasses.asdict(rep.energy),
+        "multipliers": dataclasses.asdict(rep.multipliers),
         "residuals": rep.residuals,
         "iterations": rep.iterations,
         "converged": rep.converged,
@@ -389,35 +362,22 @@ def run(cfg: RunConfig, out_dir: str | Path = ".") -> int:
     only."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report: dict = {
-        "schema_version": _SCHEMA_VERSION,
-        "mode": cfg.mode,
-        "config": cfg.resolved,
-    }
+    report: dict = {"schema_version": _SCHEMA_VERSION, "mode": cfg.mode, "config": cfg.resolved}
     with scipy.fft.set_workers(cfg.threads):
         try:
-            if cfg.mode == "minimize":
-                rep = minimize_normalized(cfg.params, _default_init(cfg), cfg.flow)
-                report["result"] = _report_of_solve(rep)
-                _write_json(out / "report.json", report)
-                _write_profiles(out / "profiles.csv", cfg, rep.state)
-                return 0 if rep.converged else 3
-            if cfg.mode == "saddle":
-                rep = mountain_pass_solve(cfg.params, _default_init(cfg), cfg.saddle)
+            if cfg.mode in ("minimize", "saddle"):
+                solve, opts = (
+                    (minimize_normalized, cfg.flow) if cfg.mode == "minimize"
+                    else (mountain_pass_solve, cfg.saddle)
+                )
+                rep = solve(cfg.params, _default_init(cfg), opts)
                 report["result"] = _report_of_solve(rep)
                 _write_json(out / "report.json", report)
                 _write_profiles(out / "profiles.csv", cfg, rep.state)
                 return 0 if rep.converged else 3
             if cfg.mode == "scan":
-                table = mass_scan(
-                    cfg.params,
-                    cfg.grid,
-                    cfg.xi_list,
-                    cfg.eta_list,
-                    cfg.flow,
-                    n_starts=cfg.n_starts,
-                    seed=cfg.seed,
-                )
+                table = mass_scan(cfg.params, cfg.grid, cfg.xi_list, cfg.eta_list, cfg.flow,
+                                  n_starts=cfg.n_starts, seed=cfg.seed)
                 rows = ["xi,eta,energy,converged,iterations"]
                 for i, xi in enumerate(table.xi_list):
                     for j, eta in enumerate(table.eta_list):
@@ -512,10 +472,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        if args.threads is not None and not 1 <= args.threads <= _MAX_COUNT:
-            raise SchemaError("--threads", f"threads must be in [1, {_MAX_COUNT}]")
-        if args.seed is not None and args.seed < 0:
-            raise SchemaError("--seed", "seed must be >= 0")
+        for key in ("threads", "seed"):
+            value = getattr(args, key)
+            if value is not None:
+                setattr(cfg, key, _in_range(key, value, f"--{key}"))
+                cfg.resolved[key] = value
     except (SchemaError, RangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -525,12 +486,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.resolved["seed"] = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-        cfg.resolved["threads"] = args.threads
 
     try:
         return run(cfg, args.out)

@@ -269,14 +269,14 @@ def _line_search(
     None once the step underflows 1e-18."""
     while tau > 1e-18:
         try:
-            trial = engine.measure(*engine.retract(ev.u - tau * du, ev.v - tau * dv))
+            ev_t, merit_t, s_t = engine.measure(*engine.retract(ev.u - tau * du, ev.v - tau * dv))
         except (NonFinite, NoInteriorMax):
             tau *= 0.5
             continue
-        ev_t, merit_t, _ = trial
         kin_t = ev_t.breakdown.grad_sq_u + ev_t.breakdown.grad_sq_v
         if merit_t <= merit - 1e-4 * tau * slope and kin_t <= engine.kinetic_cap(merit_t):
-            return trial, min(tau * _STEP_GROWTH, _MAX_STEP)
+            return (ev_t, merit_t, s_t), min(tau * _STEP_GROWTH, _MAX_STEP)
+        ev_t = None  # frees the rejected trial before the next one is measured
         tau *= 0.5
     return None, tau
 
@@ -326,12 +326,6 @@ def _descend(
     )
     if not (converged or message):
         message = "iteration budget exhausted"
-    if engine.opts.symmetrize_every:
-        # leave a symmetrized (hence exactly nonnegative, radially
-        # nonincreasing) state when symmetrization is requested
-        ev_s = _symmetrized(engine, ev)
-        if ev_s is not None:
-            ev = ev_s
     ru, rv, *_ = engine.residual(ev, 0.0)
     grad_norm = engine.grad_norm(ru, rv)
     residuals = {

@@ -32,15 +32,18 @@ import scipy.fft
 
 from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, ZeroMass
 
-_MAX_POINTS = 2**27  # 128^3 * 8 bytes * a few work arrays stays in RAM
+# most points of one (2M)^N padded convolution array: 1 GiB of float64,
+# reached at M = 256 in 3-D
+_MAX_POINTS = 2**27
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform Cartesian discretization of the box [-L, L)^N.
 
-    dim must be 1, 2 or 3; points_per_axis must be even (the padded
-    free-space convolution doubles the grid) and at least 8.
+    dim must be 1, 2 or 3; points_per_axis M must be even (the padded
+    free-space convolution doubles the grid), at least 8, and keep that
+    convolution's (2M)^N workspace within ``_MAX_POINTS``.
     """
 
     dim: int
@@ -55,8 +58,10 @@ class GridSpec:
             raise ValueError("points_per_axis must be an even integer >= 8")
         if not 1e-100 < self.spacing < 1e100:  # keeps the cell volume a positive finite float
             raise ValueError("half_extent must give a grid spacing in (1e-100, 1e100)")
-        if m**self.dim > _MAX_POINTS:
-            raise ValueError("grid too large to address in memory")
+        if (2 * m) ** self.dim > _MAX_POINTS:
+            raise ValueError(
+                f"grid too large: the convolution workspace (2M)^N exceeds {_MAX_POINTS} points"
+            )
 
     @property
     def spacing(self) -> float:

@@ -515,8 +515,10 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
         if budget <= 0:
             break
         record = trace if round_no == 0 else None
+        # popped, as in flow._descend, so that only the round holds its start state
+        start, ev = [ev], None
         ev, s_star, psi, used, descended, tau, msg = _descent_round(
-            engine, ev, s_star, psi, budget, tau, record
+            engine, start.pop(), s_star, psi, budget, tau, record
         )
         total_iters += used
         budget -= used

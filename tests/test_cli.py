@@ -1,6 +1,9 @@
 """Config parsing, run orchestration, artifacts and exit codes."""
 
+import dataclasses
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,9 @@ def tiny_minimize_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -117,6 +123,9 @@ class TestParse:
         ("no scan starts", "config.scan.n_starts"),
         ("negative seed", "config.seed"),
         ("negative seed override", "--seed"),
+        ("unread coupling field", "config.model.coupling.decay: unknown field"),
+        ("path on a built-in kind", "config.model.v1.path: unknown field"),
+        ("family field on a table", "config.model.coupling.beta0: unknown field"),
     ])
     def test_rejected_at_parse(self, tmp_path, capsys, case, expected):
         payload = tiny_minimize_config()
@@ -145,6 +154,13 @@ class TestParse:
             payload["seed"] = -1
         elif case == "negative seed override":
             flags = ["--seed", "-1"]
+        elif case == "unread coupling field":
+            payload["model"]["coupling"] = {"kind": "constant", "beta0": 0.1, "decay": 2.0}
+        elif case == "path on a built-in kind":
+            payload["model"]["v1"] = {"kind": "harmonic", "path": str(table)}
+        elif case == "family field on a table":
+            np.save(table, np.full((16,) * 3, 0.01))
+            payload["model"]["coupling"] = {**tabulated, "beta0": 0.1}
         else:
             payload["mode"] = "scan"
             payload["scan"] = {"xi_list": [1.0, 0.5], "eta_list": [0.0, 1.0]}
@@ -181,6 +197,37 @@ class TestParse:
         path = write_config(tmp_path, payload)
         assert main(["scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {expected}" in capsys.readouterr().err
+
+    def test_grid_capped_by_convolution_workspace(self, tmp_path):
+        # parse only: a run would allocate the (2M)^3 padded convolution arrays
+        payload = tiny_minimize_config()
+        payload["grid"]["points_per_axis"] = 512
+        with pytest.raises(cq.RangeError, match=r"^config\.grid: grid too large"):
+            parse_config(write_config(tmp_path, payload))
+        payload["grid"]["points_per_axis"] = 256
+        assert parse_config(write_config(tmp_path, payload)).grid.size == 256**3
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_shipped_config_echo(self, name):
+        # the echo restates every value the file gives and fills in the rest
+        raw = json.loads((CONFIGS / name).read_text())
+        grid = raw["grid"]
+        expected = {
+            "mode": raw["mode"],
+            "grid": {**grid, "spacing": 2.0 * grid["half_extent"] / grid["points_per_axis"]},
+            "model": {
+                "dim": grid["dim"], "mu1": 1.0, "mu2": 1.0, "xi": 1.0, "eta": 1.0,
+                "coupling": {"kind": "constant", "beta0": 0.0},
+                "v1": {"kind": "zero"}, "v2": {"kind": "zero"}, **raw["model"],
+            },
+            "flow": {**dataclasses.asdict(cq.FlowOptions()), **raw.get("flow", {})},
+            "saddle": {**dataclasses.asdict(cq.SaddleOptions()), **raw.get("saddle", {})},
+            "scan": {"xi_list": [], "eta_list": [], "n_starts": 3, **raw.get("scan", {})},
+            "init": {"width_u": None, "width_v": None, **raw.get("init", {})},
+            "seed": raw.get("seed", 0),
+            "threads": raw.get("threads", 1),
+        }
+        assert parse_config(CONFIGS / name).resolved == expected
 
     def test_scan_needs_lists(self, tmp_path):
         payload = tiny_minimize_config(mode="scan")
@@ -337,6 +384,36 @@ class TestRunMinimize:
         assert code == 3
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert err["error"] == "NotSubcritical"
+
+
+class TestRunSaddle:
+    def test_matches_library_solve(self, tmp_path):
+        # the p = q = 3, mu = 60 saddle of tests/test_saddle.py on its M = 48 grid
+        model = {"alpha": 2.0, "p": 3.0, "q": 3.0, "mu1": 60.0, "mu2": 60.0,
+                 "coupling": {"kind": "constant", "beta0": 0.015}}
+        saddle = {"max_iters": 300, "grad_tol": 2e-5, "pohozaev_rel_tol": 1e-6}
+        payload = tiny_minimize_config(
+            mode="saddle", grid={"dim": 3, "half_extent": 10.0, "points_per_axis": 48},
+            model=model, saddle=saddle, init={"width_u": 1.2, "width_v": 1.2},
+        )
+        del payload["flow"]
+        path = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["saddle", "--config", str(path), "--out", str(tmp_path / "out")])
+            grid = cq.GridSpec(3, 10.0, 48)
+            bump = cq.gaussian_field(grid, 1.2, mass=1.0)
+            params = cq.ModelParams(
+                dim=3, **{**model, "coupling": cq.CouplingSpec("constant", 0.015)}, xi=1.0, eta=1.0
+            )
+            lib = cq.mountain_pass_solve(
+                params, cq.StatePair(bump, bump.copy()), cq.SaddleOptions(**saddle)
+            )
+        assert code == 0
+        result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+        assert result["converged"] is True
+        assert abs(result["energy"]["total"] - lib.energy.total) <= 1e-10
+        assert (tmp_path / "out" / "profiles.csv").exists()
 
 
 class TestDeterminism:

@@ -36,6 +36,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             cq.GridSpec(dim, L, m)
 
+    def test_convolution_workspace_caps_the_grid(self):
+        # the padded convolution allocates (2M)^N float64 arrays: at most 2^27
+        # points, 1 GiB each, so M = 256 is the largest 3-D grid
+        assert cq.GridSpec(3, 4.0, 256).size == 256**3
+        with pytest.raises(ValueError, match="convolution workspace"):
+            cq.GridSpec(3, 4.0, 258)
+
     def test_nan_values_rejected(self, grid3_small):
         vals = np.zeros(grid3_small.shape)
         vals[0, 0, 0] = np.nan
