@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -284,17 +285,26 @@ def parse_config(path: str | Path) -> RunConfig:
         eta_list=eta_list, n_starts=n_starts, init_width_u=width_u, init_width_v=width_v,
         seed=seed, threads=threads,
     )
-    cfg.resolved = _resolve(cfg)
+    tables = {key: mtab[key]["path"] for key, spec in specs.items() if spec.kind == "tabulated"}
+    cfg.resolved = _resolve(cfg, tables)
     return cfg
 
 
-def _spec_dict(spec) -> dict:
-    fields = _FAMILIES[type(spec)].get(spec.kind, {})
+def _spec_dict(spec, table_path: str | None) -> dict:
+    if spec.kind == "tabulated":
+        # the path is resolved against the config's directory and its file
+        # may change between runs, so the echo also names the values loaded
+        values = np.ascontiguousarray(spec.values, dtype=np.float64)
+        return {"kind": spec.kind, "path": table_path,
+                "sha256": hashlib.sha256(values.tobytes()).hexdigest()}
+    fields = _FAMILIES[type(spec)][spec.kind]
     return {"kind": spec.kind, **{key: getattr(spec, key) for key in fields}}
 
 
-def _resolve(cfg: RunConfig) -> dict:
-    """Fully resolved config echo (all defaults materialized) for the report."""
+def _resolve(cfg: RunConfig, tables: dict[str, str]) -> dict:
+    """Fully resolved config echo (all defaults materialized) for the report;
+    ``tables`` maps each tabulated family slot to its ``.npy`` path as given;
+    the echo adds the SHA-256 of the values loaded from it."""
     p = cfg.params
     return {
         "mode": cfg.mode,
@@ -302,7 +312,7 @@ def _resolve(cfg: RunConfig) -> dict:
         "model": {
             "dim": p.dim,
             **{key: getattr(p, key) for key in _MODEL_NUMBERS},
-            **{key: _spec_dict(getattr(p, key)) for key in _MODEL_SPECS},
+            **{key: _spec_dict(getattr(p, key), tables.get(key)) for key in _MODEL_SPECS},
         },
         "flow": dataclasses.asdict(cfg.flow),
         "saddle": dataclasses.asdict(cfg.saddle),

@@ -18,6 +18,9 @@ Field operations provided here:
   rearrangement: sort the values, refill concentric radius shells from the
   center outward.  The multiset of values is preserved exactly, hence every
   discrete L^t norm is too.
+* ``radial_shells`` -- the distinct radii of the grid and each point's
+  shell, so a radial weight summed against a field costs one evaluation
+  per shell.
 """
 
 from __future__ import annotations
@@ -320,6 +323,23 @@ def _shell_order(grid: GridSpec) -> np.ndarray:
     """Flat indices sorted by radius, ties broken by index order."""
     r2 = _radius_sq(grid).ravel()
     return np.lexsort((np.arange(r2.size), r2))
+
+
+@lru_cache(maxsize=32)
+def radial_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(shell_r2, shell_of): the distinct values of |x|^2 in increasing
+    order, and the shell index of each point in flat (C) order, so that
+    ``shell_r2[shell_of]`` rebuilds ``grid.radius_sq().ravel()`` exactly.
+
+    A radial function summed against a field, sum_i f(|x_i|^2) w_i, is then
+    sum_k f(shell_r2[k]) W_k with W = bincount(shell_of, w): f is evaluated
+    once per shell instead of once per point.
+    """
+    r2, shell_of = np.unique(_radius_sq(grid), return_inverse=True)
+    shell_of = shell_of.ravel()
+    r2.setflags(write=False)
+    shell_of.setflags(write=False)
+    return r2, shell_of
 
 
 def rearrange_radial_decreasing(f: ScalarField) -> ScalarField:

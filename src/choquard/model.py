@@ -152,11 +152,23 @@ class PotentialSpec:
 ZERO_POTENTIAL = PotentialSpec("zero")
 
 
-def coupling_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
+def coupling_radial_values(spec: CouplingSpec, r2: np.ndarray) -> np.ndarray:
+    """beta at points of squared radius r2, for the built-in families.
+
+    Every built-in family is radial, so this one formula per family serves
+    the grid (``coupling_values``), the dilation fiber
+    (``coupling_scaled_values``) and the fiber's shell sum in the saddle
+    solver, which evaluates it once per distinct grid radius."""
     if spec.kind == "constant":
-        return np.full(grid.shape, spec.beta0)
+        return np.full(np.shape(r2), spec.beta0)
     if spec.kind == "rational_decay":
-        return spec.beta0 * (1.0 + grid.radius_sq()) ** (-spec.decay)
+        return spec.beta0 * (1.0 + r2) ** (-spec.decay)
+    raise RangeError("tabulated couplings cannot be resampled analytically")
+
+
+def coupling_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
+    if spec.kind != "tabulated":
+        return coupling_radial_values(spec, grid.radius_sq())
     vals = np.asarray(spec.values, dtype=np.float64)
     if vals.shape != grid.shape:
         raise RangeError(f"tabulated coupling shape {vals.shape} != grid {grid.shape}")
@@ -175,11 +187,7 @@ def coupling_x_grad_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
 
 def coupling_scaled_values(spec: CouplingSpec, grid: GridSpec, scale: float) -> np.ndarray:
     """beta(scale * x) for the built-in families (used along dilation fibers)."""
-    if spec.kind == "constant":
-        return np.full(grid.shape, spec.beta0)
-    if spec.kind == "rational_decay":
-        return spec.beta0 * (1.0 + scale**2 * grid.radius_sq()) ** (-spec.decay)
-    raise RangeError("tabulated couplings cannot be resampled analytically")
+    return coupling_radial_values(spec, scale**2 * grid.radius_sq())
 
 
 def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:

@@ -12,10 +12,13 @@ roundoff) evaluation of the discrete sum
 
 The kernel samples are even in every axis, so their spectrum is real and
 is stored as float64.  The data transform is pruned (Markel 1971): it runs
-axis by axis, last axis first, so the forward pass transforms no row that
-is all zeros; the inverse pass crops each axis to its first M entries
-before transforming the next, so it transforms no row whose output would
-be discarded.
+axis by axis, so the forward pass transforms no row that is all zeros; the
+inverse pass crops each axis to its first M entries before transforming
+the next, so it transforms no row whose output would be discarded.  The
+real transform takes the last axis, first forward and last inverse.  The
+complex passes take the leading axes in order forward and in reverse order
+inverse, so the first axis, whose rows are the most strided in memory,
+sees the other leading axes at their unpadded size both ways.
 
 The singular sample K(0) is replaced by the quadrature-matched cell value:
 the constant that makes the punctured midpoint sum reproduce the kernel
@@ -129,10 +132,10 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     spec = scipy.fft.rfft(values, n=n, axis=-1)
     # the complex steps only see intermediate spectra, so they may reuse
     # their input's memory
-    for ax in range(grid.dim - 2, -1, -1):
+    for ax in range(grid.dim - 1):
         spec = scipy.fft.fft(spec, n=n, axis=ax, overwrite_x=True)
     spec *= conv.kernel_spectrum
-    for ax in range(grid.dim - 1):
+    for ax in range(grid.dim - 2, -1, -1):
         spec = scipy.fft.ifft(spec, axis=ax, overwrite_x=True)
         spec = spec[(slice(None),) * ax + (slice(0, m),)]
     out = scipy.fft.irfft(spec, n=n, axis=-1)[..., :m]

@@ -35,6 +35,10 @@ barrier separation.
 The fiber needs beta(e^{-s} x) off the grid, which only the built-in
 coupling families provide in closed form, so the fiber solvers refuse a
 tabulated coupling; ``check_geometry`` samples at s = 0 only and accepts it.
+The built-in families are also radial, so the fiber's coupling integral is
+a sum over the grid's radial shells (``_FiberBasis``): each step of the
+fiber maximizer evaluates beta once per distinct radius, not once per
+point.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .grid import (
     dilate,
     gaussian_field,
     neg_laplacian_values,
+    radial_shells,
     x_grad_values,
 )
 from .energy import (
@@ -81,6 +86,7 @@ from .model import (
     ModelParams,
     c_xi_eta,
     classify,
+    coupling_radial_values,
     coupling_scaled_values,
     coupling_values,
     h_thresholds,
@@ -158,23 +164,34 @@ def _require_saddle_mode(params: ModelParams) -> None:
 
 
 class _FiberBasis:
-    """Scalars of one profile from which the whole fiber is reconstructed."""
+    """Numbers of one profile from which the whole fiber is reconstructed.
+
+    The kinetic and nonlocal terms scale in closed form.  The coupling term
+    int beta(e^{-s} x) u v does not, but beta is radial, so it is the shell
+    sum h^N sum_k beta(e^{-s} r_k) W_k over the distinct grid radii r_k,
+    with W_k the sum of u v over the points of shell k.  W is binned once
+    per profile and each fiber point evaluates beta on the shells only (727
+    of them on a 40^3 grid against 64,000 points).  A constant coupling
+    does not move along the fiber and needs no shells."""
 
     def __init__(self, engine: "_SaddleEngine", ev: StateEval):
         self.engine = engine
         bd = ev.breakdown
         self.kinetic = bd.grad_sq_u + bd.grad_sq_v
         self.weighted_b = engine.params.mu1 * bd.b_u + engine.params.mu2 * bd.b_v
-        self.uv = ev.u * ev.v
         self.coupling0 = bd.coupling_integral
+        if engine.params.coupling.kind != "constant":
+            self.shell_r2, shell_of = radial_shells(engine.grid)
+            self.shell_uv = np.bincount(
+                shell_of, weights=(ev.u * ev.v).ravel(), minlength=self.shell_r2.size
+            )
 
     def coupling_at(self, s: float) -> float:
         spec = self.engine.params.coupling
         if spec.kind == "constant":
             return self.coupling0
-        grid = self.engine.grid
-        beta_s = coupling_scaled_values(spec, grid, math.exp(-s))
-        return float(grid.cell_volume * np.sum(beta_s * self.uv))
+        beta_s = coupling_radial_values(spec, math.exp(-s) ** 2 * self.shell_r2)
+        return float(self.engine.grid.cell_volume * np.dot(beta_s, self.shell_uv))
 
     def energy_at(self, s: float) -> float:
         p = self.engine.params.p

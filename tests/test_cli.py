@@ -1,6 +1,7 @@
 """Config parsing, run orchestration, artifacts and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -181,6 +182,25 @@ class TestParse:
         path = write_config(tmp_path / "conf", payload)
         monkeypatch.chdir(tmp_path)
         assert np.all(parse_config(path).params.coupling.values == 0.01)
+
+    def test_table_echoed_by_path_and_digest(self, tmp_path):
+        # two runs with different tables must not report the same config,
+        # even when both configs name the same relative path
+        payload = tiny_minimize_config()
+        payload["model"]["coupling"] = {"kind": "tabulated", "path": "table.npy"}
+        echoes = []
+        for value in (0.01, 0.02):
+            run_dir = tmp_path / str(value)
+            run_dir.mkdir()
+            table = np.full((16,) * 3, value)
+            np.save(run_dir / "table.npy", table)
+            resolved = parse_config(write_config(run_dir, payload)).resolved["model"]
+            assert resolved["coupling"] == {
+                "kind": "tabulated", "path": "table.npy",
+                "sha256": hashlib.sha256(table.tobytes()).hexdigest()}
+            assert resolved["v1"] == {"kind": "zero"}
+            echoes.append(resolved["coupling"])
+        assert echoes[0] != echoes[1]
 
     @pytest.mark.parametrize("table, key, value, expected", [
         (None, "threads", 2**64, "config.threads"),

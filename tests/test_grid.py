@@ -147,6 +147,27 @@ class TestDilate:
             cq.dilate(wide, -1.5)  # stretches far past the box
 
 
+class TestRadialShells:
+    @pytest.mark.parametrize("dim, half_extent, m", [
+        (1, 4.0, 64), (2, 4.0, 32), (3, 8.0, 32), (3, 10.0, 40),
+        (3, 10.0, 48),  # h = 5/12 is not dyadic: 4,509 distinct float radii
+    ])
+    def test_rebuilds_radius_sq_bitwise(self, dim, half_extent, m):
+        g = cq.GridSpec(dim, half_extent, m)
+        shell_r2, shell_of = cq.grid.radial_shells(g)
+        assert np.array_equal(shell_r2[shell_of].reshape(g.shape), g.radius_sq())
+        assert np.all(np.diff(shell_r2) > 0.0)
+        assert not shell_r2.flags.writeable and not shell_of.flags.writeable
+
+    def test_shell_sum_of_radial_weight(self, grid3_small):
+        rng = np.random.default_rng(5)
+        w = smooth_random_field(grid3_small, rng).values
+        shell_r2, shell_of = cq.grid.radial_shells(grid3_small)
+        per_shell = np.bincount(shell_of, weights=w.ravel(), minlength=shell_r2.size)
+        want = np.sum(np.exp(-grid3_small.radius_sq()) * w)
+        assert np.dot(np.exp(-shell_r2), per_shell) == pytest.approx(want, rel=1e-13)
+
+
 class TestRearrangement:
     def test_radial_gaussian_fixed_point(self, grid3_small):
         f = gaussian_e_r2(grid3_small)

@@ -10,7 +10,12 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 import choquard as cq
-from choquard.model import coupling_values, coupling_x_grad_values, h_function
+from choquard.model import (
+    coupling_scaled_values,
+    coupling_values,
+    coupling_x_grad_values,
+    h_function,
+)
 
 
 class TestExponents:
@@ -215,6 +220,32 @@ class TestCouplingValidator:
         )
         rep = cq.validate_coupling(spec, params, grid3_small)
         assert not rep.positive_ok
+
+
+class TestCouplingFormulas:
+    """Each built-in family's one radial formula gives, on the grid, the
+    same bits as the per-point formula written out."""
+
+    @pytest.mark.parametrize("scale", [1.0, math.exp(-0.3), math.exp(2.0)])
+    @pytest.mark.parametrize("m", [32, 40])
+    def test_bitwise_on_grid(self, m, scale):
+        g = cq.GridSpec(3, 10.0, m)
+        r2 = g.radius_sq()
+        decay = cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
+        flat = cq.CouplingSpec("constant", 0.1)
+        want = {
+            "decay": decay.beta0 * (1.0 + r2) ** (-decay.decay),
+            "decay_scaled": decay.beta0 * (1.0 + scale**2 * r2) ** (-decay.decay),
+        }
+        assert np.array_equal(coupling_values(decay, g), want["decay"])
+        assert np.array_equal(coupling_scaled_values(decay, g, scale), want["decay_scaled"])
+        for got in (coupling_values(flat, g), coupling_scaled_values(flat, g, scale)):
+            assert got.shape == g.shape and np.all(got == 0.1)
+
+    def test_table_has_no_scaled_values(self, grid3_small):
+        spec = cq.CouplingSpec("tabulated", values=np.ones(grid3_small.shape))
+        with pytest.raises(cq.RangeError, match="resampled"):
+            coupling_scaled_values(spec, grid3_small, 0.5)
 
 
 class TestPotentialValidator:

@@ -187,6 +187,49 @@ class TestPulledBackGradient:
             assert fd == pytest.approx(ip, rel=1e-6)
 
 
+class TestFiberShells:
+    """The fiber's coupling integral as a sum over the grid's radial shells."""
+
+    @staticmethod
+    def basis(grid, coupling):
+        params = cq.ModelParams(**SUP, coupling=coupling)
+        engine = cq.saddle._SaddleEngine(params, grid, cq.SaddleOptions())
+        u = cq.gaussian_field(grid, 1.3, mass=1.0).values
+        v = cq.gaussian_field(grid, 1.1, mass=1.0).values
+        ev = engine.evaluate(u, v)
+        return engine, ev, cq.saddle._FiberBasis(engine, ev)
+
+    @pytest.mark.parametrize("s", [-1.0, -0.2, 0.0, 0.3, 2.0])
+    def test_matches_grid_sum(self, grid32, s):
+        spec = cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
+        _, ev, basis = self.basis(grid32, spec)
+        beta_s = cq.model.coupling_scaled_values(spec, grid32, math.exp(-s))
+        want = grid32.cell_volume * np.sum(beta_s * ev.u * ev.v)
+        assert basis.coupling_at(s) == pytest.approx(want, rel=1e-13)
+
+    def test_fiber_max_resamples_no_grid(self, grid32, monkeypatch):
+        engine, ev, _ = self.basis(grid32, cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0))
+        calls = []
+        original = cq.saddle.coupling_scaled_values
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cq.saddle, "coupling_scaled_values", counting)
+        engine.fiber_max(ev)
+        assert calls == []
+
+    def test_constant_coupling_builds_no_shells(self, grid32, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("a constant coupling needs no shells")
+
+        monkeypatch.setattr(cq.saddle, "radial_shells", refuse)
+        engine, ev, basis = self.basis(grid32, cq.CouplingSpec("constant", 0.015))
+        assert basis.coupling_at(1.5) == ev.breakdown.coupling_integral
+        engine.fiber_max(ev)
+
+
 class TestExhaustedLineSearch:
     """Every trial profile scores non-finite, so the saddle's line search
     halves its step until it underflows: a large transverse residual stalls
