@@ -12,6 +12,14 @@ here is assembled from the same discrete primitives (spectral Laplacian,
 padded free-space convolution, midpoint quadrature), so the gradient
 returned by ``el_gradient`` is the exact derivative of the discrete energy:
 finite differences of ``energy_total`` reproduce it to truncation error.
+``gradient_values`` also gives the gradient pulled back along the dilation
+fiber, which the saddle solver descends.
+
+A model with p = q, mu1 = mu2, xi = eta and V1 = V2 is swap-symmetric
+(``ModelParams.swap_symmetric``), and a u = v state of it stays u = v under
+both solvers.  ``evaluate_state`` marks such a state ``mirrored``; it and
+the gradient then compute the v side once, from u, which is bitwise what
+computing it again would give.
 
 Identity checks:
 
@@ -31,6 +39,7 @@ Identity checks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +137,17 @@ def nonlocal_B(u: ScalarField, p: float, conv: RieszConvolver) -> float:
 
 @dataclass
 class StateEval:
-    """Cache of everything the energy and gradient share for one state."""
+    """Cache of everything the energy and gradient share for one state.
+
+    ``mirrored`` marks a state with u == v of a swap-symmetric model; its
+    v-side quantities are u's (``conv_v`` is ``conv_u``)."""
 
     u: np.ndarray
     v: np.ndarray
     conv_u: np.ndarray | None
     conv_v: np.ndarray | None
     breakdown: EnergyBreakdown
+    mirrored: bool = False
 
 
 def evaluate_state(
@@ -145,8 +158,9 @@ def evaluate_state(
     sampled: SampledModel,
 ) -> StateEval:
     grid = conv.grid
+    mirrored = params.swap_symmetric and np.array_equal(u_values, v_values)
     gu = grad_norm_sq_values(grid, u_values)
-    gv = grad_norm_sq_values(grid, v_values)
+    gv = gu if mirrored else grad_norm_sq_values(grid, v_values)
 
     conv_u = conv_v = None
     b_u = b_v = 0.0
@@ -154,7 +168,9 @@ def evaluate_state(
         dens_u = _power_density(u_values, params.p)
         conv_u = riesz_convolve_values(conv, dens_u)
         b_u = _quad(grid, conv_u * dens_u)
-    if np.any(v_values):
+    if mirrored:
+        conv_v, b_v = conv_u, b_u
+    elif np.any(v_values):
         dens_v = _power_density(v_values, params.q)
         conv_v = riesz_convolve_values(conv, dens_v)
         b_v = _quad(grid, conv_v * dens_v)
@@ -182,28 +198,44 @@ def evaluate_state(
         pot_v_integral=pot_v,
         coupling_integral=coup,
     )
-    return StateEval(u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown)
+    return StateEval(
+        u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown, mirrored=mirrored
+    )
 
 
 def gradient_values(
-    ev: StateEval, params: ModelParams, conv: RieszConvolver, sampled: SampledModel
+    ev: StateEval,
+    params: ModelParams,
+    conv: RieszConvolver,
+    sampled: SampledModel,
+    s: float = 0.0,
+    beta: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unconstrained gradient fields (dE/du, dE/dv) from a cached evaluation."""
+    """Unconstrained gradient fields (dE/du, dE/dv) from a cached evaluation.
+
+    With an offset s it is the gradient pulled back from the dilation fiber
+    point s * (u, v): the kinetic term scales by e^{2s}, the nonlocal terms
+    by e^{2 p delta_p s} and e^{2 q delta_q s}, and ``beta`` must then be
+    beta(e^{-s} x).  s = 0 with the sampled beta is the plain gradient.  A
+    mirrored state computes the u side and copies it."""
     grid = conv.grid
-    gu = neg_laplacian_values(grid, ev.u)
-    gv = neg_laplacian_values(grid, ev.v)
-    if ev.conv_u is not None:
-        gu -= params.mu1 * ev.conv_u * _power_force(ev.u, params.p)
-    if ev.conv_v is not None:
-        gv -= params.mu2 * ev.conv_v * _power_force(ev.v, params.q)
-    if sampled.v1 is not None:
-        gu += sampled.v1 * ev.u
-    if sampled.v2 is not None:
-        gv += sampled.v2 * ev.v
-    if sampled.beta is not None:
-        gu -= sampled.beta * ev.v
-        gv -= sampled.beta * ev.u
-    return gu, gv
+    beta = sampled.beta if beta is None else beta
+
+    def side(w, other, conv_w, pot, mu: float, e: float, de: float) -> np.ndarray:
+        g = neg_laplacian_values(grid, w)
+        g *= math.exp(2.0 * s)
+        if conv_w is not None:
+            g -= math.exp(2.0 * e * de * s) * mu * conv_w * _power_force(w, e)
+        if pot is not None:
+            g += pot * w
+        if beta is not None:
+            g -= beta * other
+        return g
+
+    gu = side(ev.u, ev.v, ev.conv_u, sampled.v1, params.mu1, params.p, params.delta_p)
+    if ev.mirrored:
+        return gu, gu.copy()
+    return gu, side(ev.v, ev.u, ev.conv_v, sampled.v2, params.mu2, params.q, params.delta_q)
 
 
 def energy_total(state: StatePair, params: ModelParams, conv: RieszConvolver) -> EnergyBreakdown:

@@ -199,7 +199,7 @@ class _SphereDescent:
         onto the constraint tangent; slope 0 makes the search a plain decrease."""
         sigma = max(1.0, abs(cu), abs(cv))
         du = _precondition(self.grid, ru, sigma)
-        dv = _precondition(self.grid, rv, sigma)
+        dv = du if ev.mirrored else _precondition(self.grid, rv, sigma)
         if self.sampled.v1 is not None:
             du = du / (1.0 + np.maximum(self.sampled.v1, 0.0) / sigma)
         if self.sampled.v2 is not None:

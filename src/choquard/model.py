@@ -264,6 +264,21 @@ class ModelParams:
     def with_masses(self, xi: float, eta: float) -> "ModelParams":
         return replace(self, xi=xi, eta=eta)
 
+    @property
+    def swap_symmetric(self) -> bool:
+        """Whether swapping u and v maps the energy and the constraint to
+        themselves: p = q, mu1 = mu2, xi = eta and V1, V2 of one built-in
+        family with equal fields.  A tabulated potential counts as not
+        symmetric; its values are not compared."""
+        a, b = self.v1, self.v2
+        return (
+            self.p == self.q
+            and self.mu1 == self.mu2
+            and self.xi == self.eta
+            and a.kind == b.kind != "tabulated"
+            and (a.depth, a.width, a.stiffness) == (b.depth, b.width, b.stiffness)
+        )
+
 
 # ---------------------------------------------------------------------------
 # sharp constants and barrier thresholds

@@ -22,15 +22,18 @@ fiber tangent removed, its ``step`` removes that gauge from the
 preconditioned direction and returns the Armijo slope, its ``measure`` is
 the fiber-maximized energy, and its kinetic trust cap rejects
 sub-resolution spike states.  The profile is dilated to its own fiber
-maximum only between rounds.  At the fixed point the state is
-simultaneously a fiber maximum (dilation identity holds) and transversally
-critical: a discrete mountain-pass critical point.  The level is reported
+maximum only between rounds.  A u = v profile of a swap-symmetric model
+(``StateEval.mirrored``) stays u = v, and its gradient, fiber tangent,
+preconditioned step and dilation are computed for u only.  At the fixed
+point the state is simultaneously a fiber maximum (dilation identity holds)
+and transversally critical: a discrete mountain-pass critical point.  The level is reported
 without any minimality claim among such points.
 
 Admissibility of the coupling (sup-norm below the barrier bound, sign
 condition on 2 beta + x.grad beta / delta_p) is checked by
 ``check_geometry`` together with sampled estimates of the energy well and
-barrier separation.
+barrier separation; for a swap-symmetric model it samples each unordered
+width pair once, since E(a, b) = E(b, a).
 
 The fiber needs beta(e^{-s} x) off the grid, which only the built-in
 coupling families provide in closed form, so the fiber solvers refuse a
@@ -67,14 +70,13 @@ from .grid import (
     StatePair,
     dilate,
     gaussian_field,
-    neg_laplacian_values,
+    neg_laplacian_values,  # noqa: F401  (a traced-benchmark binding; the gradient is energy's)
     radial_shells,
     x_grad_values,
 )
 from .energy import (
     SampledModel,
     StateEval,
-    _power_force,
     gradient_values,
     multiplier_sum_from_breakdown,
     multipliers_from_breakdown,
@@ -265,24 +267,13 @@ class _SaddleEngine(_SphereDescent):
 
     def pulled_back_gradient(self, ev: StateEval, s_star: float) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of the fiber-maximized merit at the profile (envelope
-        rule: differentiate at the frozen maximizer).  For s_star = 0 this is
-        the plain energy gradient."""
-        if s_star == 0.0:
-            return gradient_values(ev, self.params, self.conv, self.sampled)
-        p = self.params.p
-        a = math.exp(2.0 * s_star)
-        b = math.exp(2.0 * p * self.params.delta_p * s_star)
-        gu = a * neg_laplacian_values(self.grid, ev.u)
-        gv = a * neg_laplacian_values(self.grid, ev.v)
-        if ev.conv_u is not None:
-            gu -= b * self.params.mu1 * ev.conv_u * _power_force(ev.u, p)
-        if ev.conv_v is not None:
-            gv -= b * self.params.mu2 * ev.conv_v * _power_force(ev.v, p)
+        rule: differentiate at the frozen maximizer), with the coupling
+        resampled at e^{-s_star} x.  For s_star = 0 this is the plain energy
+        gradient."""
+        beta_s = None
         if self.sampled.beta is not None:
             beta_s = coupling_scaled_values(self.params.coupling, self.grid, math.exp(-s_star))
-            gu -= beta_s * ev.v
-            gv -= beta_s * ev.u
-        return gu, gv
+        return gradient_values(ev, self.params, self.conv, self.sampled, s_star, beta_s)
 
     def pohozaev(self, ev: StateEval) -> float:
         return pohozaev_from_breakdown(ev.breakdown, self.params, self.sampled, ev.u * ev.v)
@@ -294,7 +285,12 @@ class _SaddleEngine(_SphereDescent):
         but only up to resolution error on the grid, so descent steps are
         kept orthogonal to it (the offset s plays the role of the gauge)."""
         tu = _dilation_generator(self.grid, ev.u)
-        tv = _dilation_generator(self.grid, ev.v) if self.params.eta > 0 else np.zeros_like(ev.v)
+        if ev.mirrored:
+            tv = tu
+        elif self.params.eta > 0:
+            tv = _dilation_generator(self.grid, ev.v)
+        else:
+            tv = np.zeros_like(ev.v)
         tu, tv, _, _ = _sphere_tangent(tu, tv, ev)
         return tu, tv
 
@@ -362,7 +358,9 @@ def check_geometry(
     level in closed form, and the pinned pair depends only on the width
     ratio: the 8 x 8 start widths share 15 ratios, and each (ratio, level)
     is evaluated once on the grid.  A well pair already at or below k1 is
-    sampled unscaled.  ``conv`` reuses a convolver the caller already built.
+    sampled unscaled.  A swap-symmetric model (mu1 = mu2, xi = eta) keeps
+    the 8 ratios wu >= wv and the unscaled pairs with wu >= wv: the pair
+    pinned for a ratio's inverse is its exact swap, and E(a, b) = E(b, a).  ``conv`` reuses a convolver the caller already built.
     Raises BetaTooLarge when the coupling sup-norm reaches hmax/(2 xi eta).
     """
     _require_saddle_mode(params)
@@ -390,6 +388,9 @@ def check_geometry(
 
     widths = [float(w) for w in np.geomspace(0.4, grid.half_extent / 2.0, 8)]
     pairs = [(i - j, wu, wv) for i, wu in enumerate(widths) for j, wv in enumerate(widths)]
+    if params.swap_symmetric:
+        # E(a, b) = E(b, a), and each ratio -d pins to the exact swap of d's pair
+        pairs = [(d, wu, wv) for d, wu, wv in pairs if d >= 0]
     # one representative pair per ratio widths[i] / widths[j], keyed by i - j
     by_ratio = {d: (wu, wv) for d, wu, wv in pairs}
     steep = {d: (wu, wv) for d, wu, wv in pairs if kinetic(wu, wv) > k1}
@@ -608,7 +609,12 @@ def _recenter(engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float):
             break
         try:
             ud = dilate(ScalarField(grid, ev.u), s_star).values
-            vd = dilate(ScalarField(grid, ev.v), s_star).values if params.eta > 0 else ev.v
+            if ev.mirrored:
+                vd = ud
+            elif params.eta > 0:
+                vd = dilate(ScalarField(grid, ev.v), s_star).values
+            else:
+                vd = ev.v
             ev, psi, s_star = engine.measure(*engine.retract(ud, vd))
         except DilationOutOfBox:
             message = "recentering left the box"

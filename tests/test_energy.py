@@ -350,3 +350,87 @@ class TestInequalities:
                 - beta0 * params.xi * params.eta
             )
             assert bd.total >= lower - 1e-12
+
+
+class TestMirroredState:
+    """A u = v state of a swap-symmetric model computes each v-side quantity
+    once; what it shares is bitwise what recomputing gives."""
+
+    @staticmethod
+    def params(**kw):
+        fields = {
+            **P_SUB,
+            "coupling": cq.CouplingSpec("constant", 0.1),
+            "v1": cq.PotentialSpec("gaussian_well", depth=0.5, width=2.0),
+            "v2": cq.PotentialSpec("gaussian_well", depth=0.5, width=2.0),
+        }
+        return cq.ModelParams(**{**fields, **kw})
+
+    @staticmethod
+    def evaluate(params, conv, u, v):
+        g = conv.grid
+        return cq.energy.evaluate_state(u, v, params, conv, cq.energy.sample_model(params, g))
+
+    def count_convolutions(self, monkeypatch, params, conv, u, v):
+        calls = []
+        original = cq.energy.riesz_convolve_values
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cq.energy, "riesz_convolve_values", counting)
+        ev = self.evaluate(params, conv, u, v)
+        monkeypatch.setattr(cq.energy, "riesz_convolve_values", original)
+        return ev, len(calls)
+
+    def test_one_convolution_and_unshared_values(self, conv32, monkeypatch):
+        g, conv = conv32
+        params = self.params()
+        rng = np.random.default_rng(5)
+        u = smooth_random_field(g, rng).values
+        v = smooth_random_field(g, rng).values
+        ev, n = self.count_convolutions(monkeypatch, params, conv, u, u.copy())
+        assert ev.mirrored and n == 1
+        ev_pair, n_pair = self.count_convolutions(monkeypatch, params, conv, u, v)
+        assert not ev_pair.mirrored and n_pair == 2
+        gu, gv = cq.energy.gradient_values(ev, params, conv, cq.energy.sample_model(params, g))
+        # the same state with the sharing switched off
+        monkeypatch.setattr(cq.ModelParams, "swap_symmetric", property(lambda self: False))
+        plain = self.evaluate(params, conv, u, u.copy())
+        assert not plain.mirrored
+        assert ev.breakdown == plain.breakdown
+        assert np.array_equal(ev.conv_v, plain.conv_v)
+        pu, pv = cq.energy.gradient_values(plain, params, conv, cq.energy.sample_model(params, g))
+        assert np.array_equal(gu, pu) and np.array_equal(gv, pv)
+        assert gv is not gu
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"mu2": 2.0},
+            {"eta": 2.0},
+            {"q": 2.5},
+            {"v2": cq.PotentialSpec("gaussian_well", depth=0.5, width=3.0)},
+            {"v2": cq.PotentialSpec("harmonic", stiffness=0.2)},
+        ],
+        ids=["mu", "mass", "exponent", "potential_field", "potential_family"],
+    )
+    def test_asymmetric_model_is_not_mirrored(self, conv32, change):
+        g, conv = conv32
+        u = cq.gaussian_field(g, 1.2, mass=1.0).values
+        assert self.evaluate(self.params(), conv, u, u.copy()).mirrored
+        params = self.params(**change)
+        assert not params.swap_symmetric
+        assert not self.evaluate(params, conv, u, u.copy()).mirrored
+
+    def test_tabulated_potential_is_not_mirrored(self, conv32):
+        g, conv = conv32
+        table = -0.5 * np.exp(-g.radius_sq() / 4.0)
+        params = self.params(
+            v1=cq.PotentialSpec("tabulated", values=table),
+            v2=cq.PotentialSpec("tabulated", values=table),
+        )
+        u = cq.gaussian_field(g, 1.2, mass=1.0).values
+        assert not params.swap_symmetric
+        assert not self.evaluate(params, conv, u, u.copy()).mirrored

@@ -382,3 +382,84 @@ class TestKineticBoundsGuards:
         broken = dataclasses.replace(saddle_report, converged=False)
         with pytest.raises(cq.NotConverged):
             cq.kinetic_bounds_check(broken, sup_params())
+
+
+class TestMirroredSaddle:
+    """A swap-symmetric model keeps a u = v start mirrored: each step
+    preconditions one component, and the geometry check samples each
+    unordered width pair once."""
+
+    def test_symmetric_start_stays_mirrored(self, monkeypatch):
+        g = cq.GridSpec(3, 8.0, 16)
+        counts = {"precondition": 0, "steps": 0}
+        precondition, line_search = cq.flow._precondition, cq.flow._line_search
+
+        def counting_precondition(*args):
+            counts["precondition"] += 1
+            return precondition(*args)
+
+        def counting_line_search(*args):
+            counts["steps"] += 1
+            return line_search(*args)
+
+        monkeypatch.setattr(cq.flow, "_precondition", counting_precondition)
+        monkeypatch.setattr(cq.flow, "_line_search", counting_line_search)
+        bump = cq.gaussian_field(g, 1.2, mass=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = cq.mountain_pass_solve(
+                sup_params(), cq.StatePair(bump, bump.copy()), cq.SaddleOptions(max_iters=10)
+            )
+        assert np.array_equal(rep.state.u.values, rep.state.v.values)
+        assert counts["steps"] > 0
+        assert counts["precondition"] == counts["steps"]
+
+    def test_geometry_samples_unordered_pairs(self, grid32, monkeypatch):
+        params = sup_params()
+        evals = []
+        evaluate = cq.flow.evaluate_state
+
+        def counting(*args):
+            evals.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(cq.flow, "evaluate_state", counting)
+        geo = cq.check_geometry(params, grid32)
+        monkeypatch.setattr(cq.flow, "evaluate_state", evaluate)
+        assert len(evals) <= 16
+
+        # the ordered sampling: one pair per ratio i - j in -7..7, both orders
+        engine = cq.flow._SphereDescent(params, grid32)
+        pinned = cq.saddle._pinned_energy
+        widths = [float(w) for w in np.geomspace(0.4, grid32.half_extent / 2.0, 8)]
+
+        def kinetic(wu, wv):
+            return 0.5 * grid32.dim * (params.xi**2 / wu**2 + params.eta**2 / wv**2)
+
+        def at_level(wu, wv, level, below=False):
+            t = math.sqrt(kinetic(wu, wv) / level)
+            return pinned(engine, t * wu, t * wv, level, below)
+
+        pairs = [(i - j, wu, wv) for i, wu in enumerate(widths) for j, wv in enumerate(widths)]
+        by_ratio = {d: (wu, wv) for d, wu, wv in pairs}
+        steep = {d: (wu, wv) for d, wu, wv in pairs if kinetic(wu, wv) > geo.k1}
+        assert len(by_ratio) == 15
+        barrier = [at_level(wu, wv, geo.k2) for wu, wv in by_ratio.values()]
+        well = [at_level(wu, wv, geo.k1, below=True) for wu, wv in steep.values()]
+        well += [
+            pinned(engine, wu, wv, geo.k1, below=True)
+            for _, wu, wv in pairs
+            if kinetic(wu, wv) <= geo.k1
+        ]
+        vol = (2.0 * grid32.half_extent) ** grid32.dim
+        const = engine.evaluate(
+            np.full(grid32.shape, params.xi / math.sqrt(vol)),
+            np.full(grid32.shape, params.eta / math.sqrt(vol)),
+        )
+        well.append(float(const.breakdown.total))
+        assert geo.inf_barrier_estimate == pytest.approx(
+            min(e for e in barrier if e is not None), rel=1e-14
+        )
+        assert geo.sup_well_estimate == pytest.approx(
+            max(e for e in well if e is not None), rel=1e-14
+        )
