@@ -303,6 +303,7 @@ def _descent_round(
             settled = True
             break
         du, dv, slope = engine.step(ev, ru, rv, cu, cv, gauge)
+        del ru, rv, gauge  # freed before the search's trial states
         trial, tau = _line_search(engine, ev, merit, du, dv, tau, slope)
         if trial is None:
             if grad_norm < 10.0 * grad_tol:

@@ -35,8 +35,9 @@ import scipy.fft
 
 from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, ZeroMass
 
-# most points of one (2M)^N padded convolution array: 1 GiB of float64,
-# reached at M = 256 in 3-D
+# most points of the (2M)^N padded convolution grid, reached at M = 256 in
+# 3-D; no array of that size is allocated, and the largest array a solve
+# holds is the (2M)^{N-1}(M+1) float64 kernel spectrum, 0.5 GiB at the cap
 _MAX_POINTS = 2**27
 
 

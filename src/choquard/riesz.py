@@ -3,22 +3,31 @@
 The kernel is the bare power law (no Gamma-factor normalization), so values
 differ from normalized Riesz potentials in other conventions by a constant.
 
-The fast path is Hockney-style: sample the kernel in real space on a grid
-padded to twice the extent per axis, transform once, and convolve data by
-multiplying spectra on the padded grid and cropping.  This is an exact (to
+The fast path is Hockney-style: convolve data by multiplying spectra on a
+grid padded to twice the extent per axis, then crop.  This is an exact (to
 roundoff) evaluation of the discrete sum
 
     (K * rho)_i = h^N sum_j K(x_i - x_j) rho_j.
 
-The kernel samples are even in every axis, so their spectrum is real and
-is stored as float64.  The data transform is pruned (Markel 1971): it runs
-axis by axis, so the forward pass transforms no row that is all zeros; the
-inverse pass crops each axis to its first M entries before transforming
-the next, so it transforms no row whose output would be discarded.  The
-real transform takes the last axis, first forward and last inverse.  The
-complex passes take the leading axes in order forward and in reverse order
-inverse, so the first axis, whose rows are the most strided in memory,
-sees the other leading axes at their unpadded size both ways.
+The padded kernel samples are even in every axis, and the padded index M
+holds the offset -M, whose distance is M.  The padded kernel is therefore
+the even extension of its (M + 1)^N octant of offsets 0..M, and its
+spectrum is the type-1 DCT of that octant (symmetric convolution, Martucci
+1994).  Only the octant is sampled and transformed; each leading axis of
+the real result is then mirrored out to 2M entries and the spectrum is
+stored as float64 in rfftn layout.
+
+The data transform is pruned (Markel 1971): it runs axis by axis, so the
+forward pass transforms no row that is all zeros; the inverse pass crops
+each axis to its first M entries before transforming the next, so it
+transforms no row whose output would be discarded.  The real transform
+takes the last axis, first forward and last inverse.  Between them, the
+complex passes and the kernel multiply run on slabs of _SLAB last-axis
+frequencies at a time, in place in one reused workspace, so no padded
+complex array of the full grid exists.  Within a slab the complex passes
+take the leading axes in order forward and in reverse order inverse, so
+the first axis sees the other leading axes at their unpadded size both
+ways.
 
 The singular sample K(0) is replaced by the quadrature-matched cell value:
 the constant that makes the punctured midpoint sum reproduce the kernel
@@ -43,13 +52,14 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
-from scipy.integrate import quad
 
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
 from .grid import GridSpec, ScalarField
 
 _ORACLE_CAPS = {1: 1024, 2: 32, 3: 16}
 _WINDOW_CELLS = 32
+# last-axis frequencies per block of the pruned transform's complex passes
+_SLAB = 8
 
 
 def _cutoff(t: np.ndarray | float):
@@ -58,17 +68,21 @@ def _cutoff(t: np.ndarray | float):
     return 1.0 - x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3)
 
 
+def _window_integral(alpha: float) -> float:
+    """int_0^1 t^(alpha - 1) chi(t) dt: exact on [0, 1/2], where chi = 1, and
+    32-point Gauss-Legendre on [1/2, 1], where the integrand is smooth."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    t = 0.75 + 0.25 * nodes
+    return 0.5**alpha / alpha + 0.25 * float(np.sum(weights * t ** (alpha - 1.0) * _cutoff(t)))
+
+
 @lru_cache(maxsize=32)
 def _singular_coefficient(dim: int, alpha: float) -> float:
     """K(0) h^{N - alpha}: windowed kernel integral minus the punctured
     lattice sum, in lattice units (scale-invariant)."""
     m = _WINDOW_CELLS
     surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-    integral = (
-        surf
-        * m**alpha
-        * quad(lambda t: t ** (alpha - 1.0) * float(_cutoff(t)), 0.0, 1.0, epsabs=1e-14)[0]
-    )
+    integral = surf * m**alpha * _window_integral(alpha)
     axis = np.arange(-m, m + 1, dtype=np.float64)
     d2 = np.zeros((2 * m + 1,) * dim)
     for d in range(dim):
@@ -83,18 +97,14 @@ def _singular_value(dim: int, alpha: float, h: float) -> float:
     return _singular_coefficient(dim, alpha) * h ** (alpha - dim)
 
 
-def _wrapped_offsets(m: int) -> np.ndarray:
-    """Displacement (in cells) encoded at each padded index: 0..M-1, -M..-1."""
-    d = np.arange(2 * m)
-    return np.where(d < m, d, d - 2 * m)
-
-
 @dataclass
 class RieszConvolver:
     """Precomputed padded-kernel spectrum for one (grid, alpha) pair.
 
-    kernel_spectrum is the real rfftn spectrum of the (2M)^N kernel samples,
-    contiguous float64 of shape (2M, ..., 2M, M + 1)."""
+    kernel_spectrum is the real spectrum of the (2M)^N padded kernel
+    samples, contiguous float64 of shape (2M, ..., 2M, M + 1): the DCT-I of
+    the kernel's (M + 1)^N octant, with each leading axis mirrored (index
+    k > M holds index 2M - k)."""
 
     grid: GridSpec
     alpha: float
@@ -106,15 +116,19 @@ def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
     if not 0.0 < alpha < grid.dim:
         raise AlphaOutOfRange(f"alpha must lie in (0, {grid.dim}), got {alpha}")
     m, h = grid.points_per_axis, grid.spacing
-    off = _wrapped_offsets(m).astype(np.float64) * h
-    r2 = np.zeros((2 * m,) * grid.dim)
+    off = np.arange(m + 1, dtype=np.float64) * h
+    r2 = np.zeros((m + 1,) * grid.dim)
     for d in range(grid.dim):
         r2 = r2 + off.reshape((1,) * d + (-1,) + (1,) * (grid.dim - d - 1)) ** 2
     sing = _singular_value(grid.dim, alpha, h)
     with np.errstate(divide="ignore"):
         kern = r2 ** ((alpha - grid.dim) / 2.0)
+    del r2
     kern[(0,) * grid.dim] = sing
-    spectrum = np.ascontiguousarray(scipy.fft.rfftn(kern).real)
+    octant = scipy.fft.dctn(kern, type=1)
+    del kern
+    mirror = np.concatenate([np.arange(m + 1), np.arange(m - 1, 0, -1)])
+    spectrum = octant[np.ix_(*([mirror] * (grid.dim - 1)), np.arange(m + 1))]
     return RieszConvolver(grid, alpha, spectrum, sing)
 
 
@@ -129,15 +143,30 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     """Kernel convolution of values by the pruned transform of the module docstring."""
     grid = conv.grid
     m, n = grid.points_per_axis, 2 * grid.points_per_axis
+    lead = grid.dim - 1
     spec = scipy.fft.rfft(values, n=n, axis=-1)
-    # the complex steps only see intermediate spectra, so they may reuse
-    # their input's memory
-    for ax in range(grid.dim - 1):
-        spec = scipy.fft.fft(spec, n=n, axis=ax, overwrite_x=True)
-    spec *= conv.kernel_spectrum
-    for ax in range(grid.dim - 2, -1, -1):
-        spec = scipy.fft.ifft(spec, axis=ax, overwrite_x=True)
-        spec = spec[(slice(None),) * ax + (slice(0, m),)]
+    if lead == 0:
+        spec *= conv.kernel_spectrum
+    else:
+        # blocks of last-axis frequencies, that axis first, pass through one
+        # workspace; every complex pass runs in place on a view of it
+        front = np.moveaxis(spec, -1, 0)
+        kern = np.moveaxis(conv.kernel_spectrum, -1, 0)
+        core = (slice(None),) + (slice(0, m),) * lead
+        work = np.empty((_SLAB,) + (n,) * lead, dtype=np.complex128)
+        for k0 in range(0, m + 1, _SLAB):
+            block = slice(k0, min(k0 + _SLAB, m + 1))
+            slab = work[: block.stop - k0]
+            slab[core] = front[block]
+            for ax in range(lead):
+                slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
+                rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
+                scipy.fft.fft(slab[rows], axis=ax + 1, overwrite_x=True)
+            slab *= kern[block]
+            for ax in range(lead - 1, -1, -1):
+                rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
+                scipy.fft.ifft(slab[rows], axis=ax + 1, overwrite_x=True)
+            front[block] = slab[core]
     out = scipy.fft.irfft(spec, n=n, axis=-1)[..., :m]
     return out * grid.cell_volume
 

@@ -51,7 +51,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BetaTooLarge,
@@ -243,6 +242,10 @@ class _SaddleEngine(_SphereDescent):
         return ev, psi, s_star
 
     def fiber_max(self, ev: StateEval) -> tuple[float, float]:
+        # imported here, its only caller, so a run that takes no fiber
+        # maximum never loads scipy.optimize
+        from scipy.optimize import minimize_scalar
+
         basis = _FiberBasis(self, ev)
         if basis.kinetic <= 0.0:
             raise ZeroMass("fiber maximization needs a state with positive kinetic energy")

@@ -7,6 +7,9 @@ integral; it anchors the alpha = 2 case.
 """
 
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import scipy.fft
 from scipy.special import erf
 
 import choquard as cq
+import choquard.riesz
 from conftest import smooth_random_field
 
 
@@ -167,7 +171,9 @@ class TestPruned:
             monkeypatch.setattr(scipy.fft, name, call)
         with scipy.fft.set_workers(2):
             two = cq.riesz_convolve(conv, rho).values
-        assert len(workers) == 2 * g.dim and set(workers) == {2}
+        m, slab = g.points_per_axis, choquard.riesz._SLAB
+        blocks = -(-(m + 1) // slab)
+        assert len(workers) == 2 + 2 * (g.dim - 1) * blocks and set(workers) == {2}
         assert scipy.fft.get_workers() == 1
         assert np.max(np.abs(two - one)) <= 1e-13 * np.max(np.abs(one))
 
@@ -201,3 +207,44 @@ class TestOracle:
         g = cq.GridSpec(3, 4.0, 32)
         with pytest.raises(cq.TooLarge):
             cq.riesz_convolve_oracle(g, 2.0, cq.zero_field(g))
+
+
+class TestLean:
+    def test_import_loads_no_optimize_or_integrate(self):
+        code = (
+            "import sys, choquard, choquard.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_peak_below_three_spectra(self):
+        g = cq.GridSpec(3, 6.0, 32)
+        spec = cq.build_convolver(g, 2.0).kernel_spectrum  # warms the K(0) cache
+        assert self.traced_peak(cq.build_convolver, g, 2.0) < 3 * spec.nbytes
+
+    def test_convolution_peak_below_one_complex_spectrum(self):
+        g = cq.GridSpec(3, 6.0, 32)
+        conv = cq.build_convolver(g, 2.0)
+        vals = np.random.default_rng(4).standard_normal(g.shape)
+        m = g.points_per_axis
+        complex_spectrum = (2 * m) ** (g.dim - 1) * (m + 1) * 16
+        peak = self.traced_peak(choquard.riesz.riesz_convolve_values, conv, vals)
+        assert peak < complex_spectrum
+
+    @pytest.mark.parametrize(
+        "alpha,exact",
+        # 40-digit mpmath quadrature of int_0^1 t^(alpha - 1) chi(t) dt
+        [(0.3, 3.0537050199216935924), (2.5, 0.19936340182218835941), (2.9, 0.15481111283061076770)],
+    )
+    def test_window_integral(self, alpha, exact):
+        assert choquard.riesz._window_integral(alpha) == pytest.approx(exact, rel=1e-15, abs=0.0)
