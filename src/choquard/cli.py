@@ -44,7 +44,6 @@ from .model import (
     CouplingSpec,
     ModelParams,
     PotentialSpec,
-    classify,
     coupling_values,
     potential_values,
     validate_coupling,
@@ -433,13 +432,7 @@ def _run_check(cfg: RunConfig, out: Path, report: dict) -> int:
                 pot_rep = other
         result[name] = dataclasses.asdict(pot_rep)
         passed = passed and pot_rep.passed
-    supercritical = (
-        params.p == params.q
-        and classify(params.dim, params.alpha, params.p) == "supercritical"
-        and params.xi > 0
-        and params.eta > 0
-    )
-    if supercritical:
+    if params.saddle_regime and params.xi > 0 and params.eta > 0:
         try:
             geo = check_geometry(params, cfg.grid)
             result["geometry"] = dataclasses.asdict(geo)

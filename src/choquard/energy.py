@@ -52,7 +52,7 @@ from .grid import (
     grad_norm_sq_values,
     neg_laplacian_values,
 )
-from .model import ModelParams, classify, coupling_values, coupling_x_grad_values, potential_values
+from .model import ModelParams, coupling_values, coupling_x_grad_values, potential_values
 from .riesz import RieszConvolver, riesz_convolve_values
 
 
@@ -127,12 +127,23 @@ def _power_force(values: np.ndarray, p: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** (p - 1.0)
 
 
+def _nonlocal(
+    conv: RieszConvolver, values: np.ndarray, p: float
+) -> tuple[np.ndarray | None, float]:
+    """(K * |w|^p, B(w, p)) of a field's values; (None, 0.0) for an all-zero
+    field.  The density is freed on return."""
+    if not np.any(values):
+        return None, 0.0
+    dens = _power_density(values, p)
+    conv_w = riesz_convolve_values(conv, dens)
+    return conv_w, _quad(conv.grid, conv_w * dens)
+
+
 def nonlocal_B(u: ScalarField, p: float, conv: RieszConvolver) -> float:
     """B(u, p) = int (K * |u|^p) |u|^p; nonnegative."""
     if u.grid != conv.grid:
         raise GridMismatch("field grid differs from the convolver's grid")
-    dens = _power_density(u.values, p)
-    return _quad(u.grid, riesz_convolve_values(conv, dens) * dens)
+    return _nonlocal(conv, u.values, p)[1]
 
 
 @dataclass
@@ -162,18 +173,8 @@ def evaluate_state(
     gu = grad_norm_sq_values(grid, u_values)
     gv = gu if mirrored else grad_norm_sq_values(grid, v_values)
 
-    conv_u = conv_v = None
-    b_u = b_v = 0.0
-    if np.any(u_values):
-        dens_u = _power_density(u_values, params.p)
-        conv_u = riesz_convolve_values(conv, dens_u)
-        b_u = _quad(grid, conv_u * dens_u)
-    if mirrored:
-        conv_v, b_v = conv_u, b_u
-    elif np.any(v_values):
-        dens_v = _power_density(v_values, params.q)
-        conv_v = riesz_convolve_values(conv, dens_v)
-        b_v = _quad(grid, conv_v * dens_v)
+    conv_u, b_u = _nonlocal(conv, u_values, params.p)
+    conv_v, b_v = (conv_u, b_u) if mirrored else _nonlocal(conv, v_values, params.q)
 
     pot_u = _quad(grid, sampled.v1 * u_values**2) if sampled.v1 is not None else 0.0
     pot_v = _quad(grid, sampled.v2 * v_values**2) if sampled.v2 is not None else 0.0
@@ -297,10 +298,8 @@ def multipliers_from_breakdown(
 def _require_translation_invariant_supercritical(params: ModelParams, what: str) -> None:
     if not (params.v1.is_zero and params.v2.is_zero):
         raise ModeMismatch(f"{what} is only derived without external potentials")
-    if params.p != params.q:
-        raise ModeMismatch(f"{what} requires p = q")
-    if classify(params.dim, params.alpha, params.p) != "supercritical":
-        raise ModeMismatch(f"{what} requires the supercritical regime")
+    if not params.saddle_regime:
+        raise ModeMismatch(f"{what} requires p = q in the supercritical regime")
 
 
 def pohozaev_residual(state: StatePair, params: ModelParams, conv: RieszConvolver) -> float:

@@ -54,7 +54,7 @@ from .energy import (
     sample_model,
 )
 from .model import ModelParams, CouplingSpec, ZERO_POTENTIAL
-from .riesz import RieszConvolver, build_convolver
+from .riesz import build_convolver
 
 _STEP_GROWTH = 1.3  # an accepted step grows by this factor for the next search,
 _MAX_STEP = 50.0  # up to this cap
@@ -159,13 +159,11 @@ class _SphereDescent:
 
     exhausted = "line search exhausted at small residual"
 
-    def __init__(
-        self, params: ModelParams, grid: GridSpec, opts=None, conv: RieszConvolver | None = None
-    ):
+    def __init__(self, params: ModelParams, grid: GridSpec, opts=None):
         self.params = params
         self.grid = grid
         self.opts = opts or FlowOptions()
-        self.conv = conv if conv is not None else build_convolver(grid, params.alpha)
+        self.conv = build_convolver(grid, params.alpha)
         self.sampled = sample_model(params, grid)
         self.h_n = grid.cell_volume
 

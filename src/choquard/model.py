@@ -27,6 +27,7 @@ from .errors import AlphaOutOfRange, NotSupercritical, RangeError
 from .grid import GridSpec, x_grad_values
 
 GN_SAFETY = 2.0  # headroom over the Gaussian-family Gagliardo-Nirenberg estimate
+ALPHA_FLOOR = 1e-6  # smallest alpha a model accepts, clear of the Gamma(alpha/2) pole
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,10 @@ class ModelParams:
             raise RangeError(f"dim must be 1, 2 or 3, got {self.dim}")
         if not 0.0 < self.alpha < self.dim:
             raise AlphaOutOfRange(f"alpha must lie in (0, {self.dim}), got {self.alpha}")
+        if self.alpha < ALPHA_FLOOR:
+            raise AlphaOutOfRange(
+                f"alpha = {self.alpha} is below {ALPHA_FLOOR:g}, near the Gamma(alpha/2) pole"
+            )
         lo = 1.0 + self.alpha / self.dim
         hi = upper_exponent(self.dim, self.alpha)
         for name, e in (("p", self.p), ("q", self.q)):
@@ -261,6 +266,12 @@ class ModelParams:
             gamma_q=gamma_p(self.dim, self.q),
         )
 
+    @property
+    def saddle_regime(self) -> bool:
+        """Whether p = q and the exponent is mass-supercritical: the regime of
+        the dilation fiber, the saddle solver and the identities derived on it."""
+        return self.p == self.q and classify(self.dim, self.alpha, self.p) == "supercritical"
+
     def with_masses(self, xi: float, eta: float) -> "ModelParams":
         return replace(self, xi=xi, eta=eta)
 
@@ -293,8 +304,8 @@ def hls_sharp_constant(dim: int, alpha: float) -> float:
     """
     if not 0.0 < alpha < dim:
         raise AlphaOutOfRange(f"alpha must lie in (0, {dim}), got {alpha}")
-    if alpha < 1e-6:
-        raise OverflowError("alpha below 1e-6: Gamma(alpha/2) pole")
+    if alpha < ALPHA_FLOOR:
+        raise OverflowError(f"alpha below {ALPHA_FLOOR:g}: Gamma(alpha/2) pole")
     return (
         math.pi ** ((dim - alpha) / 2.0)
         * math.gamma(alpha / 2.0)
@@ -350,8 +361,8 @@ def h_thresholds(c: float, p: float, dp: float) -> tuple[float, float, float]:
 
     x1 solves h'(x) = 0, x0 is the positive root of h, hmax = h(x1) > 0.
     """
-    if c <= 0:
-        raise RangeError("barrier constant must be positive")
+    if not 0.0 < c < math.inf:
+        raise RangeError(f"barrier constant must be positive and finite, got {c}")
     pdp = p * dp
     if pdp <= 1.0:
         raise NotSupercritical(f"p*delta_p = {pdp:g} <= 1: no barrier maximum")
@@ -401,11 +412,8 @@ def validate_coupling(spec: CouplingSpec, params: ModelParams, grid: GridSpec) -
     sup_xg = float(np.max(np.abs(xg)))
     bounded = bool(np.all(np.isfinite(beta)) and np.all(np.isfinite(xg)))
 
-    supercritical = (
-        classify(params.dim, params.alpha, params.p) == "supercritical" and params.p == params.q
-    )
     sup_bound = sup_ok = cond3_min = cond3_ok = argmin = None
-    if supercritical:
+    if params.saddle_regime:
         dp = params.delta_p
         _, _, hmax = h_thresholds(c_xi_eta(params), params.p, dp)
         if params.xi > 0 and params.eta > 0:

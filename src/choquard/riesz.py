@@ -42,6 +42,10 @@ leading error entirely; for alpha = 2, N = 3 the convolution of a Gaussian
 converges at fourth order (the corrected value reproduces the classical
 simple-cubic lattice constant 2.8372975 / h).  A direct double-sum oracle
 evaluates the identical quadrature for cross-checks.
+
+``build_convolver`` keeps its last result: every solve, geometry check,
+scan cell and fiber call on one (grid, alpha) shares one read-only kernel
+spectrum, which stays alive until another (grid, alpha) is built.
 """
 
 from __future__ import annotations
@@ -97,14 +101,15 @@ def _singular_value(dim: int, alpha: float, h: float) -> float:
     return _singular_coefficient(dim, alpha) * h ** (alpha - dim)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RieszConvolver:
     """Precomputed padded-kernel spectrum for one (grid, alpha) pair.
 
     kernel_spectrum is the real spectrum of the (2M)^N padded kernel
     samples, contiguous float64 of shape (2M, ..., 2M, M + 1): the DCT-I of
     the kernel's (M + 1)^N octant, with each leading axis mirrored (index
-    k > M holds index 2M - k)."""
+    k > M holds index 2M - k).  It is shared by every caller on one
+    (grid, alpha), so it is frozen and its spectrum read-only."""
 
     grid: GridSpec
     alpha: float
@@ -112,6 +117,7 @@ class RieszConvolver:
     singular_value: float
 
 
+@lru_cache(maxsize=1)
 def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
     if not 0.0 < alpha < grid.dim:
         raise AlphaOutOfRange(f"alpha must lie in (0, {grid.dim}), got {alpha}")
@@ -129,6 +135,7 @@ def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
     del kern
     mirror = np.concatenate([np.arange(m + 1), np.arange(m - 1, 0, -1)])
     spectrum = octant[np.ix_(*([mirror] * (grid.dim - 1)), np.arange(m + 1))]
+    spectrum.setflags(write=False)
     return RieszConvolver(grid, alpha, spectrum, sing)
 
 

@@ -86,13 +86,11 @@ from .flow import SolveReport, _SphereDescent, _descent_round, _scalar_params, _
 from .model import (
     ModelParams,
     c_xi_eta,
-    classify,
     coupling_radial_values,
     coupling_scaled_values,
     coupling_values,
     h_thresholds,
 )
-from .riesz import RieszConvolver
 
 _FIBER_BRACKET = (-4.0, 4.0)  # first bracket of the fiber maximizer, widened once
 _FIBER_TOL = 1e-11  # tolerance on the maximizing s
@@ -156,10 +154,8 @@ def _coupling_sup(sampled: SampledModel, pdp: float) -> float:
 
 
 def _require_saddle_mode(params: ModelParams) -> None:
-    if params.p != params.q:
-        raise NotSupercritical("the saddle solver requires p = q")
-    if classify(params.dim, params.alpha, params.p) != "supercritical":
-        raise NotSupercritical("the saddle solver requires the supercritical regime")
+    if not params.saddle_regime:
+        raise NotSupercritical("the saddle solver requires p = q in the supercritical regime")
     if not (params.v1.is_zero and params.v2.is_zero):
         raise ModeMismatch("the saddle solver does not support external potentials")
 
@@ -207,16 +203,10 @@ class _FiberBasis:
 class _SaddleEngine(_SphereDescent):
     exhausted = "line search exhausted near the residual tolerance"
 
-    def __init__(
-        self,
-        params: ModelParams,
-        grid: GridSpec,
-        opts: SaddleOptions,
-        conv: RieszConvolver | None = None,
-    ):
+    def __init__(self, params: ModelParams, grid: GridSpec, opts: SaddleOptions):
         if params.coupling.kind == "tabulated":
             raise ModeMismatch("the dilation fiber needs a built-in coupling family, not a table")
-        super().__init__(params, grid, opts, conv)
+        super().__init__(params, grid, opts)
         self.coupling_sup = _coupling_sup(self.sampled, params.p * params.delta_p)
 
     def kinetic_cap(self, level: float) -> float:
@@ -323,34 +313,28 @@ class _SaddleEngine(_SphereDescent):
         )
 
 
-def fiber_maximize(
-    state: StatePair, params: ModelParams, conv: RieszConvolver | None = None
-) -> tuple[float, float]:
+def fiber_maximize(state: StatePair, params: ModelParams) -> tuple[float, float]:
     """Maximize the fiber energy s -> E(s * state); returns (s_star, value).
 
     At s_star the dilation identity holds for the dilated state.  Raises
     NoInteriorMax if the maximum sits on the (once-widened) bracket edge.
     """
     _require_saddle_mode(params)
-    engine = _SaddleEngine(params, state.grid, SaddleOptions(), conv=conv)
+    engine = _SaddleEngine(params, state.grid, SaddleOptions())
     _, psi, s_star = engine.measure(state.u.values, state.v.values)
     return s_star, psi
 
 
-def fiber_energy(
-    state: StatePair, params: ModelParams, s: float, conv: RieszConvolver | None = None
-) -> float:
+def fiber_energy(state: StatePair, params: ModelParams, s: float) -> float:
     """E(s * state) reconstructed from the profile invariants (no grid
     resampling); the closed-form transform the solver relies on."""
     _require_saddle_mode(params)
-    engine = _SaddleEngine(params, state.grid, SaddleOptions(), conv=conv)
+    engine = _SaddleEngine(params, state.grid, SaddleOptions())
     ev = engine.evaluate(state.u.values, state.v.values)
     return _FiberBasis(engine, ev).energy_at(s)
 
 
-def check_geometry(
-    params: ModelParams, grid: GridSpec, conv: RieszConvolver | None = None
-) -> GeometryReport:
+def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
     """Thresholds and sampled energy estimates of the well/barrier split.
 
     k2 is the kinetic level where the barrier profile h peaks (with the
@@ -363,7 +347,7 @@ def check_geometry(
     is evaluated once on the grid.  A well pair already at or below k1 is
     sampled unscaled.  A swap-symmetric model (mu1 = mu2, xi = eta) keeps
     the 8 ratios wu >= wv and the unscaled pairs with wu >= wv: the pair
-    pinned for a ratio's inverse is its exact swap, and E(a, b) = E(b, a).  ``conv`` reuses a convolver the caller already built.
+    pinned for a ratio's inverse is its exact swap, and E(a, b) = E(b, a).
     Raises BetaTooLarge when the coupling sup-norm reaches hmax/(2 xi eta).
     """
     _require_saddle_mode(params)
@@ -380,7 +364,7 @@ def check_geometry(
         raise BetaTooLarge(
             f"coupling sup-norm {beta_sup:.4g} >= admissible bound {beta_bound:.4g}"
         )
-    engine = _SphereDescent(params, grid, conv=conv)
+    engine = _SphereDescent(params, grid)
 
     def kinetic(wu: float, wv: float) -> float:
         return 0.5 * grid.dim * (params.xi**2 / wu**2 + params.eta**2 / wv**2)
@@ -483,7 +467,7 @@ def mountain_pass_solve(
         raise ZeroMass("the coupled saddle needs positive masses on both components")
     grid = init.grid
     engine = _SaddleEngine(params, grid, opts)
-    geo = check_geometry(params, grid, conv=engine.conv)
+    geo = check_geometry(params, grid)
     if not geo.separated:
         raise GeometryFailed(
             f"sampled well max {geo.sup_well_estimate:.4g} does not sit below "

@@ -353,6 +353,30 @@ class TestMainFuzz:
         assert main([mode, "--config", str(path), "--out", str(out / "out")]) in {0, 2, 3, 4}
 
 
+class TestExtremeModels:
+    """Fuzz-found models that the fuzz's derandomized examples do not reach."""
+
+    @pytest.mark.parametrize("mode", cq.cli._MODES)
+    def test_alpha_below_floor_rejected_at_parse(self, tmp_path, capsys, mode):
+        payload = main_fuzz_payload(mode)
+        payload["model"]["alpha"] = 1e-7
+        path = write_config(tmp_path, payload)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: alpha = 1e-07 is below" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["saddle", "check"])
+    def test_overflowing_barrier_constant_is_a_solver_error(self, tmp_path, capsys, mode):
+        # mu1 this large makes the barrier constant overflow to inf
+        payload = main_fuzz_payload(mode)
+        payload["model"]["mu1"] = 1.1148454871493666e308
+        path = write_config(tmp_path, payload)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "RangeError"
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestRunMinimize:
     def test_artifacts_and_exit(self, tmp_path):
         path = write_config(tmp_path, tiny_minimize_config())

@@ -7,6 +7,7 @@ erf potential and cross-checked against the direct-sum convolution below.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestPohozaev:
         conv = cq.build_convolver(g, 2.0)
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("constant", 0.01))
         state = cq.StatePair(cq.gaussian_field(g, 1.4, mass=1.0), cq.gaussian_field(g, 1.4, mass=1.0))
-        s_star, _ = cq.fiber_maximize(state, params, conv)
+        s_star, _ = cq.fiber_maximize(state, params)
         dil = cq.StatePair(cq.dilate(state.u, s_star), cq.dilate(state.v, s_star))
         res = cq.pohozaev_residual(dil, params, conv)
         kin = cq.grad_norm_sq(dil.u) + cq.grad_norm_sq(dil.v)
@@ -404,6 +405,24 @@ class TestMirroredState:
         pu, pv = cq.energy.gradient_values(plain, params, conv, cq.energy.sample_model(params, g))
         assert np.array_equal(gu, pu) and np.array_equal(gv, pv)
         assert gv is not gu
+
+    def test_evaluation_peak_frees_each_density(self, conv32):
+        # each density is freed before the next side's convolution
+        g, conv = conv32
+        params = self.params()
+        sampled = cq.energy.sample_model(params, g)
+        rng = np.random.default_rng(5)
+        u = smooth_random_field(g, rng).values
+        v = smooth_random_field(g, rng).values
+        cq.energy.evaluate_state(u, v, params, conv, sampled)  # warms the grid caches
+        tracemalloc.start()
+        try:
+            ev = cq.energy.evaluate_state(u, v, params, conv, sampled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ev.mirrored
+        assert peak < 9.8 * u.nbytes
 
     @pytest.mark.parametrize(
         "change",

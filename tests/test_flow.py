@@ -261,3 +261,10 @@ class TestMassScan:
             cq.mass_scan(params, grid24, [1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             cq.mass_scan(params, grid24, [2.0, 1.0], [1.0, 2.0])
+
+    def test_scan_builds_one_convolver(self):
+        grid = cq.GridSpec(3, 8.0, 16)
+        cq.build_convolver.cache_clear()
+        cq.mass_scan(coupled_params(), grid, [0.5, 1.0], [0.5, 1.0],
+                     cq.FlowOptions(max_iters=5), n_starts=2, seed=3)
+        assert cq.build_convolver.cache_info().misses == 1

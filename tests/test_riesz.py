@@ -143,6 +143,12 @@ class TestPruned:
         m = grid3_small.points_per_axis
         assert spec.shape == (2 * m, 2 * m, m + 1)
 
+    def test_kernel_spectrum_is_read_only(self, grid3_small):
+        conv = cq.build_convolver(grid3_small, 2.0)
+        assert cq.build_convolver(grid3_small, 2.0) is conv
+        with pytest.raises(ValueError):
+            conv.kernel_spectrum[0, 0, 0] = 1.0
+
     @pytest.mark.parametrize(
         "dim,m,L,alpha",
         [(1, 64, 8.0, 0.5), (2, 40, 6.0, 1.2), (3, 16, 4.0, 2.0), (3, 48, 8.0, 1.5)],
@@ -229,8 +235,10 @@ class TestLean:
 
     def test_build_peak_below_three_spectra(self):
         g = cq.GridSpec(3, 6.0, 32)
-        spec = cq.build_convolver(g, 2.0).kernel_spectrum  # warms the K(0) cache
-        assert self.traced_peak(cq.build_convolver, g, 2.0) < 3 * spec.nbytes
+        # the uncached build, so that the traced call builds rather than hits
+        build = cq.build_convolver.__wrapped__
+        spec = build(g, 2.0).kernel_spectrum  # warms the K(0) cache
+        assert self.traced_peak(build, g, 2.0) < 3 * spec.nbytes
 
     def test_convolution_peak_below_one_complex_spectrum(self):
         g = cq.GridSpec(3, 6.0, 32)

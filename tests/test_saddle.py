@@ -96,17 +96,13 @@ class TestGeometryPinning:
         assert geo.separated
 
     def test_saddle_solve_builds_one_convolver(self, grid32, monkeypatch):
-        builds = []
-        build = cq.flow.build_convolver
-        monkeypatch.setattr(
-            cq.flow, "build_convolver", lambda *a, **k: builds.append(1) or build(*a, **k)
-        )
         monkeypatch.setattr(cq.saddle, "_saddle_descend", lambda engine, *a: engine.conv)
         bump = cq.gaussian_field(grid32, 1.2, mass=1.0)
+        cq.build_convolver.cache_clear()
         conv = cq.mountain_pass_solve(
             sup_params(), cq.StatePair(bump, bump.copy()), cq.SaddleOptions()
         )
-        assert builds == [1]
+        assert cq.build_convolver.cache_info().misses == 1
         assert conv.grid == grid32
 
 
@@ -148,6 +144,16 @@ class TestFiberMaximize:
         with pytest.raises(cq.NoInteriorMax):
             cq.fiber_maximize(state, params)
 
+    def test_fiber_calls_build_one_convolver(self, grid32):
+        params = sup_params()
+        u = cq.gaussian_field(grid32, 1.2, mass=1.0)
+        state = cq.StatePair(u, u.copy())
+        cq.build_convolver.cache_clear()
+        for s in (-0.5, 0.0, 0.5):
+            cq.fiber_energy(state, params, s)
+        cq.fiber_maximize(state, params)
+        assert cq.build_convolver.cache_info().misses == 1
+
 
 class TestPulledBackGradient:
     """The descent gradient at a frozen fiber offset s is the exact profile
@@ -163,9 +169,8 @@ class TestPulledBackGradient:
         from conftest import smooth_random_field
 
         g = cq.GridSpec(3, 8.0, 16)
-        conv = cq.build_convolver(g, 2.0)
         params = cq.ModelParams(**SUP, coupling=coupling)
-        engine = cq.saddle._SaddleEngine(params, g, cq.SaddleOptions(), conv=conv)
+        engine = cq.saddle._SaddleEngine(params, g, cq.SaddleOptions())
         u = cq.gaussian_field(g, 1.6, mass=1.0)
         v = cq.gaussian_field(g, 1.3, mass=1.0)
         gu, gv = engine.pulled_back_gradient(engine.evaluate(u.values, v.values), s)
@@ -178,7 +183,7 @@ class TestPulledBackGradient:
                 cq.fiber_energy(
                     cq.StatePair(cq.ScalarField(g, u.values + sign * t * pu),
                                  cq.ScalarField(g, v.values + sign * t * pv)),
-                    params, s, conv,
+                    params, s,
                 )
                 for sign in (1.0, -1.0)
             ]
