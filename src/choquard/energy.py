@@ -21,16 +21,24 @@ both solvers.  ``evaluate_state`` marks such a state ``mirrored``; it and
 the gradient then compute the v side once, from u, which is bitwise what
 computing it again would give.
 
+The state functions (``energy_total``, ``el_gradient``,
+``lagrange_multipliers``, ``pohozaev_residual``, ``multiplier_sum_identity``)
+take ``(state, params)`` and build their convolver from
+``(state.grid, params.alpha)``.  The solvers call ``evaluate_state`` with
+the convolver they hold and reuse its result in the ``_from_breakdown`` and
+``_from_state`` helpers.
+
 Identity checks:
 
 * ``lagrange_multipliers`` (and ``multipliers_from_breakdown`` for an
   evaluated state) extracts the frequencies from the constraint pairing of
   the gradient with (u, 0) and (0, v).
-* ``pohozaev_residual`` evaluates K - delta_p (mu1 B_u + mu2 B_v)
+* ``pohozaev_residual`` (and ``pohozaev_from_state`` for an evaluated
+  state) evaluates K - delta_p (mu1 B_u + mu2 B_v)
   + int (x . grad beta) u v, which equals the s-derivative of the energy
   along the dilation fiber at s = 0 and vanishes at critical points (only
   derived for p = q, no potentials, supercritical).
-* ``multiplier_sum_identity`` (and ``multiplier_sum_from_breakdown`` for an
+* ``multiplier_sum_identity`` (and ``multiplier_sum_from_state`` for an
   evaluated state) returns both sides of
   lambda1 xi^2 + lambda2 eta^2 = (1/delta_p - 1) K
       + int (2 beta + x . grad beta / delta_p) u v,
@@ -53,7 +61,7 @@ from .grid import (
     neg_laplacian_values,
 )
 from .model import ModelParams, coupling_values, coupling_x_grad_values, potential_values
-from .riesz import RieszConvolver, riesz_convolve_values
+from .riesz import RieszConvolver, build_convolver, riesz_convolve_values
 
 
 @dataclass(frozen=True)
@@ -239,42 +247,38 @@ def gradient_values(
     return gu, side(ev.v, ev.u, ev.conv_v, sampled.v2, params.mu2, params.q, params.delta_q)
 
 
-def energy_total(state: StatePair, params: ModelParams, conv: RieszConvolver) -> EnergyBreakdown:
+def _evaluated(
+    state: StatePair, params: ModelParams
+) -> tuple[StateEval, RieszConvolver, SampledModel]:
+    """A state evaluated with the convolver of its grid and ``params.alpha``."""
+    conv = build_convolver(state.grid, params.alpha)
+    sampled = sample_model(params, state.grid)
+    return evaluate_state(state.u.values, state.v.values, params, conv, sampled), conv, sampled
+
+
+def energy_total(state: StatePair, params: ModelParams) -> EnergyBreakdown:
     """Full energy with per-term breakdown; zero potentials reduce it to the
     translation-invariant functional."""
-    _check_state(state, conv)
-    sampled = sample_model(params, state.grid)
-    return evaluate_state(state.u.values, state.v.values, params, conv, sampled).breakdown
+    return _evaluated(state, params)[0].breakdown
 
 
-def el_gradient(state: StatePair, params: ModelParams, conv: RieszConvolver) -> StatePair:
+def el_gradient(state: StatePair, params: ModelParams) -> StatePair:
     """Gradient pair of the energy; the flow direction and residual source."""
-    _check_state(state, conv)
-    sampled = sample_model(params, state.grid)
-    ev = evaluate_state(state.u.values, state.v.values, params, conv, sampled)
+    ev, conv, sampled = _evaluated(state, params)
     gu, gv = gradient_values(ev, params, conv, sampled)
     return StatePair(ScalarField(state.grid, gu), ScalarField(state.grid, gv))
 
 
-def _check_state(state: StatePair, conv: RieszConvolver) -> None:
-    if state.grid != conv.grid:
-        raise GridMismatch("state grid differs from the convolver's grid")
-
-
-def lagrange_multipliers(
-    state: StatePair, params: ModelParams, conv: RieszConvolver
-) -> Multipliers:
+def lagrange_multipliers(state: StatePair, params: ModelParams) -> Multipliers:
     """Frequencies from pairing the gradient with (u, 0) and (0, v):
 
         lambda1 = -(||grad u||^2 + int V1 u^2 - mu1 B(u,p) - int beta u v) / ||u||^2
     and symmetrically for lambda2."""
-    _check_state(state, conv)
     mass_u = state.u.mass
     mass_v = state.v.mass
     if mass_u <= 0.0 or mass_v <= 0.0:
         raise ZeroMass("multipliers require both components to carry mass")
-    sampled = sample_model(params, state.grid)
-    bd = evaluate_state(state.u.values, state.v.values, params, conv, sampled).breakdown
+    bd = _evaluated(state, params)[0].breakdown
     return multipliers_from_breakdown(bd, params, mass_u, mass_v)
 
 
@@ -302,37 +306,29 @@ def _require_translation_invariant_supercritical(params: ModelParams, what: str)
         raise ModeMismatch(f"{what} requires p = q in the supercritical regime")
 
 
-def pohozaev_residual(state: StatePair, params: ModelParams, conv: RieszConvolver) -> float:
+def pohozaev_residual(state: StatePair, params: ModelParams) -> float:
     """K - delta_p (mu1 B_u + mu2 B_v) + int (x . grad beta) u v.
 
     Equals d/ds of the fiber energy at s = 0; zero at critical points of the
     constrained problem.  Refuses potential-carrying states: no analogue of
     the identity is available there.
     """
-    _check_state(state, conv)
     _require_translation_invariant_supercritical(params, "the dilation identity")
-    sampled = sample_model(params, state.grid)
-    bd = evaluate_state(state.u.values, state.v.values, params, conv, sampled).breakdown
-    return pohozaev_from_breakdown(bd, params, sampled, state.u.values * state.v.values)
+    ev, _, sampled = _evaluated(state, params)
+    return pohozaev_from_state(ev, params, sampled)
 
 
-def pohozaev_from_breakdown(
-    bd: EnergyBreakdown,
-    params: ModelParams,
-    sampled: SampledModel,
-    uv_product: np.ndarray,
-) -> float:
+def pohozaev_from_state(ev: StateEval, params: ModelParams, sampled: SampledModel) -> float:
+    bd = ev.breakdown
     res = (bd.grad_sq_u + bd.grad_sq_v) - params.delta_p * (
         params.mu1 * bd.b_u + params.mu2 * bd.b_v
     )
     if sampled.x_grad_beta is not None:
-        res += _quad(sampled.grid, sampled.x_grad_beta * uv_product)
+        res += _quad(sampled.grid, sampled.x_grad_beta * (ev.u * ev.v))
     return res
 
 
-def multiplier_sum_identity(
-    state: StatePair, params: ModelParams, conv: RieszConvolver
-) -> tuple[float, float]:
+def multiplier_sum_identity(state: StatePair, params: ModelParams) -> tuple[float, float]:
     """(lhs, rhs) of the multiplier-sum identity.
 
     lhs = lambda1 xi^2 + lambda2 eta^2 assembled directly from the pairing
@@ -340,25 +336,21 @@ def multiplier_sum_identity(
     kinetic/coupling form.  The two agree exactly when the dilation identity
     holds: lhs - rhs = -pohozaev_residual / delta_p.
     """
-    _check_state(state, conv)
     _require_translation_invariant_supercritical(params, "the multiplier-sum identity")
-    sampled = sample_model(params, state.grid)
-    bd = evaluate_state(state.u.values, state.v.values, params, conv, sampled).breakdown
-    return multiplier_sum_from_breakdown(bd, params, sampled, state.u.values * state.v.values)
+    ev, _, sampled = _evaluated(state, params)
+    return multiplier_sum_from_state(ev, params, sampled)
 
 
-def multiplier_sum_from_breakdown(
-    bd: EnergyBreakdown,
-    params: ModelParams,
-    sampled: SampledModel,
-    uv_product: np.ndarray,
+def multiplier_sum_from_state(
+    ev: StateEval, params: ModelParams, sampled: SampledModel
 ) -> tuple[float, float]:
     """(lhs, rhs) of the multiplier-sum identity from an evaluated state."""
+    bd = ev.breakdown
     k = bd.grad_sq_u + bd.grad_sq_v
     lhs = -k + params.mu1 * bd.b_u + params.mu2 * bd.b_v + 2.0 * bd.coupling_integral
     dp = params.delta_p
     rhs = (1.0 / dp - 1.0) * k
     if sampled.beta is not None:
         combo = 2.0 * sampled.beta + sampled.x_grad_beta / dp
-        rhs += _quad(sampled.grid, combo * uv_product)
+        rhs += _quad(sampled.grid, combo * (ev.u * ev.v))
     return lhs, rhs

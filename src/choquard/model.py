@@ -75,10 +75,6 @@ def classify(dim: int, alpha: float, p: float) -> str:
 class Regime:
     label_p: str
     label_q: str
-    delta_p: float
-    delta_q: float
-    gamma_p: float
-    gamma_q: float
 
     @property
     def label(self) -> str:
@@ -260,10 +256,6 @@ class ModelParams:
         return Regime(
             label_p=classify(self.dim, self.alpha, self.p),
             label_q=classify(self.dim, self.alpha, self.q),
-            delta_p=self.delta_p,
-            delta_q=self.delta_q,
-            gamma_p=gamma_p(self.dim, self.p),
-            gamma_q=gamma_p(self.dim, self.q),
         )
 
     @property

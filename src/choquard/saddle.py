@@ -77,9 +77,9 @@ from .energy import (
     SampledModel,
     StateEval,
     gradient_values,
-    multiplier_sum_from_breakdown,
+    multiplier_sum_from_state,
     multipliers_from_breakdown,
-    pohozaev_from_breakdown,
+    pohozaev_from_state,
     sample_model,
 )
 from .flow import SolveReport, _SphereDescent, _descent_round, _scalar_params, _sphere_tangent
@@ -269,7 +269,7 @@ class _SaddleEngine(_SphereDescent):
         return gradient_values(ev, self.params, self.conv, self.sampled, s_star, beta_s)
 
     def pohozaev(self, ev: StateEval) -> float:
-        return pohozaev_from_breakdown(ev.breakdown, self.params, self.sampled, ev.u * ev.v)
+        return pohozaev_from_state(ev, self.params, self.sampled)
 
     def fiber_tangent(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray]:
         """Generator of the dilation fiber at the profile: (N/2) u + x.grad u.
@@ -555,7 +555,7 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
     grid = engine.grid
     bd = ev.breakdown
     mult = multipliers_from_breakdown(bd, params, params.xi**2, params.eta**2)
-    lhs, rhs = multiplier_sum_from_breakdown(bd, params, engine.sampled, ev.u * ev.v)
+    lhs, rhs = multiplier_sum_from_state(ev, params, engine.sampled)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     residuals = {
         "projected_gradient": grad_norm,

@@ -69,7 +69,6 @@ def test_c02_analytic_gaussian_convolution():
 def test_c03_gradient_finite_difference():
     with Timer() as t:
         g = cq.GridSpec(3, 10.0, 40)
-        conv = cq.build_convolver(g, 2.0)
         params = cq.ModelParams(
             dim=3, alpha=2.0, p=2.1, q=2.3, mu1=2.0, mu2=3.0, xi=1.0, eta=1.2,
             coupling=cq.CouplingSpec("rational_decay", 0.3, 0.8),
@@ -79,7 +78,7 @@ def test_c03_gradient_finite_difference():
         u = cq.gaussian_field(g, 1.5, mass=1.0)
         v = cq.gaussian_field(g, 1.2, mass=1.44)
         state = cq.StatePair(u, v)
-        grad = cq.el_gradient(state, params, conv)
+        grad = cq.el_gradient(state, params)
         rng = np.random.default_rng(42)
         h_n = g.cell_volume
         step = 2e-4
@@ -89,7 +88,7 @@ def test_c03_gradient_finite_difference():
             s = cq.StatePair(
                 cq.ScalarField(g, u.values + du), cq.ScalarField(g, v.values + dv)
             )
-            return cq.energy_total(s, params, conv).total
+            return cq.energy_total(s, params).total
 
         for k in range(50):
             phi = smooth_random_field(g, rng).values

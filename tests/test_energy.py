@@ -66,7 +66,7 @@ class TestEnergyTotal:
     def test_zero_state(self, conv32):
         g, conv = conv32
         params = cq.ModelParams(**P_SUB)
-        bd = cq.energy_total(cq.StatePair(cq.zero_field(g), cq.zero_field(g)), params, conv)
+        bd = cq.energy_total(cq.StatePair(cq.zero_field(g), cq.zero_field(g)), params)
         assert bd.total == 0.0
 
     def test_decoupling_at_zero_beta(self, conv32):
@@ -74,10 +74,10 @@ class TestEnergyTotal:
         params = cq.ModelParams(**P_SUB)
         u = cq.gaussian_field(g, 1.2, mass=1.0)
         v = cq.gaussian_field(g, 0.9, mass=1.0)
-        bd = cq.energy_total(cq.StatePair(u, v), params, conv)
+        bd = cq.energy_total(cq.StatePair(u, v), params)
         assert bd.coupling == 0.0
-        bu = cq.energy_total(cq.StatePair(u, cq.zero_field(g)), params, conv)
-        bv = cq.energy_total(cq.StatePair(cq.zero_field(g), v), params, conv)
+        bu = cq.energy_total(cq.StatePair(u, cq.zero_field(g)), params)
+        bv = cq.energy_total(cq.StatePair(cq.zero_field(g), v), params)
         assert bd.total == pytest.approx(bu.total + bv.total, rel=1e-13)
 
     def test_constant_coupling_term(self, conv32):
@@ -85,7 +85,7 @@ class TestEnergyTotal:
         params = cq.ModelParams(**{**P_SUB, "coupling": cq.CouplingSpec("constant", 0.37)})
         u = cq.gaussian_field(g, 1.2, mass=1.0)
         v = cq.gaussian_field(g, 0.9, mass=1.0)
-        bd = cq.energy_total(cq.StatePair(u, v), params, conv)
+        bd = cq.energy_total(cq.StatePair(u, v), params)
         assert bd.coupling == pytest.approx(-0.37 * cq.inner(u, v), rel=1e-12)
 
     def test_breakdown_composes(self, conv32):
@@ -97,7 +97,7 @@ class TestEnergyTotal:
         )
         rng = np.random.default_rng(2)
         s = cq.StatePair(smooth_random_field(g, rng), smooth_random_field(g, rng))
-        bd = cq.energy_total(s, params, conv)
+        bd = cq.energy_total(s, params)
         total = (
             bd.kinetic + bd.potential_v1 + bd.potential_v2
             + bd.nonlocal_u + bd.nonlocal_v + bd.coupling
@@ -109,7 +109,7 @@ class TestGradient:
     def test_zero_state(self, conv32):
         g, conv = conv32
         params = cq.ModelParams(**P_SUB)
-        grad = cq.el_gradient(cq.StatePair(cq.zero_field(g), cq.zero_field(g)), params, conv)
+        grad = cq.el_gradient(cq.StatePair(cq.zero_field(g), cq.zero_field(g)), params)
         assert np.all(grad.u.values == 0.0) and np.all(grad.v.values == 0.0)
 
     def test_directional_derivative(self, conv32):
@@ -124,7 +124,7 @@ class TestGradient:
         u = cq.gaussian_field(g, 1.5, mass=1.0)
         v = cq.gaussian_field(g, 1.2, mass=1.44)
         state = cq.StatePair(u, v)
-        grad = cq.el_gradient(state, params, conv)
+        grad = cq.el_gradient(state, params)
         t = 1e-4
         for _ in range(8):
             pu = smooth_random_field(g, rng).values
@@ -134,7 +134,7 @@ class TestGradient:
             pv /= nrm
             sp = cq.StatePair(cq.ScalarField(g, u.values + t * pu), cq.ScalarField(g, v.values + t * pv))
             sm = cq.StatePair(cq.ScalarField(g, u.values - t * pu), cq.ScalarField(g, v.values - t * pv))
-            fd = (cq.energy_total(sp, params, conv).total - cq.energy_total(sm, params, conv).total) / (2 * t)
+            fd = (cq.energy_total(sp, params).total - cq.energy_total(sm, params).total) / (2 * t)
             ip = g.cell_volume * (np.sum(grad.u.values * pu) + np.sum(grad.v.values * pv))
             assert fd == pytest.approx(ip, rel=1e-6)
 
@@ -150,7 +150,7 @@ class TestGradient:
         rng = np.random.default_rng(7)
         u = smooth_random_field(g, rng)
         v = smooth_random_field(g, rng)
-        grad = cq.el_gradient(cq.StatePair(u, v), params, conv)
+        grad = cq.el_gradient(cq.StatePair(u, v), params)
         from choquard.grid import neg_laplacian_values
         from choquard.riesz import riesz_convolve_values
 
@@ -180,7 +180,7 @@ class TestMultipliers:
         )
         u = cq.gaussian_field(g, 1.4, mass=1.0)
         v = cq.gaussian_field(g, 1.0, mass=1.0)
-        lam = cq.lagrange_multipliers(cq.StatePair(u, v), params, conv)
+        lam = cq.lagrange_multipliers(cq.StatePair(u, v), params)
         v1 = -0.3 * np.exp(-g.radius_sq() / 4.0)
         b_u = cq.nonlocal_B(u, 2.0, conv)
         beta_uv = 0.2 * cq.inner(u, v)
@@ -198,8 +198,30 @@ class TestMultipliers:
         params = cq.ModelParams(**P_SUB)
         with pytest.raises(cq.ZeroMass):
             cq.lagrange_multipliers(
-                cq.StatePair(cq.gaussian_field(g, 1.0), cq.zero_field(g)), params, conv
+                cq.StatePair(cq.gaussian_field(g, 1.0), cq.zero_field(g)), params
             )
+
+
+class TestDerivedConvolver:
+    def test_state_functions_follow_alpha(self):
+        # the state functions build the convolver of (state.grid, params.alpha)
+        g = cq.GridSpec(3, 8.0, 16)
+        u = cq.gaussian_field(g, 1.0, mass=1.0)
+        state = cq.StatePair(u, cq.ScalarField(g, u.values.copy()))
+        energies, multipliers = [], []
+        for alpha in (1.0, 2.0):
+            params = cq.ModelParams(**{**P_SUB, "alpha": alpha})
+            sampled = cq.energy.sample_model(params, g)
+            bd = cq.energy.evaluate_state(
+                state.u.values, state.v.values, params, cq.build_convolver(g, alpha), sampled
+            ).breakdown
+            assert cq.energy_total(state, params) == bd
+            lam = cq.lagrange_multipliers(state, params)
+            assert lam == cq.energy.multipliers_from_breakdown(bd, params, u.mass, u.mass)
+            energies.append(bd.total)
+            multipliers.append(lam)
+        assert energies[0] != energies[1]
+        assert multipliers[0] != multipliers[1]
 
 
 SUP = dict(dim=3, alpha=2.0, p=3.0, q=3.0, mu1=60.0, mu2=60.0, xi=1.0, eta=1.0)
@@ -210,50 +232,48 @@ class TestPohozaev:
         g, conv = conv32
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("constant", 0.01))
         s = cq.StatePair(cq.zero_field(g), cq.zero_field(g))
-        assert cq.pohozaev_residual(s, params, conv) == 0.0
+        assert cq.pohozaev_residual(s, params) == 0.0
 
     def test_mode_mismatch_with_potentials(self, conv32):
         g, conv = conv32
         params = cq.ModelParams(**SUP, v1=cq.PotentialSpec("harmonic", stiffness=1.0))
         s = cq.StatePair(cq.gaussian_field(g, 1.0), cq.gaussian_field(g, 1.0))
         with pytest.raises(cq.ModeMismatch):
-            cq.pohozaev_residual(s, params, conv)
+            cq.pohozaev_residual(s, params)
 
     def test_mode_mismatch_subcritical(self, conv32):
         g, conv = conv32
         params = cq.ModelParams(**P_SUB)
         s = cq.StatePair(cq.gaussian_field(g, 1.0), cq.gaussian_field(g, 1.0))
         with pytest.raises(cq.ModeMismatch):
-            cq.pohozaev_residual(s, params, conv)
+            cq.pohozaev_residual(s, params)
 
     def test_equals_fiber_energy_slope(self):
         # the residual is d/ds E(s * state) at s = 0: compare with central
         # differences of the energy along the actual grid dilation (widths
         # chosen so the cubed density stays spectrally resolved)
         g = cq.GridSpec(3, 10.0, 64)
-        conv = cq.build_convolver(g, 2.0)
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("rational_decay", 0.01, 2.0 / 3.0))
         u = cq.gaussian_field(g, 1.4, mass=1.0)
         v = cq.gaussian_field(g, 1.2, mass=1.0)
         state = cq.StatePair(u, v)
-        res = cq.pohozaev_residual(state, params, conv)
+        res = cq.pohozaev_residual(state, params)
         ds = 1e-3
         ep = cq.energy_total(
-            cq.StatePair(cq.dilate(u, ds), cq.dilate(v, ds)), params, conv
+            cq.StatePair(cq.dilate(u, ds), cq.dilate(v, ds)), params
         ).total
         em = cq.energy_total(
-            cq.StatePair(cq.dilate(u, -ds), cq.dilate(v, -ds)), params, conv
+            cq.StatePair(cq.dilate(u, -ds), cq.dilate(v, -ds)), params
         ).total
         assert res == pytest.approx((ep - em) / (2 * ds), rel=1e-3)
 
     def test_vanishes_at_fiber_maximum(self):
         g = cq.GridSpec(3, 10.0, 64)
-        conv = cq.build_convolver(g, 2.0)
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("constant", 0.01))
         state = cq.StatePair(cq.gaussian_field(g, 1.4, mass=1.0), cq.gaussian_field(g, 1.4, mass=1.0))
         s_star, _ = cq.fiber_maximize(state, params)
         dil = cq.StatePair(cq.dilate(state.u, s_star), cq.dilate(state.v, s_star))
-        res = cq.pohozaev_residual(dil, params, conv)
+        res = cq.pohozaev_residual(dil, params)
         kin = cq.grad_norm_sq(dil.u) + cq.grad_norm_sq(dil.v)
         assert abs(res) < 1e-4 * kin
 
@@ -263,15 +283,15 @@ class TestMultiplierSumIdentity:
         g, conv = conv32
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("constant", 0.01))
         s = cq.StatePair(cq.zero_field(g), cq.zero_field(g))
-        assert cq.multiplier_sum_identity(s, params, conv) == (0.0, 0.0)
+        assert cq.multiplier_sum_identity(s, params) == (0.0, 0.0)
 
     def test_gap_is_pohozaev_over_delta(self, conv32):
         g, conv = conv32
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("constant", 0.02))
         rng = np.random.default_rng(13)
         s = cq.StatePair(smooth_random_nonneg(g, rng), smooth_random_nonneg(g, rng))
-        lhs, rhs = cq.multiplier_sum_identity(s, params, conv)
-        poh = cq.pohozaev_residual(s, params, conv)
+        lhs, rhs = cq.multiplier_sum_identity(s, params)
+        poh = cq.pohozaev_residual(s, params)
         assert lhs - rhs == pytest.approx(-poh / params.delta_p, rel=1e-10)
 
     def test_rhs_positive_under_sign_condition(self, conv32):
@@ -280,14 +300,13 @@ class TestMultiplierSumIdentity:
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("rational_decay", 0.01, dp))
         rng = np.random.default_rng(14)
         s = cq.StatePair(smooth_random_nonneg(g, rng), smooth_random_nonneg(g, rng))
-        _, rhs = cq.multiplier_sum_identity(s, params, conv)
+        _, rhs = cq.multiplier_sum_identity(s, params)
         assert rhs > 0.0
 
 
 class TestDilationEnergyLaw:
     def test_limits(self):
         g = cq.GridSpec(3, 10.0, 48)
-        conv = cq.build_convolver(g, 2.0)
         beta0 = 0.02
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("constant", beta0))
         u = cq.gaussian_field(g, 1.0, mass=1.0)
@@ -301,13 +320,12 @@ class TestDilationEnergyLaw:
 
     def test_energy_total_matches_fiber_energy_via_dilate(self):
         g = cq.GridSpec(3, 10.0, 64)
-        conv = cq.build_convolver(g, 2.0)
         params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("constant", 0.02))
         u = cq.gaussian_field(g, 1.4, mass=1.0)
         state = cq.StatePair(u, u.copy())
         for s in (0.3, -0.3):
             direct = cq.energy_total(
-                cq.StatePair(cq.dilate(u, s), cq.dilate(u, s)), params, conv
+                cq.StatePair(cq.dilate(u, s), cq.dilate(u, s)), params
             ).total
             assert cq.fiber_energy(state, params, s) == pytest.approx(direct, rel=1e-3)
 
@@ -342,7 +360,7 @@ class TestInequalities:
                 cq.StatePair(smooth_random_field(g, rng), smooth_random_field(g, rng)),
                 params.xi, params.eta,
             )
-            bd = cq.energy_total(s, params, conv)
+            bd = cq.energy_total(s, params)
             ku, kv = bd.grad_sq_u, bd.grad_sq_v
             lower = (
                 0.5 * (ku + kv)

@@ -111,8 +111,7 @@ class TestGroundState:
         assert ground.multipliers.lambda2 > 0
 
     def test_multipliers_match_returned_state(self, ground, grid24):
-        conv = cq.build_convolver(grid24, 2.0)
-        lam = cq.lagrange_multipliers(ground.state, coupled_params(), conv)
+        lam = cq.lagrange_multipliers(ground.state, coupled_params())
         assert ground.multipliers.lambda1 == pytest.approx(lam.lambda1, rel=1e-12)
         assert ground.multipliers.lambda2 == pytest.approx(lam.lambda2, rel=1e-12)
 
@@ -223,7 +222,6 @@ class TestExhaustedLineSearch:
 class TestSymmetrizationNeverRaises:
     def test_energy_not_raised(self, grid24):
         params = coupled_params(v1=cq.PotentialSpec("gaussian_well", depth=0.4, width=2.0))
-        conv = cq.build_convolver(grid24, 2.0)
         rng = np.random.default_rng(31)
         for _ in range(6):
             s = cq.project_masses(
@@ -233,11 +231,11 @@ class TestSymmetrizationNeverRaises:
                 ),
                 1.0, 1.0,
             )
-            before = cq.energy_total(s, params, conv).total
+            before = cq.energy_total(s, params).total
             sym = cq.StatePair(
                 cq.rearrange_radial_decreasing(s.u), cq.rearrange_radial_decreasing(s.v)
             )
-            after = cq.energy_total(sym, params, conv).total
+            after = cq.energy_total(sym, params).total
             assert after <= before + 1e-8
 
 

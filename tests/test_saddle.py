@@ -296,7 +296,6 @@ class TestKineticIdentity:
         params = cq.ModelParams(
             **SUP, coupling=cq.CouplingSpec("rational_decay", 0.01, 2.0 / 3.0)
         )
-        conv = cq.build_convolver(grid32, 2.0)
         rng = np.random.default_rng(17)
         from conftest import smooth_random_nonneg
         from choquard.model import coupling_values, coupling_x_grad_values
@@ -305,8 +304,8 @@ class TestKineticIdentity:
             u = smooth_random_nonneg(grid32, rng)
             v = smooth_random_nonneg(grid32, rng)
             s = cq.StatePair(u, v)
-            bd = cq.energy_total(s, params, conv)
-            poh = cq.pohozaev_residual(s, params, conv)
+            bd = cq.energy_total(s, params)
+            poh = cq.pohozaev_residual(s, params)
             pdp = params.p * params.delta_p
             lhs = 2 * pdp * bd.total - poh
             beta = coupling_values(params.coupling, grid32)
