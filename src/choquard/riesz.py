@@ -152,25 +152,28 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     m, n = grid.points_per_axis, 2 * grid.points_per_axis
     lead = grid.dim - 1
     spec = scipy.fft.rfft(values, n=n, axis=-1)
-    # blocks of last-axis frequencies, that axis first, pass through one
-    # workspace; every complex pass runs in place on a view of it
-    front = np.moveaxis(spec, -1, 0)
-    kern = np.moveaxis(conv.kernel_spectrum, -1, 0)
-    core = (slice(None),) + (slice(0, m),) * lead
-    work = np.empty((_SLAB,) + (n,) * lead, dtype=np.complex128)
-    for k0 in range(0, m + 1, _SLAB):
-        block = slice(k0, min(k0 + _SLAB, m + 1))
-        slab = work[: block.stop - k0]
-        slab[core] = front[block]
-        for ax in range(lead):
-            slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
-            rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-            scipy.fft.fft(slab[rows], axis=ax + 1, overwrite_x=True)
-        slab *= kern[block]
-        for ax in range(lead - 1, -1, -1):
-            rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-            scipy.fft.ifft(slab[rows], axis=ax + 1, overwrite_x=True)
-        front[block] = slab[core]
+    if lead == 0:
+        spec *= conv.kernel_spectrum
+    else:
+        # blocks of last-axis frequencies, that axis first, pass through one
+        # workspace; every complex pass runs in place on a view of it
+        front = np.moveaxis(spec, -1, 0)
+        kern = np.moveaxis(conv.kernel_spectrum, -1, 0)
+        core = (slice(None),) + (slice(0, m),) * lead
+        work = np.empty((_SLAB,) + (n,) * lead, dtype=np.complex128)
+        for k0 in range(0, m + 1, _SLAB):
+            block = slice(k0, min(k0 + _SLAB, m + 1))
+            slab = work[: block.stop - k0]
+            slab[core] = front[block]
+            for ax in range(lead):
+                slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
+                rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
+                scipy.fft.fft(slab[rows], axis=ax + 1, overwrite_x=True)
+            slab *= kern[block]
+            for ax in range(lead - 1, -1, -1):
+                rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
+                scipy.fft.ifft(slab[rows], axis=ax + 1, overwrite_x=True)
+            front[block] = slab[core]
     out = scipy.fft.irfft(spec, n=n, axis=-1)[..., :m]
     return out * grid.cell_volume
 

@@ -57,7 +57,6 @@ class TestExponents:
         reg = params.regime()
         assert reg.label_p == "subcritical" and reg.label_q == "supercritical"
         assert reg.label == "mixed"
-        assert cq.gamma_p(3, params.p) == pytest.approx(3 * (0.5 - 0.5))
 
 
 class TestSharpConstant:
