@@ -17,6 +17,17 @@ method that the saddle's engine overrides: ``residual``, ``step``,
 slope 0, so its search asks for plain decrease and its energy trace is
 nonincreasing.
 
+The diagonal rule: a swap-symmetric model (``ModelParams.swap_symmetric``)
+whose sampled beta is None or nowhere negative starts from the lower of
+(u0, u0) and (v0, v0) of the retracted start.  With F the one-component
+energy, E(u, v) = F(u) + F(v) - int beta u v, and 2uv <= u^2 + v^2 gives
+E(u, u) + E(v, v) <= 2 E(u, v) on the grid, so that start is never worse.
+It is a mirrored state, which the descent keeps bitwise u = v at one
+component's cost.  No minimizer is lost: at a diagonal critical point the
+swap splits the sphere tangent into (a, a) and (a, -a) directions, and the
+constrained curvature along (a, -a) is that along (a, a) plus 4 int beta a^2,
+so a local minimum on the diagonal is one of the full problem.
+
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
 projected-gradient norm is the EL residual of the discrete system.
@@ -192,16 +203,18 @@ class _SphereDescent:
         return math.sqrt(self.h_n * (float(np.sum(ru * ru)) + float(np.sum(rv * rv))))
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
-        """(du, dv, slope): solve with (sigma - Lap) spectrally, damp regions
-        where a trapping potential dominates (split Jacobi factor), re-project
-        onto the constraint tangent; slope 0 makes the search a plain decrease."""
-        sigma = max(1.0, abs(cu), abs(cv))
-        du = _precondition(self.grid, ru, sigma)
-        dv = du if ev.mirrored else _precondition(self.grid, rv, sigma)
+        """(du, dv, slope): solve with (sigma - Lap) spectrally, one shift per
+        component (sigma_u = max(1, |cu|), sigma_v = max(1, |cv|)), damp
+        regions where a trapping potential dominates (split Jacobi factor),
+        re-project onto the constraint tangent; slope 0 makes the search a
+        plain decrease."""
+        sigma_u, sigma_v = max(1.0, abs(cu)), max(1.0, abs(cv))
+        du = _precondition(self.grid, ru, sigma_u)
+        dv = du if ev.mirrored else _precondition(self.grid, rv, sigma_v)
         if self.sampled.v1 is not None:
-            du = du / (1.0 + np.maximum(self.sampled.v1, 0.0) / sigma)
+            du = du / (1.0 + np.maximum(self.sampled.v1, 0.0) / sigma_u)
         if self.sampled.v2 is not None:
-            dv = dv / (1.0 + np.maximum(self.sampled.v2, 0.0) / sigma)
+            dv = dv / (1.0 + np.maximum(self.sampled.v2, 0.0) / sigma_v)
         du, dv, _, _ = _sphere_tangent(du, dv, ev)
         return du, dv, 0.0
 
@@ -235,16 +248,18 @@ class _SphereDescent:
 
 
 def _symmetrized(engine: _SphereDescent, ev: StateEval) -> StateEval | None:
-    """Absolute value + radial decreasing rearrangement of both components,
-    retracted; None if that raises the energy (can only happen through
-    discretization residue, the continuum move never does for constant
-    coupling and radial wells)."""
+    """Absolute value + radial decreasing rearrangement of both components
+    (once for a mirrored state), retracted; None if that raises the energy
+    (can only happen through discretization residue, the continuum move
+    never does for constant coupling and radial wells)."""
     grid = engine.grid
     u = ev.u
     v = ev.v
     if engine.params.xi > 0.0:
         u = rearrange_radial_decreasing(ScalarField(grid, np.abs(u))).values
-    if engine.params.eta > 0.0:
+    if ev.mirrored:
+        v = u
+    elif engine.params.eta > 0.0:
         v = rearrange_radial_decreasing(ScalarField(grid, np.abs(v))).values
     u, v = engine.retract(u, v)
     ev_s = engine.evaluate(u, v)
@@ -317,7 +332,15 @@ def _descent_round(
 def _descend(
     engine: _SphereDescent, u0: np.ndarray, v0: np.ndarray
 ) -> tuple[StateEval, dict[str, float], int, bool, list[float], str]:
-    start = [engine.evaluate(*engine.retract(u0, v0))]
+    u0, v0 = engine.retract(u0, v0)
+    beta = engine.sampled.beta
+    diagonal = engine.params.swap_symmetric and (beta is None or beta.min() >= 0.0)
+    if diagonal and not np.array_equal(u0, v0):  # the diagonal rule of the module docstring
+        start = [min((engine.evaluate(w, w) for w in (u0, v0)),
+                     key=lambda ev: ev.breakdown.total)]
+    else:
+        start = [engine.evaluate(u0, v0)]
+    del u0, v0
     trace = [start[0].breakdown.total]
     # popped, so that only the loop holds the start state and frees it
     ev, _, _, iters, converged, _, message = _descent_round(

@@ -6,6 +6,7 @@ against two independent scalar solves on the same grid.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,3 +267,139 @@ class TestMassScan:
         cq.mass_scan(coupled_params(), grid, [0.5, 1.0], [0.5, 1.0],
                      cq.FlowOptions(max_iters=5), n_starts=2, seed=3)
         assert cq.build_convolver.cache_info().misses == 1
+
+
+class TestDiagonalStart:
+    """A swap-symmetric model with beta >= 0 descends from the lower of
+    (u0, u0) and (v0, v0); any other model keeps the (u0, v0) start."""
+
+    class Engine(cq.flow._SphereDescent):
+        def evaluate(self, u, v):
+            self.evaluated.append((u, v))
+            return super().evaluate(u, v)
+
+    def start_of(self, params, grid, u0, v0, monkeypatch):
+        """(states evaluated before the loop, the start state handed to it)."""
+        engine = self.Engine(params, grid)
+        engine.evaluated = []
+        seen = {}
+
+        def loop(engine_, ev, s, merit, budget, tau, trace):
+            seen["before"], seen["start"] = list(engine_.evaluated), ev
+            return ev, s, merit, 0, True, tau, ""
+
+        monkeypatch.setattr(cq.flow, "_descent_round", loop)
+        cq.flow._descend(engine, u0, v0)
+        return seen["before"], seen["start"]
+
+    @pytest.mark.parametrize("coupling", [
+        cq.CouplingSpec("constant", 0.0),
+        cq.CouplingSpec("constant", 0.3),
+        cq.CouplingSpec("rational_decay", 0.5, decay=1.0),
+    ])
+    def test_diagonal_pick_never_worse(self, coupling):
+        grid = cq.GridSpec(3, 6.0, 16)
+        rng = np.random.default_rng(13)
+        for v in (cq.PotentialSpec("zero"), cq.PotentialSpec("harmonic", stiffness=0.2)):
+            params = replace(coupled_params(v1=v, v2=v), coupling=coupling)
+            for _ in range(4):
+                s = cq.project_masses(cq.StatePair(smooth_random_field(grid, rng),
+                                                   smooth_random_field(grid, rng)), 1.0, 1.0)
+                e_uu = cq.energy_total(cq.StatePair(s.u, s.u), params).total
+                e_vv = cq.energy_total(cq.StatePair(s.v, s.v), params).total
+                assert cq.energy_total(s, params).total >= min(e_uu, e_vv)
+
+    def test_asymmetric_start_ends_mirrored(self, ground, grid24, monkeypatch):
+        assert np.array_equal(ground.state.u.values, ground.state.v.values)
+        params = coupled_params()
+        opts = cq.FlowOptions(max_iters=600, grad_tol=1e-5, energy_tol=1e-11, symmetrize_every=10)
+        same = cq.minimize_normalized(params, cq.StatePair(
+            cq.gaussian_field(grid24, 1.5, mass=1.0), cq.gaussian_field(grid24, 1.5, mass=1.0)
+        ), opts)
+        assert ground.energy.total == pytest.approx(same.energy.total, rel=1e-10, abs=0.0)
+
+        from choquard import energy
+
+        calls = [0]
+        convolve = energy.riesz_convolve_values
+
+        def counted(*args):
+            calls[0] += 1
+            return convolve(*args)
+
+        monkeypatch.setattr(energy, "riesz_convolve_values", counted)
+        init = cq.StatePair(
+            cq.gaussian_field(grid24, 2.0, mass=1.0), cq.gaussian_field(grid24, 1.5, mass=1.0)
+        )
+        cq.minimize_normalized(params, init, opts)
+        diagonal = calls[0]
+        # the same solve on two components: no state is mirrored
+        monkeypatch.setattr(cq.ModelParams, "swap_symmetric", property(lambda self: False))
+        calls[0] = 0
+        two = cq.minimize_normalized(params, init, opts)
+        assert not np.array_equal(two.state.u.values, two.state.v.values)
+        assert diagonal <= 0.6 * calls[0]
+
+    def test_picks_the_lower_diagonal_state(self, grid24, monkeypatch):
+        params = coupled_params()
+        u0 = cq.gaussian_field(grid24, 2.0, mass=1.0).values
+        v0 = cq.gaussian_field(grid24, 1.5, mass=1.0).values
+        before, start = self.start_of(params, grid24, u0, v0, monkeypatch)
+        assert len(before) == 2 and all(u is v for u, v in before)
+        assert start.mirrored
+        energies = [cq.energy_total(cq.StatePair(cq.ScalarField(grid24, u),
+                                                 cq.ScalarField(grid24, v)), params).total
+                    for u, v in before]
+        assert start.breakdown.total == min(energies)
+
+    def test_equal_start_evaluates_once(self, grid24, monkeypatch):
+        u0 = cq.gaussian_field(grid24, 1.5, mass=1.0).values
+        before, start = self.start_of(coupled_params(), grid24, u0, u0.copy(), monkeypatch)
+        assert len(before) == 1 and start.mirrored
+
+    @pytest.mark.parametrize("change", ["mu", "masses", "negative beta"])
+    def test_other_models_keep_two_components(self, grid24, change, monkeypatch):
+        if change == "mu":
+            params = replace(coupled_params(), mu2=4.0)
+        elif change == "masses":
+            params = coupled_params(eta=0.8)
+        else:
+            table = np.full(grid24.shape, 0.1)
+            table[0, 0, 0] = -0.1
+            params = replace(coupled_params(), coupling=cq.CouplingSpec("tabulated", values=table))
+        init = cq.StatePair(
+            cq.gaussian_field(grid24, 2.0, mass=1.0), cq.gaussian_field(grid24, 1.5, mass=1.0)
+        )
+        rep = cq.minimize_normalized(params, init, cq.FlowOptions(max_iters=5))
+        assert not np.array_equal(rep.state.u.values, rep.state.v.values)
+        before, start = self.start_of(params, grid24, init.u.values, init.v.values, monkeypatch)
+        assert len(before) == 1 and not start.mirrored
+        assert not np.array_equal(start.u, start.v)
+
+
+class TestComponentShift:
+    def test_each_component_has_its_own_shift(self, grid24, monkeypatch):
+        harmonic = cq.PotentialSpec("harmonic", stiffness=0.3)
+        params = coupled_params(eta=1.6, v1=harmonic, v2=harmonic)
+        engine = cq.flow._SphereDescent(params, grid24)
+        ev = engine.evaluate(*engine.retract(cq.gaussian_field(grid24, 0.8).values,
+                                             cq.gaussian_field(grid24, 2.5).values))
+        ru, rv, cu, cv, gauge = engine.residual(ev, 0.0)
+        sigma_u, sigma_v = max(1.0, abs(cu)), max(1.0, abs(cv))
+        assert sigma_u != sigma_v
+
+        shifts = []
+        precondition = cq.flow._precondition
+
+        def spy(grid, r, sigma):
+            shifts.append(sigma)
+            return precondition(grid, r, sigma)
+
+        monkeypatch.setattr(cq.flow, "_precondition", spy)
+        du, dv, slope = engine.step(ev, ru, rv, cu, cv, gauge)
+        assert shifts == [sigma_u, sigma_v] and slope == 0.0
+        damp = np.maximum(engine.sampled.v1, 0.0)
+        want_u = precondition(grid24, ru, sigma_u) / (1.0 + damp / sigma_u)
+        want_v = precondition(grid24, rv, sigma_v) / (1.0 + damp / sigma_v)
+        want_u, want_v, _, _ = cq.flow._sphere_tangent(want_u, want_v, ev)
+        assert np.array_equal(du, want_u) and np.array_equal(dv, want_v)
