@@ -18,15 +18,13 @@ slope 0, so its search asks for plain decrease and its energy trace is
 nonincreasing.
 
 The diagonal rule: a swap-symmetric model (``ModelParams.swap_symmetric``)
-whose sampled beta is None or nowhere negative starts from the lower of
-(u0, u0) and (v0, v0) of the retracted start.  With F the one-component
-energy, E(u, v) = F(u) + F(v) - int beta u v, and 2uv <= u^2 + v^2 gives
-E(u, u) + E(v, v) <= 2 E(u, v) on the grid, so that start is never worse.
-It is a mirrored state, which the descent keeps bitwise u = v at one
-component's cost.  No minimizer is lost: at a diagonal critical point the
-swap splits the sphere tangent into (a, a) and (a, -a) directions, and the
-constrained curvature along (a, -a) is that along (a, a) plus 4 int beta a^2,
-so a local minimum on the diagonal is one of the full problem.
+with beta >= 0 descends from the lower of (u0, u0) and (v0, v0).  With F the
+one-component energy, E(u, v) = F(u) + F(v) - int beta u v, and 2uv <= u^2 + v^2
+gives E(u, u) + E(v, v) <= 2 E(u, v), so that start is never worse, and the
+descent keeps it bitwise u = v at one component's cost.  No minimizer is lost:
+at a diagonal critical point the constrained curvature along (a, -a) is that
+along (a, a) plus 4 int beta a^2, so a local minimum on the diagonal is one of
+the full problem.
 
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
@@ -203,11 +201,9 @@ class _SphereDescent:
         return math.sqrt(self.h_n * (float(np.sum(ru * ru)) + float(np.sum(rv * rv))))
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
-        """(du, dv, slope): solve with (sigma - Lap) spectrally, one shift per
-        component (sigma_u = max(1, |cu|), sigma_v = max(1, |cv|)), damp
-        regions where a trapping potential dominates (split Jacobi factor),
-        re-project onto the constraint tangent; slope 0 makes the search a
-        plain decrease."""
+        """(du, dv, slope): solve with (sigma - Lap) spectrally, sigma = max(1, |c|)
+        per component, damp regions where a trapping potential dominates (split
+        Jacobi factor), re-project; slope 0 makes the search a plain decrease."""
         sigma_u, sigma_v = max(1.0, abs(cu)), max(1.0, abs(cv))
         du = _precondition(self.grid, ru, sigma_u)
         dv = du if ev.mirrored else _precondition(self.grid, rv, sigma_v)
