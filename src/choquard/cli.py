@@ -391,7 +391,7 @@ def run(cfg: RunConfig, out_dir: str | Path = ".") -> int:
                 for i, xi in enumerate(table.xi_list):
                     for j, eta in enumerate(table.eta_list):
                         rows.append(
-                            f"{xi!r},{eta!r},{table.energies[i, j]!r},"
+                            f"{xi!r},{eta!r},{float(table.energies[i, j])!r},"
                             f"{bool(table.converged[i, j])},{int(table.iterations[i, j])}"
                         )
                 (out / "scan.csv").write_text("\n".join(rows) + "\n")

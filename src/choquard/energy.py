@@ -19,7 +19,9 @@ A model with p = q, mu1 = mu2, xi = eta and V1 = V2 is swap-symmetric
 (``ModelParams.swap_symmetric``), and a u = v state of it stays u = v under
 both solvers.  ``evaluate_state`` marks such a state ``mirrored``; it and
 the gradient then compute the v side once, from u, which is bitwise what
-computing it again would give.
+computing it again would give; a map alike on u and v goes through
+``StateEval.each``, which applies it once.  A component frozen at zero mass
+is zeroed by the solvers' retraction, and its convolution is skipped.
 
 The state functions (``energy_total``, ``el_gradient``,
 ``lagrange_multipliers``, ``pohozaev_residual``, ``multiplier_sum_identity``)
@@ -168,6 +170,11 @@ class StateEval:
     breakdown: EnergyBreakdown
     mirrored: bool = False
 
+    def each(self, f):
+        """(f(u), f(v)), with f called once, on u, for a mirrored state."""
+        fu = f(self.u)
+        return (fu, fu) if self.mirrored else (fu, f(self.v))
+
 
 def evaluate_state(
     u_values: np.ndarray,
@@ -215,7 +222,6 @@ def evaluate_state(
 def gradient_values(
     ev: StateEval,
     params: ModelParams,
-    conv: RieszConvolver,
     sampled: SampledModel,
     s: float = 0.0,
     beta: np.ndarray | None = None,
@@ -227,7 +233,7 @@ def gradient_values(
     by e^{2 p delta_p s} and e^{2 q delta_q s}, and ``beta`` must then be
     beta(e^{-s} x).  s = 0 with the sampled beta is the plain gradient.  A
     mirrored state computes the u side and copies it."""
-    grid = conv.grid
+    grid = sampled.grid
     beta = sampled.beta if beta is None else beta
 
     def side(w, other, conv_w, pot, mu: float, e: float, de: float) -> np.ndarray:
@@ -247,13 +253,11 @@ def gradient_values(
     return gu, side(ev.v, ev.u, ev.conv_v, sampled.v2, params.mu2, params.q, params.delta_q)
 
 
-def _evaluated(
-    state: StatePair, params: ModelParams
-) -> tuple[StateEval, RieszConvolver, SampledModel]:
+def _evaluated(state: StatePair, params: ModelParams) -> tuple[StateEval, SampledModel]:
     """A state evaluated with the convolver of its grid and ``params.alpha``."""
     conv = build_convolver(state.grid, params.alpha)
     sampled = sample_model(params, state.grid)
-    return evaluate_state(state.u.values, state.v.values, params, conv, sampled), conv, sampled
+    return evaluate_state(state.u.values, state.v.values, params, conv, sampled), sampled
 
 
 def energy_total(state: StatePair, params: ModelParams) -> EnergyBreakdown:
@@ -264,8 +268,8 @@ def energy_total(state: StatePair, params: ModelParams) -> EnergyBreakdown:
 
 def el_gradient(state: StatePair, params: ModelParams) -> StatePair:
     """Gradient pair of the energy; the flow direction and residual source."""
-    ev, conv, sampled = _evaluated(state, params)
-    gu, gv = gradient_values(ev, params, conv, sampled)
+    ev, sampled = _evaluated(state, params)
+    gu, gv = gradient_values(ev, params, sampled)
     return StatePair(ScalarField(state.grid, gu), ScalarField(state.grid, gv))
 
 
@@ -314,7 +318,7 @@ def pohozaev_residual(state: StatePair, params: ModelParams) -> float:
     the identity is available there.
     """
     _require_translation_invariant_supercritical(params, "the dilation identity")
-    ev, _, sampled = _evaluated(state, params)
+    ev, sampled = _evaluated(state, params)
     return pohozaev_from_state(ev, params, sampled)
 
 
@@ -337,7 +341,7 @@ def multiplier_sum_identity(state: StatePair, params: ModelParams) -> tuple[floa
     holds: lhs - rhs = -pohozaev_residual / delta_p.
     """
     _require_translation_invariant_supercritical(params, "the multiplier-sum identity")
-    ev, _, sampled = _evaluated(state, params)
+    ev, sampled = _evaluated(state, params)
     return multiplier_sum_from_state(ev, params, sampled)
 
 

@@ -33,7 +33,10 @@ projected-gradient norm is the EL residual of the discrete system.
 ``scalar_ground_state`` runs the same engine with the second component
 frozen at zero, which computes the single-equation ground-state value
 m(c, mu); ``mass_scan`` maps the ground-state value over a mass grid with
-seeded multi-start initialization.
+seeded multi-start initialization.  A frozen component is zeroed by the
+retraction (``_normalized``) and its residual by ``_tangential``; a map
+applied alike to u and v goes through ``StateEval.each``, once on a
+mirrored (u = v) state.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ class _SphereDescent:
     def residual(self, ev: StateEval, s: float):
         """(ru, rv, cu, cv, gauge): the sphere-tangential energy gradient, its
         Rayleigh ratios, and no gauge direction."""
-        gu, gv = gradient_values(ev, self.params, self.conv, self.sampled)
+        gu, gv = gradient_values(ev, self.params, self.sampled)
         return *_sphere_tangent(gu, gv, ev), None
 
     def grad_norm(self, ru: np.ndarray, rv: np.ndarray) -> float:
@@ -248,17 +251,11 @@ def _symmetrized(engine: _SphereDescent, ev: StateEval) -> StateEval | None:
     (once for a mirrored state), retracted; None if that raises the energy
     (can only happen through discretization residue, the continuum move
     never does for constant coupling and radial wells)."""
-    grid = engine.grid
-    u = ev.u
-    v = ev.v
-    if engine.params.xi > 0.0:
-        u = rearrange_radial_decreasing(ScalarField(grid, np.abs(u))).values
-    if ev.mirrored:
-        v = u
-    elif engine.params.eta > 0.0:
-        v = rearrange_radial_decreasing(ScalarField(grid, np.abs(v))).values
-    u, v = engine.retract(u, v)
-    ev_s = engine.evaluate(u, v)
+
+    def rearranged(w: np.ndarray) -> np.ndarray:
+        return rearrange_radial_decreasing(ScalarField(engine.grid, np.abs(w))).values
+
+    ev_s = engine.evaluate(*engine.retract(*ev.each(rearranged)))
     if ev_s.breakdown.total <= ev.breakdown.total + 1e-12 * max(1.0, abs(ev.breakdown.total)):
         return ev_s
     return None
@@ -360,8 +357,9 @@ def minimize_normalized(
     """Ground state of the coupled system on the mass constraint.
 
     Requires both exponents mass-subcritical (the energy is bounded from
-    below there).  Components with a zero mass target are frozen at zero,
-    which is how the scalar problem and scan edge cells are realized.
+    below there).  Components with a zero mass target are frozen at zero by
+    the retraction, which is how the scalar problem and scan edge cells are
+    realized; a zero start component with a positive target raises ZeroMass.
     """
     regime = params.regime()
     if not (regime.label_p == "subcritical" and regime.label_q == "subcritical"):
@@ -370,10 +368,6 @@ def minimize_normalized(
         )
     grid = init.grid
     engine = _SphereDescent(params, grid, opts)
-    if params.xi > 0.0 and not np.any(init.u.values):
-        raise ZeroMass("initial u has zero mass but xi > 0")
-    if params.eta > 0.0 and not np.any(init.v.values):
-        raise ZeroMass("initial v has zero mass but eta > 0")
     ev, residuals, iters, converged, trace, message = _descend(engine, init.u.values, init.v.values)
     state = StatePair(ScalarField(grid, ev.u), ScalarField(grid, ev.v))
     return SolveReport(
@@ -420,11 +414,8 @@ def scalar_ground_state(
         raise ZeroMass("scalar mass c must be positive")
     params = _scalar_params(c, mu, p, grid.dim, alpha)
     width = init_width if init_width is not None else grid.half_extent / 4.0
-    init = StatePair(
-        gaussian_field(grid, width, mass=c**2),
-        ScalarField(grid, np.zeros(grid.shape)),
-    )
-    return minimize_normalized(params, init, opts)
+    bump = gaussian_field(grid, width, mass=c**2)
+    return minimize_normalized(params, StatePair(bump, bump), opts)
 
 
 def mass_scan(
@@ -467,12 +458,7 @@ def mass_scan(
             best: SolveReport | None = None
             for w in widths:
                 bump = gaussian_field(grid, float(w))
-                zero = np.zeros(grid.shape)
-                init = StatePair(
-                    ScalarField(grid, bump.values if xi > 0 else zero),
-                    ScalarField(grid, bump.values if eta > 0 else zero),
-                )
-                rep = minimize_normalized(cell, init, opts)
+                rep = minimize_normalized(cell, StatePair(bump, bump), opts)
                 if best is None or _scan_key(rep) < _scan_key(best):
                     best = rep
             energies[i, j] = best.energy.total

@@ -136,23 +136,20 @@ def _wavevectors_rfft(grid: GridSpec) -> tuple[np.ndarray, ...]:
 def _k_sq_rfft(grid: GridSpec) -> np.ndarray:
     """|k|^2 on the rfftn layout (last axis halved)."""
     k2 = sum(k**2 for k in _wavevectors_rfft(grid))
-    half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
-    k2 = np.ascontiguousarray(np.broadcast_to(k2, half))
     k2.setflags(write=False)
     return k2
 
 
 @lru_cache(maxsize=32)
-def _parseval_weights(grid: GridSpec) -> np.ndarray:
-    """Multiplicity of each rfftn mode (1 on the real-symmetric planes)."""
-    m = grid.points_per_axis
-    w = np.full(m // 2 + 1, 2.0)
+def _kinetic_weights(grid: GridSpec) -> np.ndarray:
+    """|k|^2 times the multiplicity of each rfftn mode (1 on the
+    real-symmetric planes, 2 elsewhere): the Parseval weights of ||grad f||^2."""
+    w = np.full(grid.points_per_axis // 2 + 1, 2.0)
     w[0] = 1.0
     w[-1] = 1.0
-    w = w.reshape((1,) * (grid.dim - 1) + (-1,))
-    w = np.ascontiguousarray(np.broadcast_to(w, grid.shape[:-1] + (m // 2 + 1,)))
-    w.setflags(write=False)
-    return w
+    wk2 = w * _k_sq_rfft(grid)
+    wk2.setflags(write=False)
+    return wk2
 
 
 @dataclass
@@ -236,9 +233,7 @@ def grad_norm_sq(f: ScalarField) -> float:
 
 def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
     spec = scipy.fft.rfftn(values)
-    w = _parseval_weights(grid)
-    k2 = _k_sq_rfft(grid)
-    s = np.sum(w * k2 * (spec.real**2 + spec.imag**2))
+    s = np.sum(_kinetic_weights(grid) * (spec.real**2 + spec.imag**2))
     return float(s * grid.cell_volume / grid.size)
 
 

@@ -22,12 +22,13 @@ fiber tangent removed, its ``step`` removes that gauge from the
 preconditioned direction and returns the Armijo slope, its ``measure`` is
 the fiber-maximized energy, and its kinetic trust cap rejects
 sub-resolution spike states.  The profile is dilated to its own fiber
-maximum only between rounds.  A u = v profile of a swap-symmetric model
-(``StateEval.mirrored``) stays u = v, and its gradient, fiber tangent,
-preconditioned step and dilation are computed for u only.  At the fixed
-point the state is simultaneously a fiber maximum (dilation identity holds)
-and transversally critical: a discrete mountain-pass critical point.  The level is reported
-without any minimality claim among such points.
+maximum only between rounds.  As in the flow, the retraction zeroes a
+frozen component, and the fiber tangent and the dilation go through
+``StateEval.each``, once for a u = v profile of a swap-symmetric model.  At
+the fixed point the state is simultaneously a fiber maximum (dilation
+identity holds) and transversally critical: a discrete mountain-pass
+critical point.  The level is reported without any minimality claim among
+such points.
 
 Admissibility of the coupling (sup-norm below the barrier bound, sign
 condition on 2 beta + x.grad beta / delta_p) is checked by
@@ -36,7 +37,8 @@ barrier separation; for a swap-symmetric model it samples each unordered
 width pair once, since E(a, b) = E(b, a).
 
 The fiber needs beta(e^{-s} x) off the grid, which only the built-in
-coupling families provide in closed form, so the fiber solvers refuse a
+coupling families provide in closed form, so ``_SaddleEngine``, which also
+checks p = q, the supercritical regime and zero potentials, refuses a
 tabulated coupling; ``check_geometry`` samples at s = 0 only and accepts it.
 The built-in families are also radial, so the fiber's coupling integral is
 a sum over the grid's radial shells (``_FiberBasis``): each step of the
@@ -203,10 +205,11 @@ class _FiberBasis:
 class _SaddleEngine(_SphereDescent):
     exhausted = "line search exhausted near the residual tolerance"
 
-    def __init__(self, params: ModelParams, grid: GridSpec, opts: SaddleOptions):
+    def __init__(self, params: ModelParams, grid: GridSpec, opts: SaddleOptions | None = None):
+        _require_saddle_mode(params)
         if params.coupling.kind == "tabulated":
             raise ModeMismatch("the dilation fiber needs a built-in coupling family, not a table")
-        super().__init__(params, grid, opts)
+        super().__init__(params, grid, opts or SaddleOptions())
         self.coupling_sup = _coupling_sup(self.sampled, params.p * params.delta_p)
 
     def kinetic_cap(self, level: float) -> float:
@@ -266,7 +269,7 @@ class _SaddleEngine(_SphereDescent):
         beta_s = None
         if self.sampled.beta is not None:
             beta_s = coupling_scaled_values(self.params.coupling, self.grid, math.exp(-s_star))
-        return gradient_values(ev, self.params, self.conv, self.sampled, s_star, beta_s)
+        return gradient_values(ev, self.params, self.sampled, s_star, beta_s)
 
     def pohozaev(self, ev: StateEval) -> float:
         return pohozaev_from_state(ev, self.params, self.sampled)
@@ -277,15 +280,7 @@ class _SaddleEngine(_SphereDescent):
         The merit is exactly invariant along this direction in the continuum
         but only up to resolution error on the grid, so descent steps are
         kept orthogonal to it (the offset s plays the role of the gauge)."""
-        tu = _dilation_generator(self.grid, ev.u)
-        if ev.mirrored:
-            tv = tu
-        elif self.params.eta > 0:
-            tv = _dilation_generator(self.grid, ev.v)
-        else:
-            tv = np.zeros_like(ev.v)
-        tu, tv, _, _ = _sphere_tangent(tu, tv, ev)
-        return tu, tv
+        return _sphere_tangent(*ev.each(lambda w: _dilation_generator(self.grid, w)), ev)[:2]
 
     def residual(self, ev: StateEval, s: float):
         """Sphere-tangential gradient of the merit with the fiber direction
@@ -319,8 +314,7 @@ def fiber_maximize(state: StatePair, params: ModelParams) -> tuple[float, float]
     At s_star the dilation identity holds for the dilated state.  Raises
     NoInteriorMax if the maximum sits on the (once-widened) bracket edge.
     """
-    _require_saddle_mode(params)
-    engine = _SaddleEngine(params, state.grid, SaddleOptions())
+    engine = _SaddleEngine(params, state.grid)
     _, psi, s_star = engine.measure(state.u.values, state.v.values)
     return s_star, psi
 
@@ -328,8 +322,7 @@ def fiber_maximize(state: StatePair, params: ModelParams) -> tuple[float, float]
 def fiber_energy(state: StatePair, params: ModelParams, s: float) -> float:
     """E(s * state) reconstructed from the profile invariants (no grid
     resampling); the closed-form transform the solver relies on."""
-    _require_saddle_mode(params)
-    engine = _SaddleEngine(params, state.grid, SaddleOptions())
+    engine = _SaddleEngine(params, state.grid)
     ev = engine.evaluate(state.u.values, state.v.values)
     return _FiberBasis(engine, ev).energy_at(s)
 
@@ -461,13 +454,10 @@ def mountain_pass_solve(
     residual are both below tolerance; the report carries the level, the
     multipliers and the multiplier-sum identity gap.
     """
-    opts = opts or SaddleOptions()
-    _require_saddle_mode(params)
+    engine = _SaddleEngine(params, init.grid, opts)
     if params.xi <= 0 or params.eta <= 0:
         raise ZeroMass("the coupled saddle needs positive masses on both components")
-    grid = init.grid
-    engine = _SaddleEngine(params, grid, opts)
-    geo = check_geometry(params, grid)
+    geo = check_geometry(params, init.grid)
     if not geo.separated:
         raise GeometryFailed(
             f"sampled well max {geo.sup_well_estimate:.4g} does not sit below "
@@ -489,12 +479,9 @@ def scalar_constrained_saddle(
     one-component profiles, i.e. the constrained-manifold value n(c, mu)."""
     if c <= 0:
         raise ZeroMass("scalar mass c must be positive")
-    opts = opts or SaddleOptions()
-    params = _scalar_params(c, mu, p, grid.dim, alpha)
-    _require_saddle_mode(params)
-    engine = _SaddleEngine(params, grid, opts)
-    init_u = gaussian_field(grid, init_width, mass=c**2)
-    return _saddle_descend(engine, init_u.values, np.zeros(grid.shape))
+    engine = _SaddleEngine(_scalar_params(c, mu, p, grid.dim, alpha), grid, opts)
+    bump = gaussian_field(grid, init_width, mass=c**2).values
+    return _saddle_descend(engine, bump, bump)
 
 
 def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> SolveReport:
@@ -588,21 +575,13 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
 def _recenter(engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float):
     """Dilate the profile to its own fiber maximum (a pure gauge move) so the
     reported state itself satisfies the dilation identity."""
-    params = engine.params
-    grid = engine.grid
     message = ""
     for _ in range(4):
         if abs(s_star) <= _RECENTER_TOL:
             break
         try:
-            ud = dilate(ScalarField(grid, ev.u), s_star).values
-            if ev.mirrored:
-                vd = ud
-            elif params.eta > 0:
-                vd = dilate(ScalarField(grid, ev.v), s_star).values
-            else:
-                vd = ev.v
-            ev, psi, s_star = engine.measure(*engine.retract(ud, vd))
+            dilated = ev.each(lambda w: dilate(ScalarField(engine.grid, w), s_star).values)
+            ev, psi, s_star = engine.measure(*engine.retract(*dilated))
         except DilationOutOfBox:
             message = "recentering left the box"
             break

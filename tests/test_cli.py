@@ -548,6 +548,9 @@ class TestScanMode:
         energies = np.array(report["result"]["energies"])
         assert energies.shape == (2, 2)
         assert np.all(energies < 0)
+        # every row's energy is a plain number equal to the report's
+        for row, want in zip(rows[1:], energies.ravel()):
+            assert float(row.split(",")[2]) == want
         # deeper problems at larger masses: nonincreasing along each axis
         assert np.all(np.diff(energies, axis=0) <= 1e-3)
         assert np.all(np.diff(energies, axis=1) <= 1e-3)

@@ -413,14 +413,14 @@ class TestMirroredState:
         assert ev.mirrored and n == 1
         ev_pair, n_pair = self.count_convolutions(monkeypatch, params, conv, u, v)
         assert not ev_pair.mirrored and n_pair == 2
-        gu, gv = cq.energy.gradient_values(ev, params, conv, cq.energy.sample_model(params, g))
+        gu, gv = cq.energy.gradient_values(ev, params, cq.energy.sample_model(params, g))
         # the same state with the sharing switched off
         monkeypatch.setattr(cq.ModelParams, "swap_symmetric", property(lambda self: False))
         plain = self.evaluate(params, conv, u, u.copy())
         assert not plain.mirrored
         assert ev.breakdown == plain.breakdown
         assert np.array_equal(ev.conv_v, plain.conv_v)
-        pu, pv = cq.energy.gradient_values(plain, params, conv, cq.energy.sample_model(params, g))
+        pu, pv = cq.energy.gradient_values(plain, params, cq.energy.sample_model(params, g))
         assert np.array_equal(gu, pu) and np.array_equal(gv, pv)
         assert gv is not gu
 
@@ -456,10 +456,18 @@ class TestMirroredState:
     def test_asymmetric_model_is_not_mirrored(self, conv32, change):
         g, conv = conv32
         u = cq.gaussian_field(g, 1.2, mass=1.0).values
-        assert self.evaluate(self.params(), conv, u, u.copy()).mirrored
+        ev = self.evaluate(self.params(), conv, u, u.copy())
+        assert ev.mirrored
         params = self.params(**change)
         assert not params.swap_symmetric
-        assert not self.evaluate(params, conv, u, u.copy()).mirrored
+        ev_pair = self.evaluate(params, conv, u, u.copy())
+        assert not ev_pair.mirrored
+        # StateEval.each maps a mirrored state once and any other state per side
+        for state, n_calls in ((ev, 1), (ev_pair, 2)):
+            calls = []
+            fu, fv = state.each(lambda w: calls.append(w) or -w)
+            assert len(calls) == n_calls and calls[0] is state.u
+            assert np.array_equal(fu, -state.u) and np.array_equal(fv, -state.v)
 
     def test_tabulated_potential_is_not_mirrored(self, conv32):
         g, conv = conv32

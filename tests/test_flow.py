@@ -174,6 +174,16 @@ class TestScalarProblem:
         with pytest.raises(cq.ZeroMass):
             cq.scalar_ground_state(0.0, 5.0, 2.0, 2.0, grid24)
 
+    def test_frozen_component_stays_zero_through_symmetrization(self, grid24):
+        # the retraction zeroes the frozen v, whatever the rearrangement made of it
+        engine = cq.flow._SphereDescent(cq.flow._scalar_params(1.0, 5.0, 2.0, 3, 2.0), grid24)
+        w = np.abs(smooth_random_field(grid24, np.random.default_rng(4)).values)
+        ev = engine.evaluate(*engine.retract(w, w))
+        assert not np.any(ev.v)
+        ev_s = cq.flow._symmetrized(engine, ev)
+        assert ev_s is not None and ev_s.breakdown.total < ev.breakdown.total
+        assert not np.any(ev_s.v)
+
 
 class TestRegimeGuards:
     def test_not_subcritical(self, grid24):

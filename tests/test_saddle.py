@@ -278,7 +278,9 @@ class TestTabulatedCoupling:
     @pytest.mark.parametrize("solve", [
         lambda state, params: cq.mountain_pass_solve(params, state),
         lambda state, params: cq.fiber_maximize(state, params),
-    ], ids=["mountain_pass_solve", "fiber_maximize"])
+        lambda state, params: cq.saddle._SaddleEngine(params, state.grid),
+        lambda state, params: cq.mountain_pass_solve(params.with_masses(0.0, 1.0), state),
+    ], ids=["mountain_pass_solve", "fiber_maximize", "engine", "zero_mass_solve"])
     def test_fiber_solvers_refuse(self, grid32, solve):
         bump = cq.gaussian_field(grid32, 1.2, mass=1.0)
         with pytest.raises(cq.ModeMismatch, match="built-in coupling"):
@@ -360,6 +362,20 @@ class TestMountainPass:
         with pytest.raises(cq.NotSupercritical):
             cq.mountain_pass_solve(params, cq.StatePair(bump, bump.copy()))
 
+    @pytest.mark.parametrize("params, error", [
+        (cq.ModelParams(dim=3, alpha=2.0, p=2.0, q=2.0, mu1=1.0, mu2=1.0, xi=1.0, eta=1.0),
+         cq.NotSupercritical),
+        (sup_params(v1=cq.PotentialSpec("harmonic", stiffness=1.0)), cq.ModeMismatch),
+    ], ids=["subcritical", "potential"])
+    def test_engine_checks_admissibility(self, grid32, params, error):
+        with pytest.raises(error):
+            cq.saddle._SaddleEngine(params, grid32)
+
+    def test_zero_mass_rejected(self, grid32):
+        bump = cq.gaussian_field(grid32, 1.0)
+        with pytest.raises(cq.ZeroMass):
+            cq.mountain_pass_solve(sup_params(eta=0.0), cq.StatePair(bump, bump.copy()))
+
 
 class TestScalarSaddle:
     def test_levels_strictly_decreasing_in_mass(self, grid48):
@@ -377,6 +393,19 @@ class TestScalarSaddle:
     def test_nonpositive_mass_rejected(self, grid32):
         with pytest.raises(cq.ZeroMass):
             cq.scalar_constrained_saddle(0.0, 60.0, 3.0, 2.0, grid32)
+
+    def test_frozen_component_stays_zero(self, grid32):
+        # the retraction zeroes the frozen v; tangent and dilation keep it zero
+        params = cq.flow._scalar_params(1.1, 60.0, 3.0, 3, 2.0)
+        engine = cq.saddle._SaddleEngine(params, grid32)
+        bump = cq.gaussian_field(grid32, 1.3, mass=1.0).values
+        ev, psi, s_star = engine.measure(*engine.retract(bump, bump))
+        assert not np.any(ev.v) and abs(s_star) > cq.saddle._RECENTER_TOL
+        tu, tv = engine.fiber_tangent(ev)
+        assert np.any(tu) and not np.any(tv)
+        ev_c, s_c, _, message = cq.saddle._recenter(engine, ev, s_star, psi)
+        assert message == "" and abs(s_c) < abs(s_star)
+        assert np.any(ev_c.u) and not np.any(ev_c.v)
 
 
 class TestKineticBoundsGuards:
