@@ -21,7 +21,8 @@ both solvers.  ``evaluate_state`` marks such a state ``mirrored``; it and
 the gradient then compute the v side once, from u, which is bitwise what
 computing it again would give; a map alike on u and v goes through
 ``StateEval.each``, which applies it once.  A component frozen at zero mass
-is zeroed by the solvers' retraction, and its convolution is skipped.
+is zeroed by the solvers' retraction, and its convolution and its
+``StateEval.each`` maps are skipped.
 
 The state functions (``energy_total``, ``el_gradient``,
 ``lagrange_multipliers``, ``pohozaev_residual``, ``multiplier_sum_identity``)
@@ -63,7 +64,7 @@ from .grid import (
     neg_laplacian_values,
 )
 from .model import ModelParams, coupling_values, coupling_x_grad_values, potential_values
-from .riesz import RieszConvolver, build_convolver, riesz_convolve_values
+from .riesz import RieszConvolver, build_convolver, riesz_convolve_even, riesz_convolve_values
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,14 @@ def _power_force(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def _nonlocal(
-    conv: RieszConvolver, values: np.ndarray, p: float
+    conv: RieszConvolver, values: np.ndarray, p: float, even: bool = False
 ) -> tuple[np.ndarray | None, float]:
-    """(K * |w|^p, B(w, p)) of a field's values; (None, 0.0) for an all-zero
-    field.  The density is freed on return."""
+    """(K * |w|^p, B(w, p)) of a field's values, on the octant if ``even``;
+    (None, 0.0) for an all-zero field.  The density is freed on return."""
     if not np.any(values):
         return None, 0.0
     dens = _power_density(values, p)
-    conv_w = riesz_convolve_values(conv, dens)
+    conv_w = (riesz_convolve_even if even else riesz_convolve_values)(conv, dens)
     return conv_w, _quad(conv.grid, conv_w * dens)
 
 
@@ -171,9 +172,15 @@ class StateEval:
     mirrored: bool = False
 
     def each(self, f):
-        """(f(u), f(v)), with f called once, on u, for a mirrored state."""
-        fu = f(self.u)
-        return (fu, fu) if self.mirrored else (fu, f(self.v))
+        """(f(u), f(v)) for a map with f(0) = 0: f is called once, on u, for
+        a mirrored state, and not at all on an all-zero side, which maps to
+        zeros."""
+
+        def apply(w: np.ndarray) -> np.ndarray:
+            return f(w) if np.any(w) else np.zeros_like(w)
+
+        fu = apply(self.u)
+        return (fu, fu) if self.mirrored else (fu, apply(self.v))
 
 
 def evaluate_state(
@@ -182,14 +189,17 @@ def evaluate_state(
     params: ModelParams,
     conv: RieszConvolver,
     sampled: SampledModel,
+    even: bool = False,
 ) -> StateEval:
+    """The energy of a state and what its gradient reuses; with ``even``, of
+    a reflection-even state by ``riesz_convolve_even``."""
     grid = conv.grid
     mirrored = params.swap_symmetric and np.array_equal(u_values, v_values)
     gu = grad_norm_sq_values(grid, u_values)
     gv = gu if mirrored else grad_norm_sq_values(grid, v_values)
 
-    conv_u, b_u = _nonlocal(conv, u_values, params.p)
-    conv_v, b_v = (conv_u, b_u) if mirrored else _nonlocal(conv, v_values, params.q)
+    conv_u, b_u = _nonlocal(conv, u_values, params.p, even)
+    conv_v, b_v = (conv_u, b_u) if mirrored else _nonlocal(conv, v_values, params.q, even)
 
     pot_u = _quad(grid, sampled.v1 * u_values**2) if sampled.v1 is not None else 0.0
     pot_v = _quad(grid, sampled.v2 * v_values**2) if sampled.v2 is not None else 0.0

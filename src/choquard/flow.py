@@ -26,6 +26,12 @@ at a diagonal critical point the constrained curvature along (a, -a) is that
 along (a, a) plus 4 int beta a^2, so a local minimum on the diagonal is one of
 the full problem.
 
+A problem whose sampled V1, V2, beta and start are reflection-even in every
+axis descends in the even subspace: the retraction projects onto it and
+the nonlocal term is convolved on the octant (``riesz_convolve_even``).
+The final state is then evaluated on the full grid, and the report and
+``converged`` come from that certificate.
+
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
 projected-gradient norm is the EL residual of the discrete system.
@@ -53,7 +59,9 @@ from .grid import (
     ScalarField,
     StatePair,
     _k_sq_rfft,
+    even_part,
     gaussian_field,
+    is_even,
     rearrange_radial_decreasing,
 )
 from .energy import (
@@ -167,7 +175,9 @@ class _SphereDescent:
     """Projected descent on the pair of mass spheres, as the flow runs it.
     ``_SaddleEngine`` overrides the loop's hooks (``residual``, ``step``,
     ``prepare``, ``settled``, ``stuck``, ``exhausted``), ``measure`` and
-    ``kinetic_cap``.  ``opts`` holds the engine's options."""
+    ``kinetic_cap``.  ``opts`` holds the engine's options.  While ``even``
+    (set by ``enter_even_subspace``), the retraction projects onto the
+    reflection-even fields and evaluations convolve on the octant."""
 
     exhausted = "line search exhausted at small residual"
 
@@ -178,9 +188,16 @@ class _SphereDescent:
         self.conv = build_convolver(grid, params.alpha)
         self.sampled = sample_model(params, grid)
         self.h_n = grid.cell_volume
+        self.even = False
+
+    def enter_even_subspace(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Work in the even subspace if the sampled V1, V2 and beta and the
+        start (u, v) are all bitwise reflection-even."""
+        fields = (self.sampled.v1, self.sampled.v2, self.sampled.beta, u, v)
+        self.even = all(w is None or is_even(w) for w in fields)
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> StateEval:
-        ev = evaluate_state(u, v, self.params, self.conv, self.sampled)
+        ev = evaluate_state(u, v, self.params, self.conv, self.sampled, self.even)
         if not math.isfinite(ev.breakdown.total):
             raise NonFinite("energy evaluated to a non-finite value")
         return ev
@@ -235,6 +252,9 @@ class _SphereDescent:
         return NoDescentStep(f"step size underflowed at iteration {it} with residual {res:.3e}")
 
     def retract(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each component rescaled to its mass, projected first while ``even``."""
+        if self.even:
+            u, v = even_part(u), even_part(v)
         return (
             _normalized(u, self.params.xi, self.grid),
             _normalized(v, self.params.eta, self.grid),
@@ -339,10 +359,16 @@ def _descend(
     ev, _, _, iters, converged, _, message = _descent_round(
         engine, start.pop(), 0.0, trace[0], engine.opts.max_iters, 1.0, trace
     )
-    if not (converged or message):
-        message = "iteration budget exhausted"
+    if engine.even:  # the full-grid certificate, which ends the trace
+        engine.even = False
+        ev = engine.evaluate(ev.u, ev.v)
+        trace[-1] = ev.breakdown.total
     ru, rv, *_ = engine.residual(ev, 0.0)
     grad_norm = engine.grad_norm(ru, rv)
+    if converged and not grad_norm < engine.opts.grad_tol:
+        converged, message = False, "the full-grid residual is above grad_tol"
+    if not (converged or message):
+        message = "iteration budget exhausted"
     residuals = {
         "projected_gradient": grad_norm,
         "el_residual": grad_norm,
@@ -368,6 +394,7 @@ def minimize_normalized(
         )
     grid = init.grid
     engine = _SphereDescent(params, grid, opts)
+    engine.enter_even_subspace(init.u.values, init.v.values)
     ev, residuals, iters, converged, trace, message = _descend(engine, init.u.values, init.v.values)
     state = StatePair(ScalarField(grid, ev.u), ScalarField(grid, ev.v))
     return SolveReport(

@@ -21,6 +21,10 @@ Field operations provided here:
 * ``radial_shells`` -- the distinct radii of the grid and each point's
   shell, so a radial weight summed against a field costs one evaluation
   per shell.
+* ``is_even`` / ``even_part`` / ``from_octant`` -- the reflection
+  i <-> (M - i) mod M in every axis.  The coordinates are h (i - M/2), so
+  x[M - i] = -x[i] bitwise, radial samples are even, and an even field is
+  fixed by its (M/2 + 1)^N octant.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ class GridSpec:
         return self.spacing**self.dim
 
     def axis(self) -> np.ndarray:
-        """1D coordinates -L, -L+h, ..., L-h (origin at index M/2)."""
+        """1D coordinates -L, -L+h, ..., L-h: h (i - M/2), so x[M - i] = -x[i]
+        bitwise."""
         return _axis(self)
 
     def radius_sq(self) -> np.ndarray:
@@ -103,8 +108,8 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def _axis(grid: GridSpec) -> np.ndarray:
-    m, h = grid.points_per_axis, grid.spacing
-    a = -grid.half_extent + h * np.arange(m)
+    m = grid.points_per_axis
+    a = grid.spacing * (np.arange(m) - m // 2)
     a.setflags(write=False)
     return a
 
@@ -128,6 +133,18 @@ def _wavevectors_rfft(grid: GridSpec) -> tuple[np.ndarray, ...]:
         for d, k in enumerate(axes)
     )
     for k in ks:
+        k.setflags(write=False)
+    return ks
+
+
+@lru_cache(maxsize=32)
+def _derivative_wavevectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The rfftn wavevectors with the Nyquist mode (index M/2) zeroed, the
+    rule for odd-order spectral derivatives at even M, so x . grad keeps
+    even fields even."""
+    ks = tuple(k.copy() for k in _wavevectors_rfft(grid))
+    for k in ks:
+        k.flat[grid.points_per_axis // 2] = 0.0
         k.setflags(write=False)
     return ks
 
@@ -247,16 +264,49 @@ def neg_laplacian(f: ScalarField) -> ScalarField:
 
 
 def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """x . grad f, with each partial derivative a periodic Fourier multiplier."""
+    """x . grad f, with each partial derivative a periodic Fourier multiplier
+    that drops the Nyquist mode."""
     spec = scipy.fft.rfftn(values)
     out = np.zeros(grid.shape)
-    for x, k in zip(grid.coords(), _wavevectors_rfft(grid)):
+    for x, k in zip(grid.coords(), _derivative_wavevectors(grid)):
         out += x * scipy.fft.irfftn(1j * k * spec, s=grid.shape)
     return out
 
 
+def from_octant(octant: np.ndarray) -> np.ndarray:
+    """The reflection-even field of an (M/2 + 1)^N octant of offsets 0..M/2
+    from the origin (offset M/2 is the x = -L face): index i takes offset
+    |i - M/2|."""
+    m = 2 * (octant.shape[0] - 1)
+    for ax in range(octant.ndim - 1, -1, -1):
+        octant = np.take(octant, np.abs(np.arange(m) - m // 2), axis=ax)
+    return octant
+
+
+def is_even(values: np.ndarray) -> bool:
+    """Whether a field is bitwise its reflection i <-> (M - i) mod M in every axis."""
+    return np.array_equal(values, even_part(values))
+
+
+def even_part(values: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the reflection-even fields: the mean with
+    the reflection, axis by axis, on the octant; the result is bitwise even."""
+    half = values.shape[0] // 2
+    out = values
+    for ax in range(values.ndim):
+        lead = (slice(None),) * ax
+        folded = np.empty(out.shape[:ax] + (half + 1,) + out.shape[ax + 1 :])
+        folded[lead + (0,)] = out[lead + (half,)]
+        folded[lead + (half,)] = out[lead + (0,)]
+        mean = folded[lead + (slice(1, half),)]
+        np.add(out[lead + (slice(half + 1, None),)], out[lead + (slice(half - 1, 0, -1),)], out=mean)
+        mean *= 0.5
+        out = folded
+    return from_octant(out)
+
+
 @lru_cache(maxsize=64)
-def _resample_matrix(m: int, half_extent: float, scale: float) -> np.ndarray:
+def _resample_matrix(grid: GridSpec, scale: float) -> np.ndarray:
     """Rows of trigonometric-interpolation weights at the points scale * x_i.
 
     W[i, j] = D(scale*x_i - x_j) / M with D the even-M periodic sinc
@@ -265,8 +315,8 @@ def _resample_matrix(m: int, half_extent: float, scale: float) -> np.ndarray:
     semantics) rather than by its periodic images; dilate() checks the
     resulting mass defect.
     """
-    h = 2.0 * half_extent / m
-    x = -half_extent + h * np.arange(m)
+    m, half_extent = grid.points_per_axis, grid.half_extent
+    x = grid.axis()
     d = scale * x[:, None] - x[None, :]
     t = np.pi * d / (2.0 * half_extent)
     near = np.abs(t - np.pi * np.round(t / np.pi)) < 1e-12
@@ -290,7 +340,7 @@ def dilate(f: ScalarField, s: float, renormalize: bool = True) -> ScalarField:
     grid = f.grid
     if s == 0.0:
         return f.copy()
-    mat = _resample_matrix(grid.points_per_axis, grid.half_extent, math.exp(s))
+    mat = _resample_matrix(grid, math.exp(s))
     out = f.values
     for ax in range(grid.dim):
         out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, ax, 0), axes=(1, 0)), 0, ax)

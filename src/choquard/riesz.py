@@ -43,6 +43,17 @@ converges at fourth order (the corrected value reproduces the classical
 simple-cubic lattice constant 2.8372975 / h).  A direct double-sum oracle
 evaluates the identical quadrature for cross-checks.
 
+Reflection-even densities (``riesz_convolve_even``) are fixed by their
+(M/2 + 1)^N octant of offsets 0..M/2.  Offset M/2 is the x = -L face, which
+has no partner at +L, so its sample is split half at -L, half at +L: the
+sum runs over the closed grid k = 0..M with weight 1/2 per face axis.  That
+is the DCT-I of the (M + 1)^N zero-padded octant times the kernel's octant
+spectrum, inverted, cropped and spread back, pruned pass by pass as above.
+The operator is symmetric on even fields, so an energy built on it has the
+gradient built on it as its exact derivative; it equals the full-grid sum
+when the face is zero.  The solvers descend with it and certify their
+answer with ``riesz_convolve_values``.
+
 ``build_convolver`` keeps its last result: every solve, geometry check,
 scan cell and fiber call on one (grid, alpha) shares one read-only kernel
 spectrum, which stays alive until another (grid, alpha) is built.
@@ -58,7 +69,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec, ScalarField, from_octant
 
 _ORACLE_CAPS = {1: 1024, 2: 32, 3: 16}
 _WINDOW_CELLS = 32
@@ -105,15 +116,18 @@ def _singular_value(dim: int, alpha: float, h: float) -> float:
 class RieszConvolver:
     """Precomputed padded-kernel spectrum for one (grid, alpha) pair.
 
+    octant_spectrum is the DCT-I of the kernel's (M + 1)^N octant of
+    offsets 0..M, the spectrum of the even-subspace convolution.
     kernel_spectrum is the real spectrum of the (2M)^N padded kernel
-    samples, contiguous float64 of shape (2M, ..., 2M, M + 1): the DCT-I of
-    the kernel's (M + 1)^N octant, with each leading axis mirrored (index
-    k > M holds index 2M - k).  It is shared by every caller on one
-    (grid, alpha), so it is frozen and its spectrum read-only."""
+    samples, contiguous float64 of shape (2M, ..., 2M, M + 1): the octant
+    spectrum with each leading axis mirrored (index k > M holds index
+    2M - k).  Both are shared by every caller on one (grid, alpha), so the
+    convolver is frozen and its spectra read-only."""
 
     grid: GridSpec
     alpha: float
     kernel_spectrum: np.ndarray = field(repr=False)
+    octant_spectrum: np.ndarray = field(repr=False)
     singular_value: float
 
 
@@ -136,7 +150,8 @@ def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
     mirror = np.concatenate([np.arange(m + 1), np.arange(m - 1, 0, -1)])
     spectrum = octant[np.ix_(*([mirror] * (grid.dim - 1)), np.arange(m + 1))]
     spectrum.setflags(write=False)
-    return RieszConvolver(grid, alpha, spectrum, sing)
+    octant.setflags(write=False)
+    return RieszConvolver(grid, alpha, spectrum, octant, sing)
 
 
 def riesz_convolve(conv: RieszConvolver, rho: ScalarField) -> ScalarField:
@@ -176,6 +191,28 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
             front[block] = slab[core]
     out = scipy.fft.irfft(spec, n=n, axis=-1)[..., :m]
     return out * grid.cell_volume
+
+
+def riesz_convolve_even(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
+    """Kernel convolution of a reflection-even density on its (M/2 + 1)^N
+    octant, with the x = -L face split between -L and +L (module
+    docstring).  The result is even; only the octant of ``values`` is read."""
+    grid = conv.grid
+    m, dim = grid.points_per_axis, grid.dim
+    offsets = np.r_[m // 2 : m, 0]  # grid indices of the offsets 0..M/2
+    work = values[np.ix_(*[offsets] * dim)]
+    for ax in range(dim):
+        work[(slice(None),) * ax + (-1,)] *= 0.5
+    # forward: each pass zero-pads its axis to M + 1, so no all-zero row is
+    # transformed; inverse (a DCT-I is its own inverse up to 1/(2M) per
+    # axis): each pass crops its axis to M/2 + 1 before the next one
+    for ax in range(dim):
+        work = scipy.fft.dct(work, type=1, n=m + 1, axis=ax)
+    work *= conv.octant_spectrum
+    for ax in range(dim - 1, -1, -1):
+        work = scipy.fft.dct(work, type=1, axis=ax, overwrite_x=True)
+        work = work[(slice(None),) * ax + (slice(0, m // 2 + 1),)]
+    return from_octant(work * (grid.cell_volume / (2 * m) ** dim))
 
 
 def riesz_convolve_oracle(grid: GridSpec, alpha: float, rho: ScalarField) -> ScalarField:

@@ -22,9 +22,11 @@ fiber tangent removed, its ``step`` removes that gauge from the
 preconditioned direction and returns the Armijo slope, its ``measure`` is
 the fiber-maximized energy, and its kinetic trust cap rejects
 sub-resolution spike states.  The profile is dilated to its own fiber
-maximum only between rounds.  As in the flow, the retraction zeroes a
-frozen component, and the fiber tangent and the dilation go through
-``StateEval.each``, once for a u = v profile of a swap-symmetric model.  At
+maximum only between rounds.  As in the flow, a reflection-even problem
+descends in the even subspace and is certified on the full grid, the
+retraction zeroes a frozen component, and the fiber tangent and the
+dilation go through ``StateEval.each``, once for a u = v profile of a
+swap-symmetric model and not at all for a zero component.  At
 the fixed point the state is simultaneously a fiber maximum (dilation
 identity holds) and transversally critical: a discrete mountain-pass
 critical point.  The level is reported without any minimality claim among
@@ -487,6 +489,7 @@ def scalar_constrained_saddle(
 def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> SolveReport:
     params = engine.params
     opts = engine.opts
+    engine.enter_even_subspace(u0, v0)
     ev, psi, s_star = engine.measure(*engine.retract(u0, v0))
 
     # Round structure: the merit is invariant along each profile's dilation
@@ -519,17 +522,16 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
         ev, s_star, psi, recenter_msg = _recenter(engine, ev, s_star, psi)
         if recenter_msg:
             message = (message + "; " if message else "") + recenter_msg
-        ru, rv, *_ = engine.residual(ev, s_star)
-        grad_norm = engine.grad_norm(ru, rv)
-        poh = engine.pohozaev(ev)
-        kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
-        converged = (
-            descended
-            and grad_norm <= opts.grad_tol
-            and abs(poh) <= opts.pohozaev_rel_tol * max(kin, 1e-300)
-        )
+        grad_norm, poh, certified = _certificate(engine, ev, s_star)
+        converged = descended and certified
         if converged:
             break
+    if engine.even:  # the full-grid certificate
+        engine.even = False
+        ev, psi, s_star = engine.measure(ev.u, ev.v)
+        grad_norm, poh, certified = _certificate(engine, ev, s_star)
+        if converged and not certified:
+            converged, message = False, "the full-grid certificate misses the tolerances"
     if budget <= 0 and not descended:
         message = message or "iteration budget exhausted"
     if not message and descended and grad_norm > opts.grad_tol:
@@ -570,6 +572,18 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
         energy_trace=trace,
         message=message,
     )
+
+
+def _certificate(engine: _SaddleEngine, ev: StateEval, s_star: float) -> tuple[float, float, bool]:
+    """(transverse residual, dilation-identity residual, whether both meet
+    the tolerances) of a recentered profile."""
+    opts = engine.opts
+    ru, rv, *_ = engine.residual(ev, s_star)
+    grad_norm = engine.grad_norm(ru, rv)
+    poh = engine.pohozaev(ev)
+    kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
+    ok = grad_norm <= opts.grad_tol and abs(poh) <= opts.pohozaev_rel_tol * max(kin, 1e-300)
+    return grad_norm, poh, ok
 
 
 def _recenter(engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float):

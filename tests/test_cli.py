@@ -575,3 +575,40 @@ class TestThreads:
             totals.append(rep["result"]["energy"]["total"])
         assert inside == [1, 2]
         assert abs(totals[0] - totals[1]) <= 1e-10 * max(1.0, abs(totals[0]))
+
+
+class TestShippedConfigsUseEvenSubspace:
+    """Every shipped solve config is reflection-even, so each of its solves
+    descends on the octant convolution and makes full-grid convolutions only
+    for its certificate.  The check and oracle configs solve nothing."""
+
+    @pytest.mark.parametrize("name", ["minimize.json", "saddle.json", "scan.json"])
+    def test_full_grid_convolutions_per_solve(self, name, tmp_path, monkeypatch):
+        cfg = parse_config(CONFIGS / name)
+        cfg.flow = dataclasses.replace(cfg.flow, max_iters=3)
+        cfg.saddle = dataclasses.replace(cfg.saddle, max_iters=2)
+        counts = {"full": 0, "even": 0}
+        for fn, key in (("riesz_convolve_values", "full"), ("riesz_convolve_even", "even")):
+            original = getattr(cq.energy, fn)
+
+            def counting(*args, _f=original, _k=key):
+                counts[_k] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(cq.energy, fn, counting)
+        per_solve = []
+        for module, fn in ((cq.flow, "_descend"), (cq.saddle, "_saddle_descend")):
+            original = getattr(module, fn)
+
+            def solve(engine, *args, _f=original):
+                before = dict(counts)
+                out = _f(engine, *args)
+                per_solve.append((counts["full"] - before["full"], counts["even"] - before["even"]))
+                return out
+
+            monkeypatch.setattr(module, fn, solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run(cfg, tmp_path)
+        assert len(per_solve) == (27 if cfg.mode == "scan" else 1)
+        assert all(full <= 2 and even > 0 for full, even in per_solve), per_solve

@@ -479,3 +479,40 @@ class TestMirroredState:
         u = cq.gaussian_field(g, 1.2, mass=1.0).values
         assert not params.swap_symmetric
         assert not self.evaluate(params, conv, u, u.copy()).mirrored
+
+
+class TestEvenSubspaceEnergy:
+    """The energy with the octant convolution is a functional of its own on
+    the reflection-even fields, and its gradient is that functional's exact
+    derivative, also where the x = -L face carries weight."""
+
+    def test_gradient_is_the_derivative_along_even_directions(self):
+        g = cq.GridSpec(3, 4.0, 16)
+        params = cq.ModelParams(
+            dim=3, alpha=2.0, p=2.5, q=2.2, mu1=2.0, mu2=3.0, xi=1.0, eta=1.2,
+            coupling=cq.CouplingSpec("rational_decay", 0.3, 0.8),
+        )
+        conv = cq.build_convolver(g, params.alpha)
+        sampled = cq.energy.sample_model(params, g)
+        u = cq.gaussian_field(g, 2.0, mass=1.0).values  # face at e^{-2} of the peak
+        v = cq.gaussian_field(g, 1.6, mass=1.44).values
+
+        def energy(du, dv, even=True):
+            ev = cq.energy.evaluate_state(u + du, v + dv, params, conv, sampled, even)
+            return ev.breakdown.total
+
+        assert abs(energy(0.0, 0.0) - energy(0.0, 0.0, even=False)) > 1e-8
+        ev = cq.energy.evaluate_state(u, v, params, conv, sampled, even=True)
+        gu, gv = cq.energy.gradient_values(ev, params, sampled)
+        assert cq.grid.is_even(ev.conv_u) and cq.grid.is_even(ev.conv_v)
+        rng = np.random.default_rng(8)
+        t = 1e-4
+        for k in range(6):
+            phi = cq.grid.even_part(rng.standard_normal(g.shape))
+            phi /= math.sqrt(g.cell_volume * np.sum(phi * phi))
+            up, vp, gval = (phi, 0.0, gu) if k % 2 == 0 else (0.0, phi, gv)
+            fd = (8.0 * (energy(t * up, t * vp) - energy(-t * up, -t * vp))
+                  - (energy(2 * t * up, 2 * t * vp) - energy(-2 * t * up, -2 * t * vp))) / (12.0 * t)
+            ip = g.cell_volume * np.sum(gval * phi)
+            scale = max(abs(fd), math.sqrt(g.cell_volume * np.sum(gval * gval)))
+            assert abs(fd - ip) < 1e-7 * scale, f"direction {k}"

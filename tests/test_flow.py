@@ -413,3 +413,86 @@ class TestComponentShift:
         want_v = precondition(grid24, rv, sigma_v) / (1.0 + damp / sigma_v)
         want_u, want_v, _, _ = cq.flow._sphere_tangent(want_u, want_v, ev)
         assert np.array_equal(du, want_u) and np.array_equal(dv, want_v)
+
+
+class TestEvenSubspace:
+    """A reflection-even problem descends on the octant convolution and
+    reports the full-grid certificate; any other takes the full-grid path."""
+
+    GRID = cq.GridSpec(3, 6.0, 24)  # h = 1/2, so the coordinates are the parent's
+    SHORT = cq.FlowOptions(max_iters=40, grad_tol=1e-5, energy_tol=1e-11)
+
+    @staticmethod
+    def spy(monkeypatch) -> dict:
+        counts = {"full": 0, "even": 0}
+        for name, key in (("riesz_convolve_values", "full"), ("riesz_convolve_even", "even")):
+            original = getattr(cq.energy, name)
+
+            def counting(*args, _f=original, _k=key):
+                counts[_k] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(cq.energy, name, counting)
+        return counts
+
+    def test_even_problem_reports_the_full_grid_certificate(self, monkeypatch):
+        g = self.GRID
+        params = coupled_params()
+        bump = cq.gaussian_field(g, 1.5, mass=1.0)
+        counts = self.spy(monkeypatch)
+        rep = cq.minimize_normalized(params, cq.StatePair(bump, bump.copy()), OPTS)
+        monkeypatch.undo()
+        assert rep.converged
+        assert counts["full"] == 1 and counts["even"] > 10  # the mirrored certificate
+        assert cq.grid.is_even(rep.state.u.values)
+        # every reported number is the full-grid operator's
+        assert rep.energy == cq.energy_total(rep.state, params)
+        assert rep.energy_trace[-1] == rep.energy.total
+        engine = cq.flow._SphereDescent(params, g)
+        ru, rv, *_ = engine.residual(engine.evaluate(rep.state.u.values, rep.state.v.values), 0.0)
+        assert rep.residuals["el_residual"] == engine.grad_norm(ru, rv)
+        assert rep.residuals["mass_drift"] <= 1e-12
+
+    def test_certificate_gates_convergence(self, monkeypatch):
+        # an even-subspace energy whose residual the full grid does not confirm
+        g = self.GRID
+        bump = cq.gaussian_field(g, 1.5, mass=1.0)
+        evaluate = cq.flow._SphereDescent.evaluate
+
+        def evaluate_with_offset(engine, u, v):
+            ev = evaluate(engine, u, v)
+            if not engine.even:  # the certificate sees a residual the descent did not
+                ev = cq.energy.StateEval(ev.u + 1e-3 * engine.grid.coords()[0], ev.v, ev.conv_u,
+                                         ev.conv_v, ev.breakdown, ev.mirrored)
+            return ev
+
+        monkeypatch.setattr(cq.flow._SphereDescent, "evaluate", evaluate_with_offset)
+        rep = cq.minimize_normalized(coupled_params(), cq.StatePair(bump, bump.copy()), OPTS)
+        assert not rep.converged
+        assert rep.message == "the full-grid residual is above grad_tol"
+
+    def test_shifted_start_takes_the_full_path(self, monkeypatch):
+        g = self.GRID
+        bump = cq.gaussian_field(g, 1.5, mass=1.0).values
+        shifted = cq.ScalarField(g, np.roll(bump, 1, axis=0))
+        counts = self.spy(monkeypatch)
+        rep = cq.minimize_normalized(coupled_params(), cq.StatePair(shifted, shifted.copy()), self.SHORT)
+        assert counts["even"] == 0 and counts["full"] > 40
+        # the answer of the full-grid path before the even subspace existed
+        assert rep.iterations == 40
+        assert rep.energy.total == pytest.approx(-0.7785845160315312, rel=1e-13)
+        assert rep.residuals["el_residual"] == pytest.approx(7.669308266794925e-05, rel=1e-9)
+
+    def test_uneven_table_takes_the_full_path(self, monkeypatch):
+        g = self.GRID
+        trap = cq.PotentialSpec("tabulated", values=0.3 * np.roll(g.radius_sq(), 1, axis=1))
+        params = coupled_params(v1=trap, v2=trap)
+        bump = cq.gaussian_field(g, 1.5, mass=1.0)
+        engine = cq.flow._SphereDescent(params, g)
+        engine.enter_even_subspace(bump.values, bump.values)
+        assert not engine.even
+        counts = self.spy(monkeypatch)
+        rep = cq.minimize_normalized(params, cq.StatePair(bump, bump.copy()), self.SHORT)
+        assert counts["even"] == 0 and counts["full"] > 40
+        assert rep.energy.total == pytest.approx(-0.16008075404983207, rel=1e-13)
+        assert rep.residuals["el_residual"] == pytest.approx(8.19807603695973e-06, rel=1e-9)

@@ -104,6 +104,46 @@ class TestNorms:
         assert np.max(np.abs(got - want)) < 1e-8
 
 
+class TestReflectionSymmetry:
+    """The reflection i <-> (M - i) mod M fixes x = 0 and the x = -L face."""
+
+    def test_coordinates_exactly_antisymmetric(self):
+        g = cq.GridSpec(3, 9.0, 40)  # h = 0.45, not dyadic
+        x = g.axis()
+        assert x[20] == 0.0 and x[0] == -9.0
+        assert np.array_equal(x[1:], -x[:0:-1])
+        assert cq.grid.is_even(g.radius_sq())
+        r2 = g.radius_sq()
+        for ax in range(3):
+            assert np.array_equal(np.take(r2, (-np.arange(40)) % 40, axis=ax), r2)
+
+    @pytest.mark.parametrize("L,m", [(12.0, 64), (10.0, 40), (8.0, 16), (9.0, 96)])
+    def test_dyadic_spacing_keeps_the_coordinates(self, L, m):
+        g = cq.GridSpec(3, L, m)
+        assert np.array_equal(g.axis(), -L + g.spacing * np.arange(m))
+
+    def test_even_part_is_the_orthogonal_projection(self):
+        g = cq.GridSpec(3, 6.0, 12)
+        f = np.random.default_rng(1).standard_normal(g.shape)
+        e = cq.grid.even_part(f)
+        assert cq.grid.is_even(e) and not cq.grid.is_even(f)
+        assert np.array_equal(cq.grid.even_part(e), e)
+        assert abs(np.sum(e * (f - e))) < 1e-12 * np.sum(f * f)
+
+    def test_x_grad_keeps_even_fields_even(self):
+        # fails without the Nyquist rule: the odd part was 9.3e-4 of the output
+        g = cq.GridSpec(3, 9.0, 40)
+        f = np.exp(-g.radius_sq() / 18.0)  # width 3
+        xg = cq.grid.x_grad_values(g, f)
+        scale = np.max(np.abs(xg))
+        assert np.max(np.abs(xg - cq.grid.even_part(xg))) < 1e-14 * scale
+        # and x . grad commutes with swapping a leading axis and the last
+        w = f * (1.0 + 0.1 * g.coords()[0] ** 2)
+        xw = cq.grid.x_grad_values(g, w)
+        swapped = cq.grid.x_grad_values(g, w.transpose(2, 1, 0))
+        assert np.max(np.abs(swapped - xw.transpose(2, 1, 0))) < 1e-14 * np.max(np.abs(xw))
+
+
 class TestDilate:
     def test_identity_at_zero(self, grid3_small):
         rng = np.random.default_rng(0)

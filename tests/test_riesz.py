@@ -256,3 +256,63 @@ class TestLean:
     )
     def test_window_integral(self, alpha, exact):
         assert choquard.riesz._window_integral(alpha) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def face_weighted_double_sum(grid, alpha, values):
+    """The even-subspace convolution by its definition: a direct double sum
+    over the closed grid x = h (k - M/2), k = 0..M, where the +L face repeats
+    the -L face (full index k mod M) and each face axis weighs 1/2."""
+    m, h, dim = grid.points_per_axis, grid.spacing, grid.dim
+    k = np.arange(m + 1)
+    full = k % m
+    closed = values[np.ix_(*[full] * dim)]
+    w1 = np.where((k == 0) | (k == m), 0.5, 1.0)
+    weight = np.ones((m + 1,) * dim)
+    for ax in range(dim):
+        weight = weight * w1.reshape((1,) * ax + (-1,) + (1,) * (dim - ax - 1))
+    pts = np.stack(np.meshgrid(*[h * (k - m // 2)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    src = (weight * closed).ravel()
+    targets = pts.reshape((m + 1,) * dim + (dim,))[(slice(0, m),) * dim].reshape(-1, dim)
+    d = np.sqrt(np.sum((targets[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    with np.errstate(divide="ignore"):
+        kern = d ** (alpha - dim)
+    kern[d == 0.0] = choquard.riesz._singular_value(dim, alpha, h)
+    return (kern @ src).reshape(grid.shape) * grid.cell_volume
+
+
+class TestEvenConvolution:
+    """The octant convolution of reflection-even densities."""
+
+    CASES = [(1, 32, 6.0, 0.5), (2, 16, 5.0, 0.5), (2, 16, 5.0, 1.0),
+             (3, 8, 4.0, 0.5), (3, 10, 4.0, 1.0), (3, 10, 4.0, 2.0)]
+
+    @pytest.mark.parametrize("dim,m,L,alpha", CASES)
+    def test_matches_face_weighted_double_sum(self, dim, m, L, alpha):
+        g = cq.GridSpec(dim, L, m)
+        rng = np.random.default_rng(m + dim)
+        dens = cq.grid.even_part(rng.uniform(0.5, 1.5, g.shape))
+        face = dens[(0,) + (slice(None),) * (dim - 1)]
+        assert face.min() >= 1e-3 * dens.max()
+        got = cq.riesz.riesz_convolve_even(cq.build_convolver(g, alpha), dens)
+        want = face_weighted_double_sum(g, alpha, dens)
+        assert cq.grid.is_even(got)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,m,L,alpha", CASES + [(3, 64, 12.0, 2.0), (3, 40, 9.0, 2.0)])
+    def test_equals_full_grid_without_a_face(self, dim, m, L, alpha):
+        g = cq.GridSpec(dim, L, m)
+        dens = cq.grid.even_part(np.random.default_rng(m).standard_normal(g.shape))
+        for ax in range(dim):
+            dens[(slice(None),) * ax + (0,)] = 0.0
+        conv = cq.build_convolver(g, alpha)
+        got = cq.riesz.riesz_convolve_even(conv, dens)
+        want = cq.riesz.riesz_convolve_values(conv, dens)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+    def test_octant_spectrum_is_kept_read_only(self, grid3_small):
+        conv = cq.build_convolver(grid3_small, 2.0)
+        m = grid3_small.points_per_axis
+        assert conv.octant_spectrum.shape == (m + 1,) * 3
+        assert np.array_equal(conv.octant_spectrum, conv.kernel_spectrum[: m + 1, : m + 1])
+        with pytest.raises(ValueError):
+            conv.octant_spectrum[0, 0, 0] = 1.0

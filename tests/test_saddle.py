@@ -351,6 +351,16 @@ class TestMountainPass:
         lower_ok, upper_ok = cq.kinetic_bounds_check(saddle_report, sup_params())
         assert lower_ok and upper_ok
 
+    def test_report_is_the_full_grid_certificate(self, saddle_report):
+        # the descent ran on the octant convolution; the report is the full grid's
+        params, state = sup_params(), saddle_report.state
+        assert cq.grid.is_even(state.u.values)
+        assert saddle_report.energy == cq.energy_total(state, params)
+        assert saddle_report.residuals["pohozaev"] == cq.pohozaev_residual(state, params)
+        lhs, rhs = cq.multiplier_sum_identity(state, params)
+        gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        assert saddle_report.residuals["multiplier_identity_gap"] == gap
+
     def test_mass_drift(self, saddle_report):
         assert saddle_report.residuals["mass_drift"] < 1e-10
 
@@ -406,6 +416,40 @@ class TestScalarSaddle:
         ev_c, s_c, _, message = cq.saddle._recenter(engine, ev, s_star, psi)
         assert message == "" and abs(s_c) < abs(s_star)
         assert np.any(ev_c.u) and not np.any(ev_c.v)
+
+
+    def test_frozen_side_costs_no_maps(self, grid32, monkeypatch):
+        # StateEval.each maps only u of a scalar profile; v stays bitwise zero
+        counts = {"x_grad": 0, "dilate": 0}
+        for name, key in (("x_grad_values", "x_grad"), ("dilate", "dilate")):
+            original = getattr(cq.saddle, name)
+
+            def counting(*args, _f=original, _k=key, **kw):
+                counts[_k] += 1
+                return _f(*args, **kw)
+
+            monkeypatch.setattr(cq.saddle, name, counting)
+
+        def solve():
+            counts.update(x_grad=0, dilate=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rep = cq.scalar_constrained_saddle(1.1, 60.0, 3.0, 2.0, grid32, SOPTS, init_width=1.573)
+            return rep, dict(counts)
+
+        rep, skipped = solve()
+
+        def each_side(self, f):
+            fu = f(self.u)
+            return (fu, fu) if self.mirrored else (fu, f(self.v))
+
+        monkeypatch.setattr(cq.energy.StateEval, "each", each_side)
+        plain, mapped = solve()
+        assert skipped["x_grad"] > 0 and skipped["dilate"] > 0
+        assert mapped == {key: 2 * n for key, n in skipped.items()}
+        assert np.array_equal(rep.state.u.values, plain.state.u.values)
+        assert not np.any(rep.state.v.values) and not np.any(plain.state.v.values)
+        assert rep.energy == plain.energy and rep.iterations == plain.iterations
 
 
 class TestKineticBoundsGuards:
