@@ -299,7 +299,8 @@ def even_part(values: np.ndarray) -> np.ndarray:
         folded[lead + (0,)] = out[lead + (half,)]
         folded[lead + (half,)] = out[lead + (0,)]
         mean = folded[lead + (slice(1, half),)]
-        np.add(out[lead + (slice(half + 1, None),)], out[lead + (slice(half - 1, 0, -1),)], out=mean)
+        pairs = out[lead + (slice(half + 1, None),)], out[lead + (slice(half - 1, 0, -1),)]
+        np.add(*pairs, out=mean)
         mean *= 0.5
         out = folded
     return from_octant(out)

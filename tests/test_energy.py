@@ -511,8 +511,9 @@ class TestEvenSubspaceEnergy:
             phi = cq.grid.even_part(rng.standard_normal(g.shape))
             phi /= math.sqrt(g.cell_volume * np.sum(phi * phi))
             up, vp, gval = (phi, 0.0, gu) if k % 2 == 0 else (0.0, phi, gv)
-            fd = (8.0 * (energy(t * up, t * vp) - energy(-t * up, -t * vp))
-                  - (energy(2 * t * up, 2 * t * vp) - energy(-2 * t * up, -2 * t * vp))) / (12.0 * t)
+            one = energy(t * up, t * vp) - energy(-t * up, -t * vp)
+            two = energy(2 * t * up, 2 * t * vp) - energy(-2 * t * up, -2 * t * vp)
+            fd = (8.0 * one - two) / (12.0 * t)
             ip = g.cell_volume * np.sum(gval * phi)
             scale = max(abs(fd), math.sqrt(g.cell_volume * np.sum(gval * gval)))
             assert abs(fd - ip) < 1e-7 * scale, f"direction {k}"

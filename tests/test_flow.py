@@ -476,7 +476,8 @@ class TestEvenSubspace:
         bump = cq.gaussian_field(g, 1.5, mass=1.0).values
         shifted = cq.ScalarField(g, np.roll(bump, 1, axis=0))
         counts = self.spy(monkeypatch)
-        rep = cq.minimize_normalized(coupled_params(), cq.StatePair(shifted, shifted.copy()), self.SHORT)
+        init = cq.StatePair(shifted, shifted.copy())
+        rep = cq.minimize_normalized(coupled_params(), init, self.SHORT)
         assert counts["even"] == 0 and counts["full"] > 40
         # the answer of the full-grid path before the even subspace existed
         assert rep.iterations == 40

@@ -434,7 +434,9 @@ class TestScalarSaddle:
             counts.update(x_grad=0, dilate=0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                rep = cq.scalar_constrained_saddle(1.1, 60.0, 3.0, 2.0, grid32, SOPTS, init_width=1.573)
+                rep = cq.scalar_constrained_saddle(
+                    1.1, 60.0, 3.0, 2.0, grid32, SOPTS, init_width=1.573
+                )
             return rep, dict(counts)
 
         rep, skipped = solve()
