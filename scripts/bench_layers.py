@@ -1,0 +1,172 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the solvers' field operators on both layouts.
+
+Usage (from the root of a checkout):
+
+    PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH_LAYERS.json \\
+        [--cases 3:32,3:64,3:96,1:1024,2:256] [--repeats 7]
+
+A reflection-even solve holds its fields on the (M/2 + 1)^N octant; any
+other solve, and every certificate, on the full M^N grid.  For each case
+``dim:M`` this times, on both layouts, one call of each layer: the kinetic
+norm, -Laplacian, the (sigma - Laplacian)^{-1} preconditioner, the Riesz
+convolution, ``evaluate_state`` and ``gradient_values``.  The state is a
+pair of centered Gaussians of different widths, so no layer takes the
+mirrored (u = v) shortcut, and the model is the ``ground_state`` benchmark
+model (alpha = N/2 in 1-D and 2-D, where alpha < N).
+
+Each timing is the median over ``--repeats`` samples of the time per call,
+where a sample loops the call often enough to last about 20 ms, after one
+warm-up call.  Next to each pair of timings the JSON holds the largest
+difference between the two layouts' results, relative to the largest full
+result: a faster layer that gives a different answer is no gain.  The
+convolution splits the x = -L face between -L and +L on the octant, so
+its difference is of the size of the fields there.  The output also
+records the host, the numpy and scipy versions and the thread settings.
+BLAS and OpenMP pools are pinned to one thread unless the environment
+sets them, and scipy.fft runs one worker.
+"""
+
+from __future__ import annotations
+
+import os
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+import scipy.fft  # noqa: E402
+
+import choquard as cq  # noqa: E402
+from choquard.energy import evaluate_state, gradient_values, sample_model  # noqa: E402
+from choquard.flow import _precondition  # noqa: E402
+from choquard.grid import fold, from_octant, grad_norm_sq_values, neg_laplacian_values  # noqa: E402
+from choquard.riesz import riesz_convolve_even, riesz_convolve_values  # noqa: E402
+
+DEFAULT_CASES = "3:32,3:64,3:96,1:1024,2:256"
+HALF_EXTENT = {1: 40.0, 2: 16.0, 3: 12.0}
+SAMPLE_S = 0.02
+SIGMA = 1.3  # a preconditioner shift of the size the flow uses
+
+
+def params_for(dim: int) -> cq.ModelParams:
+    return cq.ModelParams(
+        dim=dim, alpha=2.0 if dim == 3 else dim / 2.0, p=2.0, q=2.0, mu1=5.0, mu2=5.0,
+        xi=1.0, eta=1.0, coupling=cq.CouplingSpec("constant", 0.1),
+    )
+
+
+def time_call(call, repeats: int) -> dict:
+    """Median and quartiles of the seconds per call, in ms."""
+    call()
+    t0 = time.perf_counter()
+    call()
+    number = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
+    per_call = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            call()
+        per_call.append(1e3 * (time.perf_counter() - t0) / number)
+    if repeats == 1:
+        return {"median_ms": per_call[0], "q1_ms": per_call[0], "q3_ms": per_call[0],
+                "calls_per_sample": number}
+    q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "calls_per_sample": number}
+
+
+def rel_diff(octant_result, full_result) -> float:
+    """Largest layout difference relative to the largest full result; an
+    array result is compared on the full grid, a pair item by item."""
+    if isinstance(full_result, tuple):
+        return max(rel_diff(o, f) for o, f in zip(octant_result, full_result))
+    if isinstance(full_result, np.ndarray):
+        octant_result = from_octant(octant_result)
+    scale = float(np.max(np.abs(full_result)))
+    return float(np.max(np.abs(np.asarray(octant_result) - full_result))) / scale
+
+
+def layer_calls(grid, params, conv, u, v, model, even: bool) -> dict:
+    """name -> a call of that layer on one layout, returning its result."""
+    ev = evaluate_state(u, v, params, conv, model, even)
+    convolve = riesz_convolve_even if even else riesz_convolve_values
+    return {
+        "kinetic_norm": lambda: grad_norm_sq_values(grid, u, even),
+        "neg_laplacian": lambda: neg_laplacian_values(grid, u, even),
+        "precondition": lambda: _precondition(grid, u, SIGMA, even),
+        "convolve": lambda: convolve(conv, u * u),
+        "evaluate_state": lambda: evaluate_state(u, v, params, conv, model, even).breakdown.total,
+        "gradient_values": lambda: gradient_values(ev, params, model),
+    }
+
+
+def measure_case(dim: int, m: int, repeats: int) -> dict:
+    grid = cq.GridSpec(dim, HALF_EXTENT[dim], m)
+    params = params_for(dim)
+    conv = cq.build_convolver(grid, params.alpha)
+    model = sample_model(params, grid)
+    u = cq.gaussian_field(grid, 1.5, mass=1.0).values
+    v = cq.gaussian_field(grid, 1.8, mass=1.0).values
+    full = layer_calls(grid, params, conv, u, v, model, False)
+    octant = layer_calls(grid, params, conv, fold(u), fold(v), model.folded(), True)
+    out = {"dim": dim, "points_per_axis": m, "half_extent": grid.half_extent, "layers": {}}
+    for name in full:
+        timings = {"full": time_call(full[name], repeats),
+                   "octant": time_call(octant[name], repeats)}
+        out["layers"][name] = {
+            **timings,
+            "speedup": timings["full"]["median_ms"] / timings["octant"]["median_ms"],
+            "rel_diff": rel_diff(octant[name](), full[name]()),
+        }
+    return out
+
+
+def parse_cases(text: str) -> list[tuple[int, int]]:
+    cases = []
+    for item in text.split(","):
+        dim, m = item.split(":")
+        cases.append((int(dim), int(m)))
+    return cases
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    parser.add_argument("--cases", default=DEFAULT_CASES, help="comma-separated dim:M list")
+    parser.add_argument("--repeats", type=int, default=7, help="timed samples per layer")
+    args = parser.parse_args(argv)
+
+    out = {
+        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                 "processor": platform.processor(), "system": platform.system(),
+                 "python": platform.python_version()},
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {**{var: os.environ.get(var) for var in THREAD_VARS},
+                    "fft_workers": scipy.fft.get_workers()},
+        "settings": {"repeats": args.repeats, "sample_s": SAMPLE_S, "sigma": SIGMA},
+        "cases": [],
+    }
+    for dim, m in parse_cases(args.cases):
+        case = measure_case(dim, m, args.repeats)
+        out["cases"].append(case)
+        summary = ", ".join(f"{name} {lay['full']['median_ms']:.3g} -> "
+                            f"{lay['octant']['median_ms']:.3g} ms"
+                            for name, lay in case["layers"].items())
+        print(f"{dim}-D M={m}: {summary}", flush=True)
+        args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

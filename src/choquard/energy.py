@@ -24,6 +24,15 @@ computing it again would give; a map alike on u and v goes through
 is zeroed by the solvers' retraction, and its convolution and its
 ``StateEval.each`` maps are skipped.
 
+A reflection-even state may be evaluated on its (M/2 + 1)^N octant
+(``evaluate_state(..., even=True)``): its fields, the sampled model
+(``SampledModel.folded``), the convolutions and the gradient are then
+octant arrays, the quadrature weighs each octant point by its multiplicity
+on the full grid (``grid.grid_sum``), the kinetic term and the Laplacian
+are the octant's DCT-I forms, and the nonlocal term is
+``riesz_convolve_even``.  ``StateEval.even`` records the layout, which the
+gradient and the identity helpers follow.
+
 The state functions (``energy_total``, ``el_gradient``,
 ``lagrange_multipliers``, ``pohozaev_residual``, ``multiplier_sum_identity``)
 take ``(state, params)`` and build their convolver from
@@ -60,7 +69,9 @@ from .grid import (
     GridSpec,
     ScalarField,
     StatePair,
+    fold,
     grad_norm_sq_values,
+    grid_sum,
     neg_laplacian_values,
 )
 from .model import ModelParams, coupling_values, coupling_x_grad_values, potential_values
@@ -108,6 +119,16 @@ class SampledModel:
     beta: np.ndarray | None
     x_grad_beta: np.ndarray | None
 
+    def folded(self) -> "SampledModel":
+        """The samples on the octant, for an even-subspace evaluation; the fold
+        of a bitwise-even sample is its restriction."""
+        def octant(a: np.ndarray | None) -> np.ndarray | None:
+            return None if a is None else fold(a)
+
+        return SampledModel(
+            self.grid, octant(self.v1), octant(self.v2), octant(self.beta), octant(self.x_grad_beta)
+        )
+
 
 def sample_model(params: ModelParams, grid: GridSpec) -> SampledModel:
     beta = None
@@ -120,8 +141,9 @@ def sample_model(params: ModelParams, grid: GridSpec) -> SampledModel:
     return SampledModel(grid=grid, v1=v1, v2=v2, beta=beta, x_grad_beta=xgb)
 
 
-def _quad(grid: GridSpec, arr: np.ndarray) -> float:
-    return float(grid.cell_volume * np.sum(arr))
+def _quad(grid: GridSpec, arr: np.ndarray, even: bool = False) -> float:
+    """Midpoint quadrature of a field on the grid or, with ``even``, on its octant."""
+    return grid.cell_volume * grid_sum(arr, even)
 
 
 def _power_density(values: np.ndarray, p: float) -> np.ndarray:
@@ -147,7 +169,7 @@ def _nonlocal(
         return None, 0.0
     dens = _power_density(values, p)
     conv_w = (riesz_convolve_even if even else riesz_convolve_values)(conv, dens)
-    return conv_w, _quad(conv.grid, conv_w * dens)
+    return conv_w, _quad(conv.grid, conv_w * dens, even)
 
 
 def nonlocal_B(u: ScalarField, p: float, conv: RieszConvolver) -> float:
@@ -162,7 +184,8 @@ class StateEval:
     """Cache of everything the energy and gradient share for one state.
 
     ``mirrored`` marks a state with u == v of a swap-symmetric model; its
-    v-side quantities are u's (``conv_v`` is ``conv_u``)."""
+    v-side quantities are u's (``conv_v`` is ``conv_u``).  ``even`` marks
+    fields held on the octant."""
 
     u: np.ndarray
     v: np.ndarray
@@ -170,6 +193,7 @@ class StateEval:
     conv_v: np.ndarray | None
     breakdown: EnergyBreakdown
     mirrored: bool = False
+    even: bool = False
 
     def each(self, f):
         """(f(u), f(v)) for a map with f(0) = 0: f is called once, on u, for
@@ -192,18 +216,20 @@ def evaluate_state(
     even: bool = False,
 ) -> StateEval:
     """The energy of a state and what its gradient reuses; with ``even``, of
-    a reflection-even state by ``riesz_convolve_even``."""
+    a reflection-even state whose fields and ``sampled`` are octants."""
     grid = conv.grid
     mirrored = params.swap_symmetric and np.array_equal(u_values, v_values)
-    gu = grad_norm_sq_values(grid, u_values)
-    gv = gu if mirrored else grad_norm_sq_values(grid, v_values)
+    gu = grad_norm_sq_values(grid, u_values, even)
+    gv = gu if mirrored else grad_norm_sq_values(grid, v_values, even)
 
     conv_u, b_u = _nonlocal(conv, u_values, params.p, even)
     conv_v, b_v = (conv_u, b_u) if mirrored else _nonlocal(conv, v_values, params.q, even)
 
-    pot_u = _quad(grid, sampled.v1 * u_values**2) if sampled.v1 is not None else 0.0
-    pot_v = _quad(grid, sampled.v2 * v_values**2) if sampled.v2 is not None else 0.0
-    coup = _quad(grid, sampled.beta * u_values * v_values) if sampled.beta is not None else 0.0
+    pot_u = _quad(grid, sampled.v1 * u_values**2, even) if sampled.v1 is not None else 0.0
+    pot_v = _quad(grid, sampled.v2 * v_values**2, even) if sampled.v2 is not None else 0.0
+    coup = (
+        _quad(grid, sampled.beta * u_values * v_values, even) if sampled.beta is not None else 0.0
+    )
 
     kinetic = 0.5 * (gu + gv)
     nl_u = -params.mu1 / (2.0 * params.p) * b_u
@@ -225,7 +251,8 @@ def evaluate_state(
         coupling_integral=coup,
     )
     return StateEval(
-        u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown, mirrored=mirrored
+        u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown,
+        mirrored=mirrored, even=even,
     )
 
 
@@ -241,13 +268,13 @@ def gradient_values(
     With an offset s it is the gradient pulled back from the dilation fiber
     point s * (u, v): the kinetic term scales by e^{2s}, the nonlocal terms
     by e^{2 p delta_p s} and e^{2 q delta_q s}, and ``beta`` must then be
-    beta(e^{-s} x).  s = 0 with the sampled beta is the plain gradient.  A
-    mirrored state computes the u side and copies it."""
+    beta(e^{-s} x), on the state's layout.  s = 0 with the sampled beta is
+    the plain gradient.  A mirrored state computes the u side and copies it."""
     grid = sampled.grid
     beta = sampled.beta if beta is None else beta
 
     def side(w, other, conv_w, pot, mu: float, e: float, de: float) -> np.ndarray:
-        g = neg_laplacian_values(grid, w)
+        g = neg_laplacian_values(grid, w, ev.even)
         g *= math.exp(2.0 * s)
         if conv_w is not None:
             g -= math.exp(2.0 * e * de * s) * mu * conv_w * _power_force(w, e)
@@ -338,7 +365,7 @@ def pohozaev_from_state(ev: StateEval, params: ModelParams, sampled: SampledMode
         params.mu1 * bd.b_u + params.mu2 * bd.b_v
     )
     if sampled.x_grad_beta is not None:
-        res += _quad(sampled.grid, sampled.x_grad_beta * (ev.u * ev.v))
+        res += _quad(sampled.grid, sampled.x_grad_beta * (ev.u * ev.v), ev.even)
     return res
 
 
@@ -366,5 +393,5 @@ def multiplier_sum_from_state(
     rhs = (1.0 / dp - 1.0) * k
     if sampled.beta is not None:
         combo = 2.0 * sampled.beta + sampled.x_grad_beta / dp
-        rhs += _quad(sampled.grid, combo * (ev.u * ev.v))
+        rhs += _quad(sampled.grid, combo * (ev.u * ev.v), ev.even)
     return lhs, rhs

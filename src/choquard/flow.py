@@ -27,10 +27,15 @@ along (a, a) plus 4 int beta a^2, so a local minimum on the diagonal is one of
 the full problem.
 
 A problem whose sampled V1, V2, beta and start are reflection-even in every
-axis descends in the even subspace: the retraction projects onto it and
-the nonlocal term is convolved on the octant (``riesz_convolve_even``).
-The final state is then evaluated on the full grid, and the report and
-``converged`` come from that certificate.
+axis descends in the even subspace, on the (M/2 + 1)^N octant: the engine
+holds the state, gradients, steps and sampled model there, and every
+norm, projection, Laplacian, preconditioner and convolution is the
+octant's (``grid.grid_sum``, the DCT-I forms of ``grid`` and
+``_precondition``, ``riesz_convolve_even``).  A map with no octant form,
+such as the rearrangement, expands the octant, runs on the full grid and
+folds its result back (``_SphereDescent.through_full_grid``).  The final
+state is expanded to the full grid and evaluated there once more, and the
+report and ``converged`` come from that certificate.
 
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
@@ -58,9 +63,13 @@ from .grid import (
     GridSpec,
     ScalarField,
     StatePair,
+    _k_sq_octant,
     _k_sq_rfft,
-    even_part,
+    _octant_multiply,
+    fold,
+    from_octant,
     gaussian_field,
+    grid_sum,
     is_even,
     rearrange_radial_decreasing,
 )
@@ -138,22 +147,26 @@ def project_masses(state: StatePair, xi: float, eta: float) -> StatePair:
     )
 
 
-def _normalized(values: np.ndarray, target_norm: float, grid: GridSpec) -> np.ndarray:
+def _normalized(
+    values: np.ndarray, target_norm: float, grid: GridSpec, even: bool = False
+) -> np.ndarray:
+    """values rescaled to the target L2 norm, on the grid or, with ``even``,
+    on its octant."""
     if target_norm == 0.0:
-        return np.zeros(grid.shape)
-    nrm = math.sqrt(grid.cell_volume * float(np.sum(values * values)))
+        return np.zeros_like(values)
+    nrm = math.sqrt(grid.cell_volume * grid_sum(values * values, even))
     if nrm == 0.0:
         raise ZeroMass("cannot project a zero field onto a positive mass sphere")
     return values * (target_norm / nrm)
 
 
-def _tangential(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+def _tangential(g: np.ndarray, u: np.ndarray, even: bool = False) -> tuple[np.ndarray, float]:
     """Remove the component of g along u; return it and the Rayleigh ratio.
     An all-zero u (a component frozen at zero mass) gives zeros."""
-    uu = float(np.sum(u * u))
+    uu = grid_sum(u * u, even)
     if uu == 0.0:
         return np.zeros_like(g), 0.0
-    c = float(np.sum(g * u)) / uu
+    c = grid_sum(g * u, even) / uu
     return g - c * u, c
 
 
@@ -162,12 +175,15 @@ def _sphere_tangent(
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Project a gradient pair onto the tangent space of the mass spheres at
     the evaluated state: (ru, rv, cu, cv) with the Rayleigh ratios."""
-    ru, cu = _tangential(gu, ev.u)
-    rv, cv = _tangential(gv, ev.v)
+    ru, cu = _tangential(gu, ev.u, ev.even)
+    rv, cv = _tangential(gv, ev.v, ev.even)
     return ru, rv, cu, cv
 
 
-def _precondition(grid: GridSpec, r: np.ndarray, sigma: float) -> np.ndarray:
+def _precondition(grid: GridSpec, r: np.ndarray, sigma: float, even: bool = False) -> np.ndarray:
+    """(sigma - Lap)^{-1} r, spectrally, on the grid or, with ``even``, on its octant."""
+    if even:
+        return _octant_multiply(grid, r, 1.0 / (sigma + _k_sq_octant(grid)))
     return scipy.fft.irfftn(scipy.fft.rfftn(r) / (sigma + _k_sq_rfft(grid)), s=grid.shape)
 
 
@@ -176,8 +192,8 @@ class _SphereDescent:
     ``_SaddleEngine`` overrides the loop's hooks (``residual``, ``step``,
     ``prepare``, ``settled``, ``stuck``, ``exhausted``), ``measure`` and
     ``kinetic_cap``.  ``opts`` holds the engine's options.  While ``even``
-    (set by ``enter_even_subspace``), the retraction projects onto the
-    reflection-even fields and evaluations convolve on the octant."""
+    (from ``enter_even_subspace`` to ``leave_even_subspace``), the engine's
+    fields and ``sampled`` are octants."""
 
     exhausted = "line search exhausted at small residual"
 
@@ -186,15 +202,36 @@ class _SphereDescent:
         self.grid = grid
         self.opts = opts or FlowOptions()
         self.conv = build_convolver(grid, params.alpha)
-        self.sampled = sample_model(params, grid)
+        self.full_sampled = self.sampled = sample_model(params, grid)
         self.h_n = grid.cell_volume
         self.even = False
 
-    def enter_even_subspace(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Work in the even subspace if the sampled V1, V2 and beta and the
-        start (u, v) are all bitwise reflection-even."""
+    def enter_even_subspace(
+        self, u: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Work on the octant if the sampled V1, V2 and beta and the start
+        (u, v) are all bitwise reflection-even; returns the start in the
+        engine's layout."""
         fields = (self.sampled.v1, self.sampled.v2, self.sampled.beta, u, v)
         self.even = all(w is None or is_even(w) for w in fields)
+        if not self.even:
+            return u, v
+        self.sampled = self.full_sampled.folded()
+        return fold(u), fold(v)
+
+    def leave_even_subspace(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray]:
+        """Back to the full grid, for the certificate: the evaluated state's
+        fields expanded from their octants."""
+        self.even = False
+        self.sampled = self.full_sampled
+        return from_octant(ev.u), from_octant(ev.v)
+
+    def through_full_grid(self, f):
+        """A map of full-grid fields as a map of the engine's fields: while
+        ``even`` the octant is expanded, mapped and folded back."""
+        if not self.even:
+            return f
+        return lambda w: fold(f(from_octant(w)))
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> StateEval:
         ev = evaluate_state(u, v, self.params, self.conv, self.sampled, self.even)
@@ -218,15 +255,15 @@ class _SphereDescent:
         return *_sphere_tangent(gu, gv, ev), None
 
     def grad_norm(self, ru: np.ndarray, rv: np.ndarray) -> float:
-        return math.sqrt(self.h_n * (float(np.sum(ru * ru)) + float(np.sum(rv * rv))))
+        return math.sqrt(self.h_n * (grid_sum(ru * ru, self.even) + grid_sum(rv * rv, self.even)))
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
         """(du, dv, slope): solve with (sigma - Lap) spectrally, sigma = max(1, |c|)
         per component, damp regions where a trapping potential dominates (split
         Jacobi factor), re-project; slope 0 makes the search a plain decrease."""
         sigma_u, sigma_v = max(1.0, abs(cu)), max(1.0, abs(cv))
-        du = _precondition(self.grid, ru, sigma_u)
-        dv = du if ev.mirrored else _precondition(self.grid, rv, sigma_v)
+        du = _precondition(self.grid, ru, sigma_u, ev.even)
+        dv = du if ev.mirrored else _precondition(self.grid, rv, sigma_v, ev.even)
         if self.sampled.v1 is not None:
             du = du / (1.0 + np.maximum(self.sampled.v1, 0.0) / sigma_u)
         if self.sampled.v2 is not None:
@@ -252,17 +289,15 @@ class _SphereDescent:
         return NoDescentStep(f"step size underflowed at iteration {it} with residual {res:.3e}")
 
     def retract(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each component rescaled to its mass, projected first while ``even``."""
-        if self.even:
-            u, v = even_part(u), even_part(v)
+        """Each component rescaled to its mass."""
         return (
-            _normalized(u, self.params.xi, self.grid),
-            _normalized(v, self.params.eta, self.grid),
+            _normalized(u, self.params.xi, self.grid, self.even),
+            _normalized(v, self.params.eta, self.grid, self.even),
         )
 
     def mass_drift(self, ev: StateEval) -> float:
-        mu_ = self.h_n * float(np.sum(ev.u * ev.u))
-        mv_ = self.h_n * float(np.sum(ev.v * ev.v))
+        mu_ = self.h_n * grid_sum(ev.u * ev.u, ev.even)
+        mv_ = self.h_n * grid_sum(ev.v * ev.v, ev.even)
         return max(abs(mu_ - self.params.xi**2), abs(mv_ - self.params.eta**2))
 
 
@@ -275,7 +310,7 @@ def _symmetrized(engine: _SphereDescent, ev: StateEval) -> StateEval | None:
     def rearranged(w: np.ndarray) -> np.ndarray:
         return rearrange_radial_decreasing(ScalarField(engine.grid, np.abs(w))).values
 
-    ev_s = engine.evaluate(*engine.retract(*ev.each(rearranged)))
+    ev_s = engine.evaluate(*engine.retract(*ev.each(engine.through_full_grid(rearranged))))
     if ev_s.breakdown.total <= ev.breakdown.total + 1e-12 * max(1.0, abs(ev.breakdown.total)):
         return ev_s
     return None
@@ -360,8 +395,7 @@ def _descend(
         engine, start.pop(), 0.0, trace[0], engine.opts.max_iters, 1.0, trace
     )
     if engine.even:  # the full-grid certificate, which ends the trace
-        engine.even = False
-        ev = engine.evaluate(ev.u, ev.v)
+        ev = engine.evaluate(*engine.leave_even_subspace(ev))
         trace[-1] = ev.breakdown.total
     ru, rv, *_ = engine.residual(ev, 0.0)
     grad_norm = engine.grad_norm(ru, rv)
@@ -394,8 +428,8 @@ def minimize_normalized(
         )
     grid = init.grid
     engine = _SphereDescent(params, grid, opts)
-    engine.enter_even_subspace(init.u.values, init.v.values)
-    ev, residuals, iters, converged, trace, message = _descend(engine, init.u.values, init.v.values)
+    u0, v0 = engine.enter_even_subspace(init.u.values, init.v.values)
+    ev, residuals, iters, converged, trace, message = _descend(engine, u0, v0)
     state = StatePair(ScalarField(grid, ev.u), ScalarField(grid, ev.v))
     return SolveReport(
         state=state,

@@ -21,10 +21,23 @@ Field operations provided here:
 * ``radial_shells`` -- the distinct radii of the grid and each point's
   shell, so a radial weight summed against a field costs one evaluation
   per shell.
-* ``is_even`` / ``even_part`` / ``from_octant`` -- the reflection
-  i <-> (M - i) mod M in every axis.  The coordinates are h (i - M/2), so
-  x[M - i] = -x[i] bitwise, radial samples are even, and an even field is
-  fixed by its (M/2 + 1)^N octant.
+* ``is_even`` / ``even_part`` / ``fold`` / ``from_octant`` -- the
+  reflection i <-> (M - i) mod M in every axis.  The coordinates are
+  h (i - M/2), so x[M - i] = -x[i] bitwise, radial samples are even, and an
+  even field is fixed by its (M/2 + 1)^N octant of offsets 0..M/2 from the
+  origin.  ``fold`` maps a field to the octant of its even part and
+  ``from_octant`` expands an octant back to M^N, so
+  ``even_part = from_octant . fold``.
+
+Fields live on the full M^N grid, or, in a solver's even subspace, on the
+octant.  The octant operators take ``even=True``: ``grid_sum`` weighs each
+octant point by its multiplicity on the full grid (per axis 1 at offsets 0
+and M/2, 2 elsewhere), and on an even field the periodic spectral Laplacian
+is diagonal in the type-1 DCT of the octant, with wavenumbers pi j / L
+(Martucci 1994), so ``grad_norm_sq_values`` (whose Parseval weights are the
+same multiplicities) and ``neg_laplacian_values`` equal the full-grid
+operators of ``from_octant(f)`` to roundoff.  The other operators here take
+full-grid fields.
 """
 
 from __future__ import annotations
@@ -169,6 +182,46 @@ def _kinetic_weights(grid: GridSpec) -> np.ndarray:
     return wk2
 
 
+@lru_cache(maxsize=32)
+def _k_sq_octant(grid: GridSpec) -> np.ndarray:
+    """|k|^2 on the DCT-I octant of wavenumbers pi j / L, j = 0..M/2."""
+    k = np.pi * np.arange(grid.points_per_axis // 2 + 1) / grid.half_extent
+    k2 = sum(
+        (k**2).reshape((1,) * d + (-1,) + (1,) * (grid.dim - d - 1)) for d in range(grid.dim)
+    )
+    k2.setflags(write=False)
+    return k2
+
+
+@lru_cache(maxsize=32)
+def _octant_kinetic_weights(grid: GridSpec) -> np.ndarray:
+    """|k|^2 times the multiplicity of each octant mode on the full grid."""
+    wk2 = octant_weights(_k_sq_octant(grid).shape) * _k_sq_octant(grid)
+    wk2.setflags(write=False)
+    return wk2
+
+
+@lru_cache(maxsize=8)
+def octant_weights(shape: tuple[int, ...]) -> np.ndarray:
+    """Each octant point's multiplicity on the full grid: the product over
+    the axes of 1 at offsets 0 and M/2 and 2 elsewhere."""
+    axis = np.full(shape[0], 2.0)
+    axis[0] = axis[-1] = 1.0
+    w = np.ones(())
+    for _ in shape:
+        w = np.multiply.outer(w, axis)
+    w.setflags(write=False)
+    return w
+
+
+def grid_sum(values: np.ndarray, even: bool = False) -> float:
+    """The sum over the full grid of a field given on it or, with ``even``,
+    on its octant."""
+    if even:  # np.sum's pairwise summation keeps the mass drift at roundoff
+        values = values * octant_weights(values.shape)
+    return float(np.sum(values))
+
+
 @dataclass
 class ScalarField:
     """Real field sampled on a GridSpec.  Values must be finite."""
@@ -248,15 +301,35 @@ def grad_norm_sq(f: ScalarField) -> float:
     return grad_norm_sq_values(f.grid, f.values)
 
 
-def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
-    spec = scipy.fft.rfftn(values)
-    s = np.sum(_kinetic_weights(grid) * (spec.real**2 + spec.imag**2))
+def grad_norm_sq_values(grid: GridSpec, values: np.ndarray, even: bool = False) -> float:
+    """||grad f||^2 by Parseval, of full-grid values or, with ``even``, of an
+    octant."""
+    if even:
+        spec = scipy.fft.dctn(values, type=1)
+        s = np.sum(_octant_kinetic_weights(grid) * (spec * spec))
+    else:
+        spec = scipy.fft.rfftn(values)
+        s = np.sum(_kinetic_weights(grid) * (spec.real**2 + spec.imag**2))
     return float(s * grid.cell_volume / grid.size)
 
 
-def neg_laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """-Delta f, spectrally.  The exact gradient of grad_norm_sq/2."""
+def neg_laplacian_values(grid: GridSpec, values: np.ndarray, even: bool = False) -> np.ndarray:
+    """-Delta f, spectrally, on the layout of ``values``.  The exact gradient
+    of grad_norm_sq/2."""
+    if even:
+        return _octant_multiply(grid, values, _k_sq_octant(grid))
     return scipy.fft.irfftn(_k_sq_rfft(grid) * scipy.fft.rfftn(values), s=grid.shape)
+
+
+def _octant_multiply(grid: GridSpec, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """A Fourier multiplier (given on the octant of wavenumbers pi j / L) applied
+    to an even field on its octant: a DCT-I, the product, and a second DCT-I,
+    which inverts the first up to M per axis."""
+    spec = scipy.fft.dctn(values, type=1)
+    spec *= multiplier
+    out = scipy.fft.dctn(spec, type=1, overwrite_x=True)
+    out /= grid.size
+    return out
 
 
 def neg_laplacian(f: ScalarField) -> ScalarField:
@@ -289,8 +362,15 @@ def is_even(values: np.ndarray) -> bool:
 
 
 def even_part(values: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the reflection-even fields: the mean with
-    the reflection, axis by axis, on the octant; the result is bitwise even."""
+    """Orthogonal projection onto the reflection-even fields; the result is
+    bitwise even."""
+    return from_octant(fold(values))
+
+
+def fold(values: np.ndarray) -> np.ndarray:
+    """The (M/2 + 1)^N octant of a field's even part: the mean with the
+    reflection, axis by axis.  The octant of a bitwise-even field is its
+    restriction."""
     half = values.shape[0] // 2
     out = values
     for ax in range(values.ndim):
@@ -303,7 +383,7 @@ def even_part(values: np.ndarray) -> np.ndarray:
         np.add(*pairs, out=mean)
         mean *= 0.5
         out = folded
-    return from_octant(out)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -373,16 +453,18 @@ def _shell_order(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def radial_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def radial_shells(grid: GridSpec, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(shell_r2, shell_of): the distinct values of |x|^2 in increasing
     order, and the shell index of each point in flat (C) order, so that
-    ``shell_r2[shell_of]`` rebuilds ``grid.radius_sq().ravel()`` exactly.
+    ``shell_r2[shell_of]`` rebuilds ``grid.radius_sq().ravel()`` exactly;
+    with ``even``, of each octant point (the shells are the same).
 
     A radial function summed against a field, sum_i f(|x_i|^2) w_i, is then
     sum_k f(shell_r2[k]) W_k with W = bincount(shell_of, w): f is evaluated
     once per shell instead of once per point.
     """
-    r2, shell_of = np.unique(_radius_sq(grid), return_inverse=True)
+    r2 = _radius_sq(grid)
+    r2, shell_of = np.unique(fold(r2) if even else r2, return_inverse=True)
     shell_of = shell_of.ravel()
     r2.setflags(write=False)
     shell_of.setflags(write=False)

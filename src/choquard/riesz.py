@@ -44,11 +44,12 @@ simple-cubic lattice constant 2.8372975 / h).  A direct double-sum oracle
 evaluates the identical quadrature for cross-checks.
 
 Reflection-even densities (``riesz_convolve_even``) are fixed by their
-(M/2 + 1)^N octant of offsets 0..M/2.  Offset M/2 is the x = -L face, which
+(M/2 + 1)^N octant of offsets 0..M/2, and it takes and returns octants:
+the solvers hold even fields there.  Offset M/2 is the x = -L face, which
 has no partner at +L, so its sample is split half at -L, half at +L: the
 sum runs over the closed grid k = 0..M with weight 1/2 per face axis.  That
 is the DCT-I of the (M + 1)^N zero-padded octant times the kernel's octant
-spectrum, inverted, cropped and spread back, pruned pass by pass as above.
+spectrum, inverted and cropped to the octant, pruned pass by pass as above.
 The operator is symmetric on even fields, so an energy built on it has the
 gradient built on it as its exact derivative; it equals the full-grid sum
 when the face is zero.  The solvers descend with it and certify their
@@ -69,7 +70,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
-from .grid import GridSpec, ScalarField, from_octant
+from .grid import GridSpec, ScalarField
 
 _ORACLE_CAPS = {1: 1024, 2: 32, 3: 16}
 _WINDOW_CELLS = 32
@@ -194,13 +195,12 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
 
 
 def riesz_convolve_even(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
-    """Kernel convolution of a reflection-even density on its (M/2 + 1)^N
-    octant, with the x = -L face split between -L and +L (module
-    docstring).  The result is even; only the octant of ``values`` is read."""
+    """Kernel convolution of a reflection-even density given on its
+    (M/2 + 1)^N octant, with the x = -L face split between -L and +L
+    (module docstring); the result is the octant of an even field."""
     grid = conv.grid
     m, dim = grid.points_per_axis, grid.dim
-    offsets = np.r_[m // 2 : m, 0]  # grid indices of the offsets 0..M/2
-    work = values[np.ix_(*[offsets] * dim)]
+    work = values.copy()
     for ax in range(dim):
         work[(slice(None),) * ax + (-1,)] *= 0.5
     # forward: each pass zero-pads its axis to M + 1, so no all-zero row is
@@ -212,7 +212,7 @@ def riesz_convolve_even(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
     for ax in range(dim - 1, -1, -1):
         work = scipy.fft.dct(work, type=1, axis=ax, overwrite_x=True)
         work = work[(slice(None),) * ax + (slice(0, m // 2 + 1),)]
-    return from_octant(work * (grid.cell_volume / (2 * m) ** dim))
+    return work * (grid.cell_volume / (2 * m) ** dim)
 
 
 def riesz_convolve_oracle(grid: GridSpec, alpha: float, rho: ScalarField) -> ScalarField:

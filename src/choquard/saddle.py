@@ -23,10 +23,14 @@ preconditioned direction and returns the Armijo slope, its ``measure`` is
 the fiber-maximized energy, and its kinetic trust cap rejects
 sub-resolution spike states.  The profile is dilated to its own fiber
 maximum only between rounds.  As in the flow, a reflection-even problem
-descends in the even subspace and is certified on the full grid, the
-retraction zeroes a frozen component, and the fiber tangent and the
-dilation go through ``StateEval.each``, once for a u = v profile of a
-swap-symmetric model and not at all for a zero component.  At
+descends with its fields on the (M/2 + 1)^N octant and is certified on the
+full grid: the Armijo slope, the gauge removal and the fiber's shell sums
+weigh each octant point by its multiplicity, and the fiber tangent x . grad,
+the recentering dilation and the resampled coupling, which have no octant
+form, run on the expanded field and are folded back.  The retraction
+zeroes a frozen component, and the fiber tangent and the dilation go
+through ``StateEval.each``, once for a u = v profile of a swap-symmetric
+model and not at all for a zero component.  At
 the fixed point the state is simultaneously a fiber maximum (dilation
 identity holds) and transversally critical: a discrete mountain-pass
 critical point.  The level is reported without any minimality claim among
@@ -72,8 +76,11 @@ from .grid import (
     ScalarField,
     StatePair,
     dilate,
+    fold,
     gaussian_field,
+    grid_sum,
     neg_laplacian_values,  # noqa: F401  (a traced-benchmark binding; the gradient is energy's)
+    octant_weights,
     radial_shells,
     x_grad_values,
 )
@@ -141,12 +148,14 @@ def _dilation_generator(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _remove_component(
-    du: np.ndarray, dv: np.ndarray, tu: np.ndarray, tv: np.ndarray
+    du: np.ndarray, dv: np.ndarray, tu: np.ndarray, tv: np.ndarray, even: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    tt = float(np.sum(tu * tu) + np.sum(tv * tv))
+    """(du, dv) with its component along (tu, tv) removed, on the grid or,
+    with ``even``, on its octant."""
+    tt = grid_sum(tu * tu, even) + grid_sum(tv * tv, even)
     if tt <= 0.0:
         return du, dv
-    c = float(np.sum(du * tu) + np.sum(dv * tv)) / tt
+    c = (grid_sum(du * tu, even) + grid_sum(dv * tv, even)) / tt
     return du - c * tu, dv - c * tv
 
 
@@ -170,10 +179,11 @@ class _FiberBasis:
     The kinetic and nonlocal terms scale in closed form.  The coupling term
     int beta(e^{-s} x) u v does not, but beta is radial, so it is the shell
     sum h^N sum_k beta(e^{-s} r_k) W_k over the distinct grid radii r_k,
-    with W_k the sum of u v over the points of shell k.  W is binned once
-    per profile and each fiber point evaluates beta on the shells only (727
-    of them on a 40^3 grid against 64,000 points).  A constant coupling
-    does not move along the fiber and needs no shells."""
+    with W_k the sum of u v over the points of shell k (an octant point
+    counted with its multiplicity).  W is binned once per profile and each
+    fiber point evaluates beta on the shells only (727 of them on a 40^3
+    grid against 64,000 points).  A constant coupling does not move along
+    the fiber and needs no shells."""
 
     def __init__(self, engine: "_SaddleEngine", ev: StateEval):
         self.engine = engine
@@ -182,10 +192,11 @@ class _FiberBasis:
         self.weighted_b = engine.params.mu1 * bd.b_u + engine.params.mu2 * bd.b_v
         self.coupling0 = bd.coupling_integral
         if engine.params.coupling.kind != "constant":
-            self.shell_r2, shell_of = radial_shells(engine.grid)
-            self.shell_uv = np.bincount(
-                shell_of, weights=(ev.u * ev.v).ravel(), minlength=self.shell_r2.size
-            )
+            self.shell_r2, shell_of = radial_shells(engine.grid, ev.even)
+            uv = ev.u * ev.v
+            if ev.even:
+                uv *= octant_weights(uv.shape)
+            self.shell_uv = np.bincount(shell_of, weights=uv.ravel(), minlength=self.shell_r2.size)
 
     def coupling_at(self, s: float) -> float:
         spec = self.engine.params.coupling
@@ -271,6 +282,8 @@ class _SaddleEngine(_SphereDescent):
         beta_s = None
         if self.sampled.beta is not None:
             beta_s = coupling_scaled_values(self.params.coupling, self.grid, math.exp(-s_star))
+            if ev.even:
+                beta_s = fold(beta_s)
         return gradient_values(ev, self.params, self.sampled, s_star, beta_s)
 
     def pohozaev(self, ev: StateEval) -> float:
@@ -282,20 +295,21 @@ class _SaddleEngine(_SphereDescent):
         The merit is exactly invariant along this direction in the continuum
         but only up to resolution error on the grid, so descent steps are
         kept orthogonal to it (the offset s plays the role of the gauge)."""
-        return _sphere_tangent(*ev.each(lambda w: _dilation_generator(self.grid, w)), ev)[:2]
+        generator = self.through_full_grid(lambda w: _dilation_generator(self.grid, w))
+        return _sphere_tangent(*ev.each(generator), ev)[:2]
 
     def residual(self, ev: StateEval, s: float):
         """Sphere-tangential gradient of the merit with the fiber direction
         removed: (ru, rv, cu, cv, gauge) with the fiber tangent as gauge."""
         ru, rv, cu, cv = _sphere_tangent(*self.pulled_back_gradient(ev, s), ev)
         gauge = self.fiber_tangent(ev)
-        return *_remove_component(ru, rv, *gauge), cu, cv, gauge
+        return *_remove_component(ru, rv, *gauge, ev.even), cu, cv, gauge
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
         """The flow's step with the gauge removed, and its Armijo slope."""
         du, dv, _ = super().step(ev, ru, rv, cu, cv, gauge)
-        du, dv = _remove_component(du, dv, *gauge)
-        return du, dv, self.h_n * (float(np.sum(ru * du)) + float(np.sum(rv * dv)))
+        du, dv = _remove_component(du, dv, *gauge, ev.even)
+        return du, dv, self.h_n * (grid_sum(ru * du, ev.even) + grid_sum(rv * dv, ev.even))
 
     def prepare(self, it: int, ev: StateEval, merit: float, s: float):
         return ev, merit, s
@@ -489,8 +503,7 @@ def scalar_constrained_saddle(
 def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> SolveReport:
     params = engine.params
     opts = engine.opts
-    engine.enter_even_subspace(u0, v0)
-    ev, psi, s_star = engine.measure(*engine.retract(u0, v0))
+    ev, psi, s_star = engine.measure(*engine.retract(*engine.enter_even_subspace(u0, v0)))
 
     # Round structure: the merit is invariant along each profile's dilation
     # fiber in the continuum but carries a small resolution-induced slope on
@@ -503,7 +516,7 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
     # the certificate of its recentered state; the last one is the report's.
     trace: list[float] = [psi]
     total_iters = 0
-    message = ""
+    message = recenter_msg = ""
     budget = opts.max_iters
     tau = 1.0
     for round_no in range(6):
@@ -520,15 +533,14 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
         if msg:
             message = msg
         ev, s_star, psi, recenter_msg = _recenter(engine, ev, s_star, psi)
-        if recenter_msg:
-            message = (message + "; " if message else "") + recenter_msg
         grad_norm, poh, certified = _certificate(engine, ev, s_star)
         converged = descended and certified
         if converged:
             break
+    # the last round's recentering is the one the reported state went through
+    message = "; ".join(m for m in (message, recenter_msg) if m)
     if engine.even:  # the full-grid certificate
-        engine.even = False
-        ev, psi, s_star = engine.measure(ev.u, ev.v)
+        ev, psi, s_star = engine.measure(*engine.leave_even_subspace(ev))
         grad_norm, poh, certified = _certificate(engine, ev, s_star)
         if converged and not certified:
             converged, message = False, "the full-grid certificate misses the tolerances"
@@ -588,16 +600,24 @@ def _certificate(engine: _SaddleEngine, ev: StateEval, s_star: float) -> tuple[f
 
 def _recenter(engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float):
     """Dilate the profile to its own fiber maximum (a pure gauge move) so the
-    reported state itself satisfies the dilation identity."""
+    reported state itself satisfies the dilation identity.  A dilation that
+    leaves the box keeps the last profile, whose own energy (at s = 0) is
+    then not its fiber-maximum level; the message says so."""
     message = ""
     for _ in range(4):
         if abs(s_star) <= _RECENTER_TOL:
             break
         try:
-            dilated = ev.each(lambda w: dilate(ScalarField(engine.grid, w), s_star).values)
+            dilated = ev.each(engine.through_full_grid(
+                lambda w: dilate(ScalarField(engine.grid, w), s_star).values
+            ))
             ev, psi, s_star = engine.measure(*engine.retract(*dilated))
         except DilationOutOfBox:
-            message = "recentering left the box"
+            message = (
+                f"recentering left the box at fiber offset s = {s_star:.4g}: energy.total is "
+                f"the unrecentered profile's energy at s = 0 ({ev.breakdown.total:.6g}), "
+                f"not its fiber-maximum level ({psi:.6g})"
+            )
             break
     return ev, s_star, psi, message
 

@@ -1,0 +1,38 @@
+"""``scripts/bench_layers.py`` times every layer on both layouts and records
+where it ran; a small 3-D case runs end to end."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
+LAYERS = {"kinetic_norm", "neg_laplacian", "precondition", "convolve", "evaluate_state",
+          "gradient_values"}
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_smoke_at_m16(tmp_path, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script's import defaults, undone after the test
+    out = tmp_path / "layers.json"
+    assert load_script().main(["--out", str(out), "--cases", "3:16", "--repeats", "2"]) == 0
+    data = json.loads(out.read_text())
+    assert data["numpy"] and data["scipy"] and data["host"]["cpus"]
+    assert data["threads"]["fft_workers"] == 1
+    [case] = data["cases"]
+    assert (case["dim"], case["points_per_axis"]) == (3, 16)
+    assert set(case["layers"]) == LAYERS
+    for name, layer in case["layers"].items():
+        for layout in ("full", "octant"):
+            t = layer[layout]
+            assert 0.0 < t["q1_ms"] <= t["median_ms"] <= t["q3_ms"], (name, layout)
+        assert layer["speedup"] > 0.0
+        # the width-1.5 Gaussian is below 1e-13 on the face, so even the
+        # face-split convolution agrees with the full grid to roundoff
+        assert layer["rel_diff"] < 1e-13, name

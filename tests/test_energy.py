@@ -483,8 +483,9 @@ class TestMirroredState:
 
 class TestEvenSubspaceEnergy:
     """The energy with the octant convolution is a functional of its own on
-    the reflection-even fields, and its gradient is that functional's exact
-    derivative, also where the x = -L face carries weight."""
+    the reflection-even fields, held on their octants, and its gradient is
+    that functional's exact derivative, also where the x = -L face carries
+    weight."""
 
     def test_gradient_is_the_derivative_along_even_directions(self):
         g = cq.GridSpec(3, 4.0, 16)
@@ -493,27 +494,31 @@ class TestEvenSubspaceEnergy:
             coupling=cq.CouplingSpec("rational_decay", 0.3, 0.8),
         )
         conv = cq.build_convolver(g, params.alpha)
-        sampled = cq.energy.sample_model(params, g)
-        u = cq.gaussian_field(g, 2.0, mass=1.0).values  # face at e^{-2} of the peak
-        v = cq.gaussian_field(g, 1.6, mass=1.44).values
+        full = cq.energy.sample_model(params, g)
+        sampled = full.folded()
+        u_full = cq.gaussian_field(g, 2.0, mass=1.0).values  # face at e^{-2} of the peak
+        v_full = cq.gaussian_field(g, 1.6, mass=1.44).values
+        u, v = cq.grid.fold(u_full), cq.grid.fold(v_full)
+        octant = (g.points_per_axis // 2 + 1,) * g.dim
 
-        def energy(du, dv, even=True):
-            ev = cq.energy.evaluate_state(u + du, v + dv, params, conv, sampled, even)
+        def energy(du, dv):
+            ev = cq.energy.evaluate_state(u + du, v + dv, params, conv, sampled, even=True)
             return ev.breakdown.total
 
-        assert abs(energy(0.0, 0.0) - energy(0.0, 0.0, even=False)) > 1e-8
+        full_energy = cq.energy.evaluate_state(u_full, v_full, params, conv, full).breakdown.total
+        assert abs(energy(0.0, 0.0) - full_energy) > 1e-8
         ev = cq.energy.evaluate_state(u, v, params, conv, sampled, even=True)
         gu, gv = cq.energy.gradient_values(ev, params, sampled)
-        assert cq.grid.is_even(ev.conv_u) and cq.grid.is_even(ev.conv_v)
+        assert ev.even and ev.conv_u.shape == ev.conv_v.shape == gu.shape == gv.shape == octant
         rng = np.random.default_rng(8)
         t = 1e-4
         for k in range(6):
-            phi = cq.grid.even_part(rng.standard_normal(g.shape))
-            phi /= math.sqrt(g.cell_volume * np.sum(phi * phi))
+            phi = cq.grid.fold(rng.standard_normal(g.shape))
+            phi /= math.sqrt(g.cell_volume * cq.grid.grid_sum(phi * phi, even=True))
             up, vp, gval = (phi, 0.0, gu) if k % 2 == 0 else (0.0, phi, gv)
             one = energy(t * up, t * vp) - energy(-t * up, -t * vp)
             two = energy(2 * t * up, 2 * t * vp) - energy(-2 * t * up, -2 * t * vp)
             fd = (8.0 * one - two) / (12.0 * t)
-            ip = g.cell_volume * np.sum(gval * phi)
-            scale = max(abs(fd), math.sqrt(g.cell_volume * np.sum(gval * gval)))
+            ip = g.cell_volume * cq.grid.grid_sum(gval * phi, even=True)
+            scale = max(abs(fd), math.sqrt(g.cell_volume * cq.grid.grid_sum(gval * gval, even=True)))
             assert abs(fd - ip) < 1e-7 * scale, f"direction {k}"

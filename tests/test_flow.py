@@ -401,9 +401,9 @@ class TestComponentShift:
         shifts = []
         precondition = cq.flow._precondition
 
-        def spy(grid, r, sigma):
+        def spy(grid, r, sigma, even):
             shifts.append(sigma)
-            return precondition(grid, r, sigma)
+            return precondition(grid, r, sigma, even)
 
         monkeypatch.setattr(cq.flow, "_precondition", spy)
         du, dv, slope = engine.step(ev, ru, rv, cu, cv, gauge)
@@ -452,6 +452,64 @@ class TestEvenSubspace:
         ru, rv, *_ = engine.residual(engine.evaluate(rep.state.u.values, rep.state.v.values), 0.0)
         assert rep.residuals["el_residual"] == engine.grad_norm(ru, rv)
         assert rep.residuals["mass_drift"] <= 1e-12
+
+    def test_descent_stays_on_the_octant(self, monkeypatch):
+        # only the certificate runs full-grid operators: one mirrored
+        # evaluation (one convolution, one kinetic norm) and one gradient
+        # (one Laplacian); the rearrangement expands and folds the octant
+        g = self.GRID
+        full = {"convolve": 0, "spectral": 0, "precondition": 0}
+        shapes = []
+        for owner, name, key in ((cq.energy, "riesz_convolve_values", "convolve"),
+                                 (cq.energy, "grad_norm_sq_values", "spectral"),
+                                 (cq.energy, "neg_laplacian_values", "spectral"),
+                                 (cq.flow, "_precondition", "precondition")):
+            original = getattr(owner, name)
+
+            def counting(first, values, *args, _f=original, _k=key):
+                full[_k] += values.shape == g.shape  # first is the grid or the convolver
+                return _f(first, values, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        evaluate = cq.flow.evaluate_state
+
+        def recording(u, v, *args):
+            shapes.append((u.shape, v.shape))
+            return evaluate(u, v, *args)
+
+        monkeypatch.setattr(cq.flow, "evaluate_state", recording)
+        opts = replace(OPTS, symmetrize_every=10)
+        bump = cq.gaussian_field(g, 1.5, mass=1.0)
+        rep = cq.minimize_normalized(coupled_params(), cq.StatePair(bump, bump.copy()), opts)
+        monkeypatch.undo()
+        assert rep.converged and rep.iterations > 10
+        assert full == {"convolve": 1, "spectral": 2, "precondition": 0}
+        octant = (g.points_per_axis // 2 + 1,) * g.dim
+        assert shapes[-1] == (g.shape, g.shape)
+        assert len(shapes) > rep.iterations and set(shapes[:-1]) == {(octant, octant)}
+
+    @pytest.mark.parametrize("dim,L,m,width", [(1, 16.0, 128, 2.0), (2, 10.0, 48, 1.5)])
+    def test_low_dimensions_land_on_the_full_grid_answer(self, dim, L, m, width, monkeypatch):
+        # the same solve held on the full grid; the x = -L face carries up to
+        # 1e-6 of the peak, which the octant convolution splits between -L
+        # and +L, so the states agree to that scale and the energies closer
+        g = cq.GridSpec(dim, L, m)
+        well = cq.PotentialSpec("gaussian_well", depth=0.5, width=3.0)
+        params = cq.ModelParams(
+            dim=dim, alpha=0.5 * dim, p=2.0, q=2.0, mu1=3.0, mu2=3.0, xi=1.0, eta=0.8,
+            coupling=cq.CouplingSpec("rational_decay", 0.2, 1.0), v1=well, v2=well,
+        )
+        opts = cq.FlowOptions(max_iters=600, grad_tol=1e-6, energy_tol=1e-12, symmetrize_every=5)
+        init = cq.StatePair(cq.gaussian_field(g, width, mass=1.0),
+                            cq.gaussian_field(g, 1.2 * width, mass=1.0))
+        rep = cq.minimize_normalized(params, init, opts)
+        monkeypatch.setattr(cq.flow._SphereDescent, "enter_even_subspace", lambda self, u, v: (u, v))
+        ref = cq.minimize_normalized(params, init, opts)
+        assert rep.converged and ref.converged
+        assert rep.iterations == ref.iterations
+        assert rep.energy.total == pytest.approx(ref.energy.total, rel=1e-12, abs=0.0)
+        u = rep.state.u.values
+        assert np.max(np.abs(u - ref.state.u.values)) < 1e-8 * np.max(u)
 
     def test_certificate_gates_convergence(self, monkeypatch):
         # an even-subspace energy whose residual the full grid does not confirm

@@ -187,6 +187,94 @@ class TestDilate:
             cq.dilate(wide, -1.5)  # stretches far past the box
 
 
+def reflection_mean(values):
+    """The even part by its definition: the mean with the reflection
+    i <-> (M - i) mod M, axis by axis."""
+    m = values.shape[0]
+    for ax in range(values.ndim):
+        values = 0.5 * (values + np.take(values, (-np.arange(m)) % m, axis=ax))
+    return values
+
+
+class TestOctantOperators:
+    """On a reflection-even field held on its (M/2 + 1)^N octant, each octant
+    operator equals the full-grid operator of ``from_octant(f)``, also when
+    the x = -L face carries weight."""
+
+    CASES = [(1, 64, 6.0), (2, 24, 5.0), (3, 16, 4.0), (3, 20, 9.0)]
+
+    @staticmethod
+    def octant(g, seed=0):
+        f = cq.grid.fold(np.random.default_rng(seed).standard_normal(g.shape))
+        assert np.min(np.abs(f[-1])) > 0.0  # weight on the x = -L face
+        return f
+
+    @staticmethod
+    def close(got, want, rtol=1e-13):
+        return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_fold_is_the_octant_of_the_even_part(self, dim, m, L):
+        g = cq.GridSpec(dim, L, m)
+        f = np.random.default_rng(dim).standard_normal(g.shape)
+        octant = cq.grid.fold(f)
+        assert octant.shape == (m // 2 + 1,) * dim
+        assert np.array_equal(cq.grid.from_octant(octant), cq.grid.even_part(f))
+        assert np.array_equal(cq.grid.from_octant(octant), reflection_mean(f))
+        assert np.array_equal(cq.grid.fold(cq.grid.from_octant(octant)), octant)
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_weighted_quadrature(self, dim, m, L):
+        g = cq.GridSpec(dim, L, m)
+        f, w = self.octant(g), self.octant(g, seed=1)
+        full = np.sum(cq.grid.from_octant(f) * cq.grid.from_octant(w))
+        assert cq.grid.grid_sum(f * w, even=True) == pytest.approx(full, rel=1e-13)
+        assert np.sum(cq.grid.octant_weights(f.shape)) == g.size
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_kinetic_norm(self, dim, m, L):
+        g = cq.GridSpec(dim, L, m)
+        f = self.octant(g)
+        want = cq.grid.grad_norm_sq_values(g, cq.grid.from_octant(f))
+        assert cq.grid.grad_norm_sq_values(g, f, even=True) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_neg_laplacian(self, dim, m, L):
+        g = cq.GridSpec(dim, L, m)
+        f = self.octant(g)
+        got = cq.grid.neg_laplacian_values(g, f, even=True)
+        want = cq.grid.neg_laplacian_values(g, cq.grid.from_octant(f))
+        assert got.shape == f.shape and self.close(cq.grid.from_octant(got), want)
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_preconditioner(self, dim, m, L):
+        g = cq.GridSpec(dim, L, m)
+        f = self.octant(g)
+        got = cq.flow._precondition(g, f, 1.7, even=True)
+        want = cq.flow._precondition(g, cq.grid.from_octant(f), 1.7)
+        assert got.shape == f.shape and self.close(cq.grid.from_octant(got), want)
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_convolution_without_a_face(self, dim, m, L):
+        # the octant convolution splits the face between -L and +L, so it
+        # equals the full-grid sum where the face is zero
+        g = cq.GridSpec(dim, L, m)
+        f = self.octant(g)
+        for ax in range(dim):
+            f[(slice(None),) * ax + (-1,)] = 0.0
+        conv = cq.build_convolver(g, 0.5 * dim)
+        got = cq.riesz.riesz_convolve_even(conv, f)
+        want = cq.riesz.riesz_convolve_values(conv, cq.grid.from_octant(f))
+        assert got.shape == f.shape and self.close(cq.grid.from_octant(got), want)
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_radial_shells(self, dim, m, L):
+        g = cq.GridSpec(dim, L, m)
+        shell_r2, shell_of = cq.grid.radial_shells(g, even=True)
+        assert np.array_equal(shell_r2, cq.grid.radial_shells(g)[0])
+        assert np.array_equal(shell_r2[shell_of], cq.grid.fold(g.radius_sq()).ravel())
+
+
 class TestRadialShells:
     @pytest.mark.parametrize("dim, half_extent, m", [
         (1, 4.0, 64), (2, 4.0, 32), (3, 8.0, 32), (3, 10.0, 40),

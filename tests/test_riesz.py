@@ -281,7 +281,8 @@ def face_weighted_double_sum(grid, alpha, values):
 
 
 class TestEvenConvolution:
-    """The octant convolution of reflection-even densities."""
+    """The octant convolution of reflection-even densities, held on their
+    octants."""
 
     CASES = [(1, 32, 6.0, 0.5), (2, 16, 5.0, 0.5), (2, 16, 5.0, 1.0),
              (3, 8, 4.0, 0.5), (3, 10, 4.0, 1.0), (3, 10, 4.0, 2.0)]
@@ -290,24 +291,24 @@ class TestEvenConvolution:
     def test_matches_face_weighted_double_sum(self, dim, m, L, alpha):
         g = cq.GridSpec(dim, L, m)
         rng = np.random.default_rng(m + dim)
-        dens = cq.grid.even_part(rng.uniform(0.5, 1.5, g.shape))
-        face = dens[(0,) + (slice(None),) * (dim - 1)]
-        assert face.min() >= 1e-3 * dens.max()
-        got = cq.riesz.riesz_convolve_even(cq.build_convolver(g, alpha), dens)
-        want = face_weighted_double_sum(g, alpha, dens)
-        assert cq.grid.is_even(got)
-        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        octant = cq.grid.fold(rng.uniform(0.5, 1.5, g.shape))
+        face = octant[(-1,) + (slice(None),) * (dim - 1)]
+        assert face.min() >= 1e-3 * octant.max()
+        got = cq.riesz.riesz_convolve_even(cq.build_convolver(g, alpha), octant)
+        want = face_weighted_double_sum(g, alpha, cq.grid.from_octant(octant))
+        assert got.shape == octant.shape
+        assert np.max(np.abs(cq.grid.from_octant(got) - want)) < 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dim,m,L,alpha", CASES + [(3, 64, 12.0, 2.0), (3, 40, 9.0, 2.0)])
     def test_equals_full_grid_without_a_face(self, dim, m, L, alpha):
         g = cq.GridSpec(dim, L, m)
-        dens = cq.grid.even_part(np.random.default_rng(m).standard_normal(g.shape))
+        octant = cq.grid.fold(np.random.default_rng(m).standard_normal(g.shape))
         for ax in range(dim):
-            dens[(slice(None),) * ax + (0,)] = 0.0
+            octant[(slice(None),) * ax + (-1,)] = 0.0
         conv = cq.build_convolver(g, alpha)
-        got = cq.riesz.riesz_convolve_even(conv, dens)
-        want = cq.riesz.riesz_convolve_values(conv, dens)
-        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+        got = cq.riesz.riesz_convolve_even(conv, octant)
+        want = cq.riesz.riesz_convolve_values(conv, cq.grid.from_octant(octant))
+        assert np.max(np.abs(cq.grid.from_octant(got) - want)) < 1e-14 * np.max(np.abs(want))
 
     def test_octant_spectrum_is_kept_read_only(self, grid3_small):
         conv = cq.build_convolver(grid3_small, 2.0)

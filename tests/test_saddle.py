@@ -454,6 +454,32 @@ class TestScalarSaddle:
         assert rep.energy == plain.energy and rep.iterations == plain.iterations
 
 
+class TestRecenteringLeavesTheBox:
+    """A recentering dilation that leaves the box keeps the unrecentered
+    profile; the message names the energy the report then carries and the
+    fiber offset it was not moved by."""
+
+    def test_message_names_the_reported_energy(self, monkeypatch):
+        def leave_the_box(f, s, renormalize=True):
+            raise cq.DilationOutOfBox(f"dilation by s={s:g} left the box")
+
+        monkeypatch.setattr(cq.saddle, "dilate", leave_the_box)
+        g = cq.GridSpec(3, 8.0, 16)
+        rep = cq.scalar_constrained_saddle(
+            1.1, 60.0, 3.0, 2.0, g, cq.SaddleOptions(max_iters=6), init_width=1.3
+        )
+        s_star, level = cq.fiber_maximize(rep.state, cq.flow._scalar_params(1.1, 60.0, 3.0, 3, 2.0))
+        assert not rep.converged
+        assert s_star == pytest.approx(rep.residuals["fiber_offset"], abs=1e-9)
+        assert abs(s_star) > cq.saddle._RECENTER_TOL
+        assert rep.energy.total < level  # the profile's energy at s = 0, below its fiber maximum
+        assert rep.message == (
+            f"recentering left the box at fiber offset s = {s_star:.4g}: energy.total is the "
+            f"unrecentered profile's energy at s = 0 ({rep.energy.total:.6g}), "
+            f"not its fiber-maximum level ({level:.6g})"
+        )
+
+
 class TestKineticBoundsGuards:
     def test_requires_converged(self, saddle_report, grid32):
         import dataclasses
