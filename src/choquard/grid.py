@@ -36,8 +36,8 @@ and M/2, 2 elsewhere), and on an even field the periodic spectral Laplacian
 is diagonal in the type-1 DCT of the octant, with wavenumbers pi j / L
 (Martucci 1994), so ``grad_norm_sq_values`` (whose Parseval weights are the
 same multiplicities) and ``neg_laplacian_values`` equal the full-grid
-operators of ``from_octant(f)`` to roundoff.  The other operators here take
-full-grid fields.
+operators of ``from_octant(f)`` to roundoff; ``radial_shells`` gives the
+octant's shells.  The other operators here take full-grid fields.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def _k_sq_octant(grid: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _octant_kinetic_weights(grid: GridSpec) -> np.ndarray:
     """|k|^2 times the multiplicity of each octant mode on the full grid."""
-    wk2 = octant_weights(_k_sq_octant(grid).shape) * _k_sq_octant(grid)
+    k2 = _k_sq_octant(grid)
+    wk2 = octant_weights(k2.shape) * k2
     wk2.setflags(write=False)
     return wk2
 
