@@ -206,18 +206,14 @@ class _SphereDescent:
         self.h_n = grid.cell_volume
         self.even = False
 
-    def enter_even_subspace(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def enter_even_subspace(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Work on the octant if the sampled V1, V2 and beta and the start
         (u, v) are all bitwise reflection-even; returns the start in the
         engine's layout."""
-        fields = (self.sampled.v1, self.sampled.v2, self.sampled.beta, u, v)
-        self.even = all(w is None or is_even(w) for w in fields)
-        if not self.even:
-            return u, v
-        self.sampled = self.full_sampled.folded()
-        return fold(u), fold(v)
+        full = self.full_sampled
+        self.even = all(w is None or is_even(w) for w in (full.v1, full.v2, full.beta, u, v))
+        self.sampled = full.folded() if self.even else full
+        return (fold(u), fold(v)) if self.even else (u, v)
 
     def leave_even_subspace(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray]:
         """Back to the full grid, for the certificate: the evaluated state's

@@ -520,5 +520,6 @@ class TestEvenSubspaceEnergy:
             two = energy(2 * t * up, 2 * t * vp) - energy(-2 * t * up, -2 * t * vp)
             fd = (8.0 * one - two) / (12.0 * t)
             ip = g.cell_volume * cq.grid.grid_sum(gval * phi, even=True)
-            scale = max(abs(fd), math.sqrt(g.cell_volume * cq.grid.grid_sum(gval * gval, even=True)))
+            norm = math.sqrt(g.cell_volume * cq.grid.grid_sum(gval * gval, even=True))
+            scale = max(abs(fd), norm)
             assert abs(fd - ip) < 1e-7 * scale, f"direction {k}"

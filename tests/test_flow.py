@@ -502,8 +502,14 @@ class TestEvenSubspace:
         opts = cq.FlowOptions(max_iters=600, grad_tol=1e-6, energy_tol=1e-12, symmetrize_every=5)
         init = cq.StatePair(cq.gaussian_field(g, width, mass=1.0),
                             cq.gaussian_field(g, 1.2 * width, mass=1.0))
+        u0, _ = cq.flow._SphereDescent(params, g).enter_even_subspace(init.u.values, init.v.values)
+        assert u0.shape == (m // 2 + 1,) * dim  # the solve runs on the octant
         rep = cq.minimize_normalized(params, init, opts)
-        monkeypatch.setattr(cq.flow._SphereDescent, "enter_even_subspace", lambda self, u, v: (u, v))
+
+        def stay_full(engine, u, v):
+            return u, v
+
+        monkeypatch.setattr(cq.flow._SphereDescent, "enter_even_subspace", stay_full)
         ref = cq.minimize_normalized(params, init, opts)
         assert rep.converged and ref.converged
         assert rep.iterations == ref.iterations
