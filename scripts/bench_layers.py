@@ -9,8 +9,9 @@ Usage (from the root of a checkout):
 A reflection-even solve holds its fields on the (M/2 + 1)^N octant; any
 other solve, and every certificate, on the full M^N grid.  For each case
 ``dim:M`` this times, on both layouts, one call of each layer: the kinetic
-norm, -Laplacian, the (sigma - Laplacian)^{-1} preconditioner, the Riesz
-convolution, ``evaluate_state`` and ``gradient_values``.  The state is a
+norm, -Laplacian, the (sigma - Laplacian)^{-1} preconditioner, x . grad
+(the saddle's fiber tangent), the Riesz convolution, ``evaluate_state``
+and ``gradient_values``.  The state is a
 pair of centered Gaussians of different widths, so no layer takes the
 mirrored (u = v) shortcut, and the model is the ``ground_state`` benchmark
 model (alpha = N/2 in 1-D and 2-D, where alpha < N).
@@ -50,7 +51,9 @@ import scipy.fft  # noqa: E402
 import choquard as cq  # noqa: E402
 from choquard.energy import evaluate_state, gradient_values, sample_model  # noqa: E402
 from choquard.flow import _precondition  # noqa: E402
-from choquard.grid import fold, from_octant, grad_norm_sq_values, neg_laplacian_values  # noqa: E402
+from choquard.grid import (  # noqa: E402
+    fold, from_octant, grad_norm_sq_values, neg_laplacian_values, x_grad_values,
+)
 from choquard.riesz import riesz_convolve_even, riesz_convolve_values  # noqa: E402
 
 DEFAULT_CASES = "3:32,3:64,3:96,1:1024,2:256"
@@ -104,6 +107,7 @@ def layer_calls(grid, params, conv, u, v, model, even: bool) -> dict:
         "kinetic_norm": lambda: grad_norm_sq_values(grid, u, even),
         "neg_laplacian": lambda: neg_laplacian_values(grid, u, even),
         "precondition": lambda: _precondition(grid, u, SIGMA, even),
+        "x_grad": lambda: x_grad_values(grid, u, even),
         "convolve": lambda: convolve(conv, u * u),
         "evaluate_state": lambda: evaluate_state(u, v, params, conv, model, even).breakdown.total,
         "gradient_values": lambda: gradient_values(ev, params, model),

@@ -224,7 +224,20 @@ def evaluate_state(
 
     conv_u, b_u = _nonlocal(conv, u_values, params.p, even)
     conv_v, b_v = (conv_u, b_u) if mirrored else _nonlocal(conv, v_values, params.q, even)
+    breakdown = assemble_breakdown(u_values, v_values, params, sampled, gu, gv, b_u, b_v, even)
+    return StateEval(
+        u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown,
+        mirrored=mirrored, even=even,
+    )
 
+
+def assemble_breakdown(
+    u_values: np.ndarray, v_values: np.ndarray, params: ModelParams, sampled: SampledModel,
+    gu: float, gv: float, b_u: float, b_v: float, even: bool = False,
+) -> EnergyBreakdown:
+    """The energy of a state from its kinetic norms and B values, with the
+    potential and coupling integrals taken on the layout of the fields."""
+    grid = sampled.grid
     pot_u = _quad(grid, sampled.v1 * u_values**2, even) if sampled.v1 is not None else 0.0
     pot_v = _quad(grid, sampled.v2 * v_values**2, even) if sampled.v2 is not None else 0.0
     coup = (
@@ -234,7 +247,7 @@ def evaluate_state(
     kinetic = 0.5 * (gu + gv)
     nl_u = -params.mu1 / (2.0 * params.p) * b_u
     nl_v = -params.mu2 / (2.0 * params.q) * b_v
-    breakdown = EnergyBreakdown(
+    return EnergyBreakdown(
         kinetic=kinetic,
         potential_v1=0.5 * pot_u,
         potential_v2=0.5 * pot_v,
@@ -249,10 +262,6 @@ def evaluate_state(
         pot_u_integral=pot_u,
         pot_v_integral=pot_v,
         coupling_integral=coup,
-    )
-    return StateEval(
-        u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown,
-        mirrored=mirrored, even=even,
     )
 
 

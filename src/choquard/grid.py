@@ -35,9 +35,9 @@ octant point by its multiplicity on the full grid (per axis 1 at offsets 0
 and M/2, 2 elsewhere), and on an even field the periodic spectral Laplacian
 is diagonal in the type-1 DCT of the octant, with wavenumbers pi j / L
 (Martucci 1994), so ``grad_norm_sq_values`` (whose Parseval weights are the
-same multiplicities) and ``neg_laplacian_values`` equal the full-grid
-operators of ``from_octant(f)`` to roundoff; ``radial_shells`` gives the
-octant's shells.  The other operators here take full-grid fields.
+same multiplicities), ``neg_laplacian_values`` and ``x_grad_values`` equal
+the full-grid operators of ``from_octant(f)`` to roundoff; ``radial_shells``
+gives the octant's shells.  The other operators here take full-grid fields.
 """
 
 from __future__ import annotations
@@ -337,9 +337,23 @@ def neg_laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, neg_laplacian_values(f.grid, f.values))
 
 
-def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+def x_grad_values(grid: GridSpec, values: np.ndarray, even: bool = False) -> np.ndarray:
     """x . grad f, with each partial derivative a periodic Fourier multiplier
-    that drops the Nyquist mode."""
+    that drops the Nyquist mode, of full-grid values or, with ``even``, of an
+    octant, where d_k is a DCT-I along k, times pi j / L, and a DST-I over the
+    modes and offsets 1..M/2 - 1; offsets 0 and M/2 get zero, as on the grid."""
+    if even:
+        half = grid.points_per_axis // 2
+        j = np.arange(1, half)
+        wavenumber, x_over_m = np.pi * j / grid.half_extent, grid.spacing * j / (2 * half)
+        out = np.zeros_like(values)
+        for ax in range(grid.dim):
+            inner = (slice(None),) * ax + (slice(1, half),)
+            along = (-1,) + (1,) * (grid.dim - ax - 1)
+            spec = scipy.fft.dct(values, type=1, axis=ax)[inner] * wavenumber.reshape(along)
+            d_k = scipy.fft.dst(spec, type=1, axis=ax, overwrite_x=True)
+            out[inner] -= x_over_m.reshape(along) * d_k
+        return out
     spec = scipy.fft.rfftn(values)
     out = np.zeros(grid.shape)
     for x, k in zip(grid.coords(), _derivative_wavevectors(grid)):

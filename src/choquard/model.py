@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AlphaOutOfRange, NotSupercritical, RangeError
-from .grid import GridSpec, x_grad_values
+from .grid import GridSpec, fold, x_grad_values
 
 GN_SAFETY = 2.0  # headroom over the Gaussian-family Gagliardo-Nirenberg estimate
 ALPHA_FLOOR = 1e-6  # smallest alpha a model accepts, clear of the Gamma(alpha/2) pole
@@ -182,9 +182,13 @@ def coupling_x_grad_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
     return x_grad_values(grid, coupling_values(spec, grid))
 
 
-def coupling_scaled_values(spec: CouplingSpec, grid: GridSpec, scale: float) -> np.ndarray:
-    """beta(scale * x) for the built-in families (used along dilation fibers)."""
-    return coupling_radial_values(spec, scale**2 * grid.radius_sq())
+def coupling_scaled_values(
+    spec: CouplingSpec, grid: GridSpec, scale: float, even: bool = False
+) -> np.ndarray:
+    """beta(scale * x) for the built-in families (used along dilation fibers),
+    on the grid or, with ``even``, on its octant."""
+    r2 = fold(grid.radius_sq()) if even else grid.radius_sq()
+    return coupling_radial_values(spec, scale**2 * r2)
 
 
 def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:

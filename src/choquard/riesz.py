@@ -55,6 +55,10 @@ gradient built on it as its exact derivative; it equals the full-grid sum
 when the face is zero.  The solvers descend with it and certify their
 answer with ``riesz_convolve_values``.
 
+A density that is the outer product of N copies of one 1-D factor has its
+quadratic form sum (K * rho) rho without an N-D transform
+(``riesz_energy_rank_one``).
+
 ``build_convolver`` keeps its last result: every solve, geometry check,
 scan cell and fiber call on one (grid, alpha) shares one read-only kernel
 spectrum, which stays alive until another (grid, alpha) is built.
@@ -213,6 +217,24 @@ def riesz_convolve_even(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
         work = scipy.fft.dct(work, type=1, axis=ax, overwrite_x=True)
         work = work[(slice(None),) * ax + (slice(0, m // 2 + 1),)]
     return work * (grid.cell_volume / (2 * m) ** dim)
+
+
+def riesz_energy_rank_one(conv: RieszConvolver, factor: np.ndarray) -> float:
+    """h^N sum_i (K * rho)_i rho_i, the quadrature of ``riesz_convolve_values``,
+    for the density rho = factor x ... x factor of N copies of one 1-D factor
+    of M values.  By Parseval on the padded grid the sum is the kernel's
+    spectrum against |rho^|^2, the product of the factor's |rfft(n = 2M)|^2
+    over the axes; both are even, so it runs over the modes 0..M of
+    ``octant_spectrum`` (weight 1 at 0 and M, 2 elsewhere), axis by axis."""
+    grid = conv.grid
+    m = grid.points_per_axis
+    spec = scipy.fft.rfft(factor, n=2 * m)
+    power = spec.real**2 + spec.imag**2
+    power[1:m] *= 2.0
+    total = conv.octant_spectrum
+    for _ in range(grid.dim):
+        total = total @ power
+    return float(total) * grid.cell_volume**2 / (2 * m) ** grid.dim
 
 
 def riesz_convolve_oracle(grid: GridSpec, alpha: float, rho: ScalarField) -> ScalarField:

@@ -25,9 +25,10 @@ sub-resolution spike states.  The profile is dilated to its own fiber
 maximum only between rounds.  As in the flow, a reflection-even problem
 descends with its fields on the (M/2 + 1)^N octant and is certified on the
 full grid: the Armijo slope, the gauge removal and the fiber's shell sums
-weigh each octant point by its multiplicity, and the fiber tangent x . grad,
-the recentering dilation and the resampled coupling, which have no octant
-form, run on the expanded field and are folded back.  The retraction
+weigh each octant point by its multiplicity, the fiber tangent x . grad and
+the resampled coupling beta(e^{-s} x) are taken on the octant, and only the
+recentering dilation, which has no octant form, runs on the expanded field
+and is folded back.  The retraction
 zeroes a frozen component, and the fiber tangent and the dilation go
 through ``StateEval.each``, once for a u = v profile of a swap-symmetric
 model and not at all for a zero component.  At
@@ -40,7 +41,9 @@ Admissibility of the coupling (sup-norm below the barrier bound, sign
 condition on 2 beta + x.grad beta / delta_p) is checked by
 ``check_geometry`` together with sampled estimates of the energy well and
 barrier separation; for a swap-symmetric model it samples each unordered
-width pair once, since E(a, b) = E(b, a).
+width pair once, since E(a, b) = E(b, a).  Its samples are centred Gaussian
+pairs with rank-one densities |u|^p, so their B values take no grid
+convolution (``riesz_energy_rank_one``).
 
 The fiber needs beta(e^{-s} x) off the grid, which only the built-in
 coupling families provide in closed form, so ``_SaddleEngine``, which also
@@ -76,8 +79,8 @@ from .grid import (
     ScalarField,
     StatePair,
     dilate,
-    fold,
     gaussian_field,
+    grad_norm_sq_values,
     grid_sum,
     neg_laplacian_values,  # noqa: F401  (a traced-benchmark binding; the gradient is energy's)
     octant_weights,
@@ -87,6 +90,8 @@ from .grid import (
 from .energy import (
     SampledModel,
     StateEval,
+    _power_density,
+    assemble_breakdown,
     gradient_values,
     multiplier_sum_from_state,
     multipliers_from_breakdown,
@@ -102,6 +107,7 @@ from .model import (
     coupling_values,
     h_thresholds,
 )
+from .riesz import RieszConvolver, riesz_energy_rank_one
 
 _FIBER_BRACKET = (-4.0, 4.0)  # first bracket of the fiber maximizer, widened once
 _FIBER_TOL = 1e-11  # tolerance on the maximizing s
@@ -142,9 +148,10 @@ class GeometryReport:
     analytic_barrier_lower_bound: float
 
 
-def _dilation_generator(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """(N/2) f + x . grad f, the infinitesimal mass-preserving dilation."""
-    return 0.5 * grid.dim * values + x_grad_values(grid, values)
+def _dilation_generator(grid: GridSpec, values: np.ndarray, even: bool = False) -> np.ndarray:
+    """(N/2) f + x . grad f, the infinitesimal mass-preserving dilation, on
+    the grid or, with ``even``, on its octant."""
+    return 0.5 * grid.dim * values + x_grad_values(grid, values, even)
 
 
 def _remove_component(
@@ -281,9 +288,9 @@ class _SaddleEngine(_SphereDescent):
         gradient."""
         beta_s = None
         if self.sampled.beta is not None:
-            beta_s = coupling_scaled_values(self.params.coupling, self.grid, math.exp(-s_star))
-            if ev.even:
-                beta_s = fold(beta_s)
+            beta_s = coupling_scaled_values(
+                self.params.coupling, self.grid, math.exp(-s_star), ev.even
+            )
         return gradient_values(ev, self.params, self.sampled, s_star, beta_s)
 
     def pohozaev(self, ev: StateEval) -> float:
@@ -295,13 +302,16 @@ class _SaddleEngine(_SphereDescent):
         The merit is exactly invariant along this direction in the continuum
         but only up to resolution error on the grid, so descent steps are
         kept orthogonal to it (the offset s plays the role of the gauge)."""
-        generator = self.through_full_grid(lambda w: _dilation_generator(self.grid, w))
-        return _sphere_tangent(*ev.each(generator), ev)[:2]
+        generator = ev.each(lambda w: _dilation_generator(self.grid, w, ev.even))
+        return _sphere_tangent(*generator, ev)[:2]
 
     def residual(self, ev: StateEval, s: float):
         """Sphere-tangential gradient of the merit with the fiber direction
         removed: (ru, rv, cu, cv, gauge) with the fiber tangent as gauge."""
-        ru, rv, cu, cv = _sphere_tangent(*self.pulled_back_gradient(ev, s), ev)
+        return self.transverse(ev, *_sphere_tangent(*self.pulled_back_gradient(ev, s), ev))
+
+    def transverse(self, ev: StateEval, ru, rv, cu, cv):
+        """``residual`` from the sphere-tangential gradient (ru, rv, cu, cv)."""
         gauge = self.fiber_tangent(ev)
         return *_remove_component(ru, rv, *gauge, ev.even), cu, cv, gauge
 
@@ -432,33 +442,44 @@ def _pinned_energy(
     """Energy of a mass-normalized Gaussian pair whose measured kinetic term
     hits the target to 2% (or, with ``below``, lands anywhere at or under it).
 
-    The first evaluation is at the given widths, which the caller pins in
-    closed form, so a resolved pair costs one energy evaluation; a pair that
-    misses the band is rescaled by its measured kinetic term, up to 12
-    evaluations.  None if a width leaves (1e-2 h, 20 L) or the pair cannot be
-    sampled."""
-    grid = engine.grid
+    The first kinetic term is measured at the given widths, which the caller
+    pins in closed form; a pair that misses the band is rescaled by its
+    measured kinetic term, up to 12 times.  The energy of the accepted pair
+    is the full grid's, but each B is that of a rank-one density
+    (``_gaussian_b``), so no field is convolved.  None if a width leaves
+    (1e-2 h, 20 L) or the pair cannot be sampled."""
+    grid, params = engine.grid, engine.params
     wu, wv = width_u, width_v
     for _ in range(12):
         if not all(1e-2 * grid.spacing < w < 20 * grid.half_extent for w in (wu, wv)):
             return None
         try:
-            u = gaussian_field(grid, wu, mass=engine.params.xi**2)
-            v = gaussian_field(grid, wv, mass=engine.params.eta**2)
+            u = gaussian_field(grid, wu, mass=params.xi**2).values
+            v = gaussian_field(grid, wv, mass=params.eta**2).values
         except ZeroMass:
             return None
-        ev = engine.evaluate(u.values, v.values)
-        k = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
+        gu, gv = grad_norm_sq_values(grid, u), grad_norm_sq_values(grid, v)
+        k = gu + gv
         if k <= 0.0:
             return None
-        if below and k <= kinetic:
-            return float(ev.breakdown.total)
         t = math.sqrt(k / kinetic)
-        if abs(t - 1.0) < 0.02:
-            return float(ev.breakdown.total)
+        if (below and k <= kinetic) or abs(t - 1.0) < 0.02:
+            b_u, b_v = _gaussian_b(engine.conv, u, params.p), _gaussian_b(engine.conv, v, params.q)
+            return assemble_breakdown(u, v, params, engine.sampled, gu, gv, b_u, b_v).total
         wu *= t
         wv *= t
     return None
+
+
+def _gaussian_b(conv: RieszConvolver, values: np.ndarray, p: float) -> float:
+    """B(u, p) of a centred Gaussian's grid values.  u is its peak a times a
+    product of one 1-D profile per axis, so |u|^p is the outer product of N
+    copies of |a^{1/N - 1} u|^p along the central line."""
+    grid = conv.grid
+    centre = grid.points_per_axis // 2
+    line = values[(slice(None),) + (centre,) * (grid.dim - 1)]
+    factor = line * line[centre] ** (1.0 / grid.dim - 1.0)
+    return riesz_energy_rank_one(conv, _power_density(factor, p))
 
 
 def mountain_pass_solve(
@@ -533,7 +554,7 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
         if msg:
             message = msg
         ev, s_star, psi, recenter_msg = _recenter(engine, ev, s_star, psi)
-        grad_norm, poh, certified = _certificate(engine, ev, s_star)
+        grad_norm, full_el, poh, certified = _certificate(engine, ev, s_star)
         converged = descended and certified
         if converged:
             break
@@ -541,7 +562,7 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
     message = "; ".join(m for m in (message, recenter_msg) if m)
     if engine.even:  # the full-grid certificate
         ev, psi, s_star = engine.measure(*engine.leave_even_subspace(ev))
-        grad_norm, poh, certified = _certificate(engine, ev, s_star)
+        grad_norm, full_el, poh, certified = _certificate(engine, ev, s_star)
         if converged and not certified:
             converged, message = False, "the full-grid certificate misses the tolerances"
     if budget <= 0 and not descended:
@@ -551,8 +572,6 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
             "descent/recentering alternation left a residual above tolerance "
             "(grid resolution limits the dilation identity); refine the grid"
         )
-    fu, fv, _, _ = _sphere_tangent(*engine.pulled_back_gradient(ev, s_star), ev)
-    full_el = engine.grad_norm(fu, fv)
     grid = engine.grid
     bd = ev.breakdown
     mult = multipliers_from_breakdown(bd, params, params.xi**2, params.eta**2)
@@ -586,16 +605,20 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
     )
 
 
-def _certificate(engine: _SaddleEngine, ev: StateEval, s_star: float) -> tuple[float, float, bool]:
-    """(transverse residual, dilation-identity residual, whether both meet
-    the tolerances) of a recentered profile."""
+def _certificate(
+    engine: _SaddleEngine, ev: StateEval, s_star: float
+) -> tuple[float, float, float, bool]:
+    """(transverse residual, EL residual, dilation-identity residual, whether
+    the first and the last meet the tolerances) of a recentered profile,
+    from one pulled-back gradient."""
     opts = engine.opts
-    ru, rv, *_ = engine.residual(ev, s_star)
+    tangent = _sphere_tangent(*engine.pulled_back_gradient(ev, s_star), ev)
+    ru, rv, *_ = engine.transverse(ev, *tangent)
     grad_norm = engine.grad_norm(ru, rv)
     poh = engine.pohozaev(ev)
     kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
     ok = grad_norm <= opts.grad_tol and abs(poh) <= opts.pohozaev_rel_tol * max(kin, 1e-300)
-    return grad_norm, poh, ok
+    return grad_norm, engine.grad_norm(*tangent[:2]), poh, ok
 
 
 def _recenter(engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float):

@@ -6,8 +6,8 @@ import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
-LAYERS = {"kinetic_norm", "neg_laplacian", "precondition", "convolve", "evaluate_state",
-          "gradient_values"}
+LAYERS = {"kinetic_norm", "neg_laplacian", "precondition", "x_grad", "convolve",
+          "evaluate_state", "gradient_values"}
 
 
 def load_script():

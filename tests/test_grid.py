@@ -255,6 +255,17 @@ class TestOctantOperators:
         assert got.shape == f.shape and self.close(cq.grid.from_octant(got), want)
 
     @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_x_grad(self, dim, m, L):
+        # x . grad f is even, so the fold of the full-grid result is its octant
+        g = cq.GridSpec(dim, L, m)
+        f = self.octant(g)
+        got = cq.grid.x_grad_values(g, f, even=True)
+        want = cq.grid.fold(cq.grid.x_grad_values(g, cq.grid.from_octant(f)))
+        assert got.shape == f.shape and self.close(got, want)
+        # each d_k is zero at offsets 0 and M/2 along k, as on the full grid
+        assert got[(0,) * dim] == 0.0 and got[(-1,) * dim] == 0.0
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
     def test_convolution_without_a_face(self, dim, m, L):
         # the octant convolution splits the face between -L and +L, so it
         # equals the full-grid sum where the face is zero

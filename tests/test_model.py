@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 import choquard as cq
+from choquard.grid import fold
 from choquard.model import (
     coupling_scaled_values,
     coupling_values,
@@ -240,6 +241,16 @@ class TestCouplingFormulas:
         assert np.array_equal(coupling_scaled_values(decay, g, scale), want["decay_scaled"])
         for got in (coupling_values(flat, g), coupling_scaled_values(flat, g, scale)):
             assert got.shape == g.shape and np.all(got == 0.1)
+
+    @pytest.mark.parametrize("scale", [1.0, math.exp(-0.3), math.exp(2.0)])
+    def test_scaled_values_on_the_octant(self, scale):
+        # sampled on the folded r^2, never on the full grid: the same bits as
+        # the fold of the full-grid samples, since r^2 is bitwise even
+        g = cq.GridSpec(3, 10.0, 40)
+        decay = cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
+        got = coupling_scaled_values(decay, g, scale, even=True)
+        assert got.shape == (21, 21, 21)
+        assert np.array_equal(got, fold(coupling_scaled_values(decay, g, scale)))
 
     def test_table_has_no_scaled_values(self, grid3_small):
         spec = cq.CouplingSpec("tabulated", values=np.ones(grid3_small.shape))

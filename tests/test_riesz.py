@@ -317,3 +317,32 @@ class TestEvenConvolution:
         assert np.array_equal(conv.octant_spectrum, conv.kernel_spectrum[: m + 1, : m + 1])
         with pytest.raises(ValueError):
             conv.octant_spectrum[0, 0, 0] = 1.0
+
+
+class TestRankOne:
+    """B of a density that is the outer product of N copies of one 1-D
+    factor, without an N-D transform, against the full-grid quadrature."""
+
+    CASES = [(1, 64, 8.0, 0.5), (1, 64, 8.0, 0.9), (2, 32, 8.0, 0.5), (2, 32, 8.0, 1.5),
+             (3, 16, 6.0, 1.0), (3, 16, 6.0, 2.5), (3, 24, 10.0, 2.0)]
+
+    @pytest.mark.parametrize("dim,m,L,alpha", CASES)
+    @pytest.mark.parametrize("width_in_l", [0.1, 0.5, 1.0])
+    def test_equals_full_grid_quadrature(self, dim, m, L, alpha, width_in_l):
+        # a width of L leaves e^{-1/2} of the peak on the x = -L face
+        g = cq.GridSpec(dim, L, m)
+        conv = cq.build_convolver(g, alpha)
+        factor = np.exp(-0.5 * (g.axis() / (width_in_l * L)) ** 2)
+        density = factor
+        for _ in range(dim - 1):
+            density = np.multiply.outer(density, factor)
+        want = cq.energy._nonlocal(conv, density, 1.0)[1]
+        assert cq.riesz.riesz_energy_rank_one(conv, factor) == pytest.approx(want, rel=1e-13)
+
+    def test_uneven_factor(self):
+        # nothing asks the factor to be even or centred
+        g = cq.GridSpec(2, 5.0, 20)
+        conv = cq.build_convolver(g, 1.0)
+        factor = np.random.default_rng(3).uniform(0.1, 1.0, g.points_per_axis)
+        want = cq.energy._nonlocal(conv, np.multiply.outer(factor, factor), 1.0)[1]
+        assert cq.riesz.riesz_energy_rank_one(conv, factor) == pytest.approx(want, rel=1e-13)

@@ -95,6 +95,31 @@ class TestGeometryPinning:
         assert geo.sup_well_estimate == pytest.approx(-0.01462382711, abs=1e-4)
         assert geo.separated
 
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_pinned_energy_convolves_nothing(self, grid32, monkeypatch, eta):
+        # each B is that of a rank-one density; the energy is still the full grid's
+        params = cq.ModelParams(
+            **{**SUP, "eta": eta}, coupling=cq.CouplingSpec("rational_decay", 0.01, 2.0 / 3.0)
+        )
+        engine = cq.flow._SphereDescent(params, grid32)
+        pairs = [(1.2, 1.2), (2.5, 5.0), (5.0, 2.5), (5.0, 5.0), (10.0, 3.0), (3.0, 10.0),
+                 (0.5, 10.0)]
+
+        def refuse(*args):
+            raise AssertionError("a geometry sample was convolved on the grid")
+
+        with monkeypatch.context() as patch:
+            for owner in (cq.riesz, cq.energy):
+                patch.setattr(owner, "riesz_convolve_values", refuse)
+            # an unbounded level takes the first widths, as a resolved pair does
+            got = [cq.saddle._pinned_energy(engine, wu, wv, math.inf, below=True)
+                   for wu, wv in pairs]
+        for (wu, wv), energy in zip(pairs, got):
+            u = cq.gaussian_field(grid32, wu, mass=params.xi**2).values
+            v = cq.gaussian_field(grid32, wv, mass=params.eta**2).values
+            want = engine.evaluate(u, v).breakdown.total
+            assert energy == pytest.approx(want, rel=1e-14), (wu, wv)
+
     def test_saddle_solve_builds_one_convolver(self, grid32, monkeypatch):
         monkeypatch.setattr(cq.saddle, "_saddle_descend", lambda engine, *a: engine.conv)
         bump = cq.gaussian_field(grid32, 1.2, mass=1.0)
@@ -190,6 +215,71 @@ class TestPulledBackGradient:
             fd = (fiber[0] - fiber[1]) / (2 * t)
             ip = g.cell_volume * (np.sum(gu * pu) + np.sum(gv * pv))
             assert fd == pytest.approx(ip, rel=1e-6)
+
+
+class TestOctantFiber:
+    """An even descent takes the fiber tangent and the resampled coupling on
+    the octant, and its certificate takes one pulled-back gradient."""
+
+    @staticmethod
+    def engines(grid):
+        params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0))
+        u = cq.gaussian_field(grid, 1.3, mass=1.0).values
+        v = cq.gaussian_field(grid, 1.1, mass=1.0).values
+        full = cq.saddle._SaddleEngine(params, grid)
+        octant = cq.saddle._SaddleEngine(params, grid)
+        ev_octant = octant.evaluate(*octant.enter_even_subspace(u, v))
+        assert octant.even and ev_octant.even
+        return full, full.evaluate(u, v), octant, ev_octant
+
+    def test_tangent_and_gradient_match_the_full_grid(self, grid32, monkeypatch):
+        full, ev, octant, ev_octant = self.engines(grid32)
+        sizes = []
+        radial = cq.model.coupling_radial_values
+        monkeypatch.setattr(cq.flow, "from_octant", None)  # no map expands the octant
+        monkeypatch.setattr(cq.model, "coupling_radial_values",
+                            lambda spec, r2: sizes.append(np.size(r2)) or radial(spec, r2))
+        tangent = octant.fiber_tangent(ev_octant)
+        gradient = octant.pulled_back_gradient(ev_octant, 0.3)
+        assert sizes == [17**3]  # beta(e^{-s} x) sampled on the octant only
+        monkeypatch.undo()
+        for got, want in zip(tangent + gradient,
+                             full.fiber_tangent(ev) + full.pulled_back_gradient(ev, 0.3)):
+            assert got.shape == (17, 17, 17)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - cq.grid.fold(want))) <= 1e-13 * scale
+
+    def test_certificate_takes_one_full_grid_gradient(self, monkeypatch):
+        g = cq.GridSpec(3, 8.0, 16)
+        layouts = []
+        gradient, descent_round = cq.saddle.gradient_values, cq.saddle._descent_round
+
+        def counting_gradient(ev, *args):
+            layouts.append("octant" if ev.even else "full")
+            return gradient(ev, *args)
+
+        def fresh_round(*args):
+            out = descent_round(*args)
+            layouts.clear()  # count what runs after the last round only
+            return out
+
+        monkeypatch.setattr(cq.saddle, "gradient_values", counting_gradient)
+        monkeypatch.setattr(cq.saddle, "_descent_round", fresh_round)
+        bump = cq.gaussian_field(g, 1.2, mass=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = cq.mountain_pass_solve(
+                sup_params(), cq.StatePair(bump, bump.copy()), cq.SaddleOptions(max_iters=10)
+            )
+        # the last round's octant certificate, then the full grid's, once
+        assert layouts == ["octant", "full"]
+        monkeypatch.undo()
+        engine = cq.saddle._SaddleEngine(sup_params(), g)
+        ev = engine.evaluate(rep.state.u.values, rep.state.v.values)
+        fu, fv, _, _ = cq.flow._sphere_tangent(
+            *engine.pulled_back_gradient(ev, rep.residuals["fiber_offset"]), ev
+        )
+        assert rep.residuals["el_residual"] == engine.grad_norm(fu, fv)
 
 
 class TestFiberShells:
