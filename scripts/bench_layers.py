@@ -52,7 +52,7 @@ import choquard as cq  # noqa: E402
 from choquard.energy import evaluate_state, gradient_values, sample_model  # noqa: E402
 from choquard.flow import _precondition  # noqa: E402
 from choquard.grid import (  # noqa: E402
-    fold, from_octant, grad_norm_sq_values, neg_laplacian_values, x_grad_values,
+    fold, from_octant, grad_norm_sq_values, neg_laplacian_values, on_octant, x_grad_values,
 )
 from choquard.riesz import riesz_convolve_even, riesz_convolve_values  # noqa: E402
 
@@ -99,17 +99,18 @@ def rel_diff(octant_result, full_result) -> float:
     return float(np.max(np.abs(np.asarray(octant_result) - full_result))) / scale
 
 
-def layer_calls(grid, params, conv, u, v, model, even: bool) -> dict:
-    """name -> a call of that layer on one layout, returning its result."""
-    ev = evaluate_state(u, v, params, conv, model, even)
-    convolve = riesz_convolve_even if even else riesz_convolve_values
+def layer_calls(grid, params, conv, u, v, model) -> dict:
+    """name -> a call of that layer on the layout of u, v and ``model``,
+    returning its result."""
+    ev = evaluate_state(u, v, params, conv, model)
+    convolve = riesz_convolve_even if on_octant(grid, u) else riesz_convolve_values
     return {
-        "kinetic_norm": lambda: grad_norm_sq_values(grid, u, even),
-        "neg_laplacian": lambda: neg_laplacian_values(grid, u, even),
-        "precondition": lambda: _precondition(grid, u, SIGMA, even),
-        "x_grad": lambda: x_grad_values(grid, u, even),
+        "kinetic_norm": lambda: grad_norm_sq_values(grid, u),
+        "neg_laplacian": lambda: neg_laplacian_values(grid, u),
+        "precondition": lambda: _precondition(grid, u, SIGMA),
+        "x_grad": lambda: x_grad_values(grid, u),
         "convolve": lambda: convolve(conv, u * u),
-        "evaluate_state": lambda: evaluate_state(u, v, params, conv, model, even).breakdown.total,
+        "evaluate_state": lambda: evaluate_state(u, v, params, conv, model).breakdown.total,
         "gradient_values": lambda: gradient_values(ev, params, model),
     }
 
@@ -121,8 +122,8 @@ def measure_case(dim: int, m: int, repeats: int) -> dict:
     model = sample_model(params, grid)
     u = cq.gaussian_field(grid, 1.5, mass=1.0).values
     v = cq.gaussian_field(grid, 1.8, mass=1.0).values
-    full = layer_calls(grid, params, conv, u, v, model, False)
-    octant = layer_calls(grid, params, conv, fold(u), fold(v), model.folded(), True)
+    full = layer_calls(grid, params, conv, u, v, model)
+    octant = layer_calls(grid, params, conv, fold(u), fold(v), model.folded())
     out = {"dim": dim, "points_per_axis": m, "half_extent": grid.half_extent, "layers": {}}
     for name in full:
         timings = {"full": time_call(full[name], repeats),

@@ -24,14 +24,12 @@ computing it again would give; a map alike on u and v goes through
 is zeroed by the solvers' retraction, and its convolution and its
 ``StateEval.each`` maps are skipped.
 
-A reflection-even state may be evaluated on its (M/2 + 1)^N octant
-(``evaluate_state(..., even=True)``): its fields, the sampled model
-(``SampledModel.folded``), the convolutions and the gradient are then
-octant arrays, the quadrature weighs each octant point by its multiplicity
-on the full grid (``grid.grid_sum``), the kinetic term and the Laplacian
-are the octant's DCT-I forms, and the nonlocal term is
-``riesz_convolve_even``.  ``StateEval.even`` records the layout, which the
-gradient and the identity helpers follow.
+A reflection-even state may be evaluated on its (M/2 + 1)^N octant, with
+the model sampled there too (``SampledModel.folded``); its convolutions and
+gradient are then octants.  The layout is the arrays' shape
+(``grid.on_octant``): the quadrature weighs each octant point by its
+multiplicity on the full grid (``grid.grid_sum``), the kinetic term and the
+Laplacian are DCT-I forms, and the nonlocal term is ``riesz_convolve_even``.
 
 The state functions (``energy_total``, ``el_gradient``,
 ``lagrange_multipliers``, ``pohozaev_residual``, ``multiplier_sum_identity``)
@@ -73,6 +71,7 @@ from .grid import (
     grad_norm_sq_values,
     grid_sum,
     neg_laplacian_values,
+    on_octant,
 )
 from .model import ModelParams, coupling_values, coupling_x_grad_values, potential_values
 from .riesz import RieszConvolver, build_convolver, riesz_convolve_even, riesz_convolve_values
@@ -122,12 +121,8 @@ class SampledModel:
     def folded(self) -> "SampledModel":
         """The samples on the octant, for an even-subspace evaluation; the fold
         of a bitwise-even sample is its restriction."""
-        def octant(a: np.ndarray | None) -> np.ndarray | None:
-            return None if a is None else fold(a)
-
-        return SampledModel(
-            self.grid, octant(self.v1), octant(self.v2), octant(self.beta), octant(self.x_grad_beta)
-        )
+        samples = (self.v1, self.v2, self.beta, self.x_grad_beta)
+        return SampledModel(self.grid, *(None if a is None else fold(a) for a in samples))
 
 
 def sample_model(params: ModelParams, grid: GridSpec) -> SampledModel:
@@ -141,9 +136,9 @@ def sample_model(params: ModelParams, grid: GridSpec) -> SampledModel:
     return SampledModel(grid=grid, v1=v1, v2=v2, beta=beta, x_grad_beta=xgb)
 
 
-def _quad(grid: GridSpec, arr: np.ndarray, even: bool = False) -> float:
-    """Midpoint quadrature of a field on the grid or, with ``even``, on its octant."""
-    return grid.cell_volume * grid_sum(arr, even)
+def _quad(grid: GridSpec, arr: np.ndarray) -> float:
+    """Midpoint quadrature of a field on the grid or on its octant."""
+    return grid.cell_volume * grid_sum(grid, arr)
 
 
 def _power_density(values: np.ndarray, p: float) -> np.ndarray:
@@ -161,15 +156,16 @@ def _power_force(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def _nonlocal(
-    conv: RieszConvolver, values: np.ndarray, p: float, even: bool = False
+    conv: RieszConvolver, values: np.ndarray, p: float
 ) -> tuple[np.ndarray | None, float]:
-    """(K * |w|^p, B(w, p)) of a field's values, on the octant if ``even``;
-    (None, 0.0) for an all-zero field.  The density is freed on return."""
+    """(K * |w|^p, B(w, p)) of a field's values, on their layout; (None, 0.0)
+    for an all-zero field.  The density is freed on return."""
     if not np.any(values):
         return None, 0.0
     dens = _power_density(values, p)
-    conv_w = (riesz_convolve_even if even else riesz_convolve_values)(conv, dens)
-    return conv_w, _quad(conv.grid, conv_w * dens, even)
+    convolve = riesz_convolve_even if on_octant(conv.grid, dens) else riesz_convolve_values
+    conv_w = convolve(conv, dens)
+    return conv_w, _quad(conv.grid, conv_w * dens)
 
 
 def nonlocal_B(u: ScalarField, p: float, conv: RieszConvolver) -> float:
@@ -184,8 +180,8 @@ class StateEval:
     """Cache of everything the energy and gradient share for one state.
 
     ``mirrored`` marks a state with u == v of a swap-symmetric model; its
-    v-side quantities are u's (``conv_v`` is ``conv_u``).  ``even`` marks
-    fields held on the octant."""
+    v-side quantities are u's (``conv_v`` is ``conv_u``).  The fields are
+    full-grid arrays or octants."""
 
     u: np.ndarray
     v: np.ndarray
@@ -193,7 +189,6 @@ class StateEval:
     conv_v: np.ndarray | None
     breakdown: EnergyBreakdown
     mirrored: bool = False
-    even: bool = False
 
     def each(self, f):
         """(f(u), f(v)) for a map with f(0) = 0: f is called once, on u, for
@@ -213,36 +208,34 @@ def evaluate_state(
     params: ModelParams,
     conv: RieszConvolver,
     sampled: SampledModel,
-    even: bool = False,
 ) -> StateEval:
-    """The energy of a state and what its gradient reuses; with ``even``, of
-    a reflection-even state whose fields and ``sampled`` are octants."""
+    """The energy of a state and what its gradient reuses, of full-grid
+    fields or of the octants of a reflection-even state, with ``sampled``
+    on the same layout."""
     grid = conv.grid
     mirrored = params.swap_symmetric and np.array_equal(u_values, v_values)
-    gu = grad_norm_sq_values(grid, u_values, even)
-    gv = gu if mirrored else grad_norm_sq_values(grid, v_values, even)
+    gu = grad_norm_sq_values(grid, u_values)
+    gv = gu if mirrored else grad_norm_sq_values(grid, v_values)
 
-    conv_u, b_u = _nonlocal(conv, u_values, params.p, even)
-    conv_v, b_v = (conv_u, b_u) if mirrored else _nonlocal(conv, v_values, params.q, even)
-    breakdown = assemble_breakdown(u_values, v_values, params, sampled, gu, gv, b_u, b_v, even)
+    conv_u, b_u = _nonlocal(conv, u_values, params.p)
+    conv_v, b_v = (conv_u, b_u) if mirrored else _nonlocal(conv, v_values, params.q)
+    breakdown = assemble_breakdown(u_values, v_values, params, sampled, gu, gv, b_u, b_v)
     return StateEval(
         u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown,
-        mirrored=mirrored, even=even,
+        mirrored=mirrored,
     )
 
 
 def assemble_breakdown(
     u_values: np.ndarray, v_values: np.ndarray, params: ModelParams, sampled: SampledModel,
-    gu: float, gv: float, b_u: float, b_v: float, even: bool = False,
+    gu: float, gv: float, b_u: float, b_v: float,
 ) -> EnergyBreakdown:
     """The energy of a state from its kinetic norms and B values, with the
     potential and coupling integrals taken on the layout of the fields."""
     grid = sampled.grid
-    pot_u = _quad(grid, sampled.v1 * u_values**2, even) if sampled.v1 is not None else 0.0
-    pot_v = _quad(grid, sampled.v2 * v_values**2, even) if sampled.v2 is not None else 0.0
-    coup = (
-        _quad(grid, sampled.beta * u_values * v_values, even) if sampled.beta is not None else 0.0
-    )
+    pot_u = _quad(grid, sampled.v1 * u_values**2) if sampled.v1 is not None else 0.0
+    pot_v = _quad(grid, sampled.v2 * v_values**2) if sampled.v2 is not None else 0.0
+    coup = _quad(grid, sampled.beta * u_values * v_values) if sampled.beta is not None else 0.0
 
     kinetic = 0.5 * (gu + gv)
     nl_u = -params.mu1 / (2.0 * params.p) * b_u
@@ -283,7 +276,7 @@ def gradient_values(
     beta = sampled.beta if beta is None else beta
 
     def side(w, other, conv_w, pot, mu: float, e: float, de: float) -> np.ndarray:
-        g = neg_laplacian_values(grid, w, ev.even)
+        g = neg_laplacian_values(grid, w)
         g *= math.exp(2.0 * s)
         if conv_w is not None:
             g -= math.exp(2.0 * e * de * s) * mu * conv_w * _power_force(w, e)
@@ -374,7 +367,7 @@ def pohozaev_from_state(ev: StateEval, params: ModelParams, sampled: SampledMode
         params.mu1 * bd.b_u + params.mu2 * bd.b_v
     )
     if sampled.x_grad_beta is not None:
-        res += _quad(sampled.grid, sampled.x_grad_beta * (ev.u * ev.v), ev.even)
+        res += _quad(sampled.grid, sampled.x_grad_beta * (ev.u * ev.v))
     return res
 
 
@@ -402,5 +395,5 @@ def multiplier_sum_from_state(
     rhs = (1.0 / dp - 1.0) * k
     if sampled.beta is not None:
         combo = 2.0 * sampled.beta + sampled.x_grad_beta / dp
-        rhs += _quad(sampled.grid, combo * (ev.u * ev.v), ev.even)
+        rhs += _quad(sampled.grid, combo * (ev.u * ev.v))
     return lhs, rhs

@@ -27,13 +27,12 @@ along (a, a) plus 4 int beta a^2, so a local minimum on the diagonal is one of
 the full problem.
 
 A problem whose sampled V1, V2, beta and start are reflection-even in every
-axis descends in the even subspace, on the (M/2 + 1)^N octant: the engine
-holds the state, gradients, steps and sampled model there, and every
-norm, projection, Laplacian, preconditioner and convolution is the
-octant's (``grid.grid_sum``, the DCT-I forms of ``grid`` and
-``_precondition``, ``riesz_convolve_even``).  A map with no octant form,
-such as the rearrangement, expands the octant, runs on the full grid and
-folds its result back (``_SphereDescent.through_full_grid``).  The final
+axis descends in the even subspace (``_SphereDescent.enter_even_subspace``):
+the engine holds the state, gradients, steps and sampled model on the
+(M/2 + 1)^N octant, and every norm, projection, Laplacian, preconditioner
+and convolution takes its octant form from the arrays' shape.  A map with no
+octant form, such as the rearrangement, expands the octant, runs on the
+full grid and folds its result back (``through_full_grid``).  The final
 state is expanded to the full grid and evaluated there once more, and the
 report and ``converged`` come from that certificate.
 
@@ -56,22 +55,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import NoDescentStep, NoInteriorMax, NonFinite, NotSubcritical, ZeroMass
 from .grid import (
     GridSpec,
     ScalarField,
     StatePair,
-    _k_sq_octant,
-    _k_sq_rfft,
-    _octant_multiply,
     fold,
     from_octant,
     gaussian_field,
     grid_sum,
     is_even,
     rearrange_radial_decreasing,
+    laplacian_resolvent_values,
 )
 from .energy import (
     EnergyBreakdown,
@@ -147,44 +143,37 @@ def project_masses(state: StatePair, xi: float, eta: float) -> StatePair:
     )
 
 
-def _normalized(
-    values: np.ndarray, target_norm: float, grid: GridSpec, even: bool = False
-) -> np.ndarray:
-    """values rescaled to the target L2 norm, on the grid or, with ``even``,
-    on its octant."""
+def _normalized(values: np.ndarray, target_norm: float, grid: GridSpec) -> np.ndarray:
+    """values rescaled to the target L2 norm, on the grid or on its octant."""
     if target_norm == 0.0:
         return np.zeros_like(values)
-    nrm = math.sqrt(grid.cell_volume * grid_sum(values * values, even))
+    nrm = math.sqrt(grid.cell_volume * grid_sum(grid, values * values))
     if nrm == 0.0:
         raise ZeroMass("cannot project a zero field onto a positive mass sphere")
     return values * (target_norm / nrm)
 
 
-def _tangential(g: np.ndarray, u: np.ndarray, even: bool = False) -> tuple[np.ndarray, float]:
+def _tangential(grid: GridSpec, g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
     """Remove the component of g along u; return it and the Rayleigh ratio.
     An all-zero u (a component frozen at zero mass) gives zeros."""
-    uu = grid_sum(u * u, even)
+    uu = grid_sum(grid, u * u)
     if uu == 0.0:
         return np.zeros_like(g), 0.0
-    c = grid_sum(g * u, even) / uu
+    c = grid_sum(grid, g * u) / uu
     return g - c * u, c
 
 
 def _sphere_tangent(
-    gu: np.ndarray, gv: np.ndarray, ev: StateEval
+    grid: GridSpec, gu: np.ndarray, gv: np.ndarray, ev: StateEval
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Project a gradient pair onto the tangent space of the mass spheres at
     the evaluated state: (ru, rv, cu, cv) with the Rayleigh ratios."""
-    ru, cu = _tangential(gu, ev.u, ev.even)
-    rv, cv = _tangential(gv, ev.v, ev.even)
+    ru, cu = _tangential(grid, gu, ev.u)
+    rv, cv = _tangential(grid, gv, ev.v)
     return ru, rv, cu, cv
 
 
-def _precondition(grid: GridSpec, r: np.ndarray, sigma: float, even: bool = False) -> np.ndarray:
-    """(sigma - Lap)^{-1} r, spectrally, on the grid or, with ``even``, on its octant."""
-    if even:
-        return _octant_multiply(grid, r, 1.0 / (sigma + _k_sq_octant(grid)))
-    return scipy.fft.irfftn(scipy.fft.rfftn(r) / (sigma + _k_sq_rfft(grid)), s=grid.shape)
+_precondition = laplacian_resolvent_values  # patched by tests and the traced benchmark
 
 
 class _SphereDescent:
@@ -230,7 +219,7 @@ class _SphereDescent:
         return lambda w: fold(f(from_octant(w)))
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> StateEval:
-        ev = evaluate_state(u, v, self.params, self.conv, self.sampled, self.even)
+        ev = evaluate_state(u, v, self.params, self.conv, self.sampled)
         if not math.isfinite(ev.breakdown.total):
             raise NonFinite("energy evaluated to a non-finite value")
         return ev
@@ -248,23 +237,23 @@ class _SphereDescent:
         """(ru, rv, cu, cv, gauge): the sphere-tangential energy gradient, its
         Rayleigh ratios, and no gauge direction."""
         gu, gv = gradient_values(ev, self.params, self.sampled)
-        return *_sphere_tangent(gu, gv, ev), None
+        return *_sphere_tangent(self.grid, gu, gv, ev), None
 
     def grad_norm(self, ru: np.ndarray, rv: np.ndarray) -> float:
-        return math.sqrt(self.h_n * (grid_sum(ru * ru, self.even) + grid_sum(rv * rv, self.even)))
+        return math.sqrt(self.h_n * (grid_sum(self.grid, ru * ru) + grid_sum(self.grid, rv * rv)))
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
         """(du, dv, slope): solve with (sigma - Lap) spectrally, sigma = max(1, |c|)
         per component, damp regions where a trapping potential dominates (split
         Jacobi factor), re-project; slope 0 makes the search a plain decrease."""
         sigma_u, sigma_v = max(1.0, abs(cu)), max(1.0, abs(cv))
-        du = _precondition(self.grid, ru, sigma_u, ev.even)
-        dv = du if ev.mirrored else _precondition(self.grid, rv, sigma_v, ev.even)
+        du = _precondition(self.grid, ru, sigma_u)
+        dv = du if ev.mirrored else _precondition(self.grid, rv, sigma_v)
         if self.sampled.v1 is not None:
             du = du / (1.0 + np.maximum(self.sampled.v1, 0.0) / sigma_u)
         if self.sampled.v2 is not None:
             dv = dv / (1.0 + np.maximum(self.sampled.v2, 0.0) / sigma_v)
-        du, dv, _, _ = _sphere_tangent(du, dv, ev)
+        du, dv, _, _ = _sphere_tangent(self.grid, du, dv, ev)
         return du, dv, 0.0
 
     def prepare(self, it: int, ev: StateEval, merit: float, s: float):
@@ -286,14 +275,11 @@ class _SphereDescent:
 
     def retract(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each component rescaled to its mass."""
-        return (
-            _normalized(u, self.params.xi, self.grid, self.even),
-            _normalized(v, self.params.eta, self.grid, self.even),
-        )
+        return _normalized(u, self.params.xi, self.grid), _normalized(v, self.params.eta, self.grid)
 
     def mass_drift(self, ev: StateEval) -> float:
-        mu_ = self.h_n * grid_sum(ev.u * ev.u, ev.even)
-        mv_ = self.h_n * grid_sum(ev.v * ev.v, ev.even)
+        mu_ = self.h_n * grid_sum(self.grid, ev.u * ev.u)
+        mv_ = self.h_n * grid_sum(self.grid, ev.v * ev.v)
         return max(abs(mu_ - self.params.xi**2), abs(mv_ - self.params.eta**2))
 
 

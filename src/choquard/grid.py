@@ -18,9 +18,9 @@ Field operations provided here:
   rearrangement: sort the values, refill concentric radius shells from the
   center outward.  The multiset of values is preserved exactly, hence every
   discrete L^t norm is too.
-* ``radial_shells`` -- the distinct radii of the grid and each point's
-  shell, so a radial weight summed against a field costs one evaluation
-  per shell.
+* ``radial_shells`` / ``shell_sums`` -- the distinct radii of the grid,
+  each point's shell and a field's sum over each shell, so a radial weight
+  summed against a field costs one evaluation per shell.
 * ``is_even`` / ``even_part`` / ``fold`` / ``from_octant`` -- the
   reflection i <-> (M - i) mod M in every axis.  The coordinates are
   h (i - M/2), so x[M - i] = -x[i] bitwise, radial samples are even, and an
@@ -29,15 +29,15 @@ Field operations provided here:
   ``from_octant`` expands an octant back to M^N, so
   ``even_part = from_octant . fold``.
 
-Fields live on the full M^N grid, or, in a solver's even subspace, on the
-octant.  The octant operators take ``even=True``: ``grid_sum`` weighs each
-octant point by its multiplicity on the full grid (per axis 1 at offsets 0
-and M/2, 2 elsewhere), and on an even field the periodic spectral Laplacian
-is diagonal in the type-1 DCT of the octant, with wavenumbers pi j / L
-(Martucci 1994), so ``grad_norm_sq_values`` (whose Parseval weights are the
-same multiplicities), ``neg_laplacian_values`` and ``x_grad_values`` equal
-the full-grid operators of ``from_octant(f)`` to roundoff; ``radial_shells``
-gives the octant's shells.  The other operators here take full-grid fields.
+Fields live on the full M^N grid or, in a solver's even subspace, on the
+octant, and an array's shape is its layout (``on_octant``): (M/2 + 1)^N is
+not M^N for any admissible M.  The ``_values`` operators, ``grid_sum``,
+``shell_sums`` and ``layout_radius_sq`` take either layout.  ``grid_sum``
+weighs each octant point by its multiplicity on the full grid (per axis 1
+at offsets 0 and M/2, 2 elsewhere); on an even field the periodic spectral
+Laplacian is diagonal in the octant's type-1 DCT, with wavenumbers pi j / L
+(Martucci 1994), so the kinetic norm, -Delta, (sigma - Delta)^{-1} and
+x . grad equal the full-grid operators of ``from_octant(f)`` to roundoff.
 """
 
 from __future__ import annotations
@@ -215,10 +215,14 @@ def octant_weights(shape: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-def grid_sum(values: np.ndarray, even: bool = False) -> float:
-    """The sum over the full grid of a field given on it or, with ``even``,
-    on its octant."""
-    if even:  # np.sum's pairwise summation keeps the mass drift at roundoff
+def on_octant(grid: GridSpec, values: np.ndarray) -> bool:
+    """Whether ``values`` is a field's (M/2 + 1)^N octant, not its M^N samples."""
+    return values.shape != grid.shape
+
+
+def grid_sum(grid: GridSpec, values: np.ndarray) -> float:
+    """The sum over the full grid of a field given on it or on its octant."""
+    if on_octant(grid, values):  # np.sum's pairwise summation keeps the mass drift at roundoff
         values = values * octant_weights(values.shape)
     return float(np.sum(values))
 
@@ -302,10 +306,9 @@ def grad_norm_sq(f: ScalarField) -> float:
     return grad_norm_sq_values(f.grid, f.values)
 
 
-def grad_norm_sq_values(grid: GridSpec, values: np.ndarray, even: bool = False) -> float:
-    """||grad f||^2 by Parseval, of full-grid values or, with ``even``, of an
-    octant."""
-    if even:
+def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
+    """||grad f||^2 by Parseval, of full-grid values or of an octant."""
+    if on_octant(grid, values):
         spec = scipy.fft.dctn(values, type=1)
         s = np.sum(_octant_kinetic_weights(grid) * (spec * spec))
     else:
@@ -314,12 +317,19 @@ def grad_norm_sq_values(grid: GridSpec, values: np.ndarray, even: bool = False) 
     return float(s * grid.cell_volume / grid.size)
 
 
-def neg_laplacian_values(grid: GridSpec, values: np.ndarray, even: bool = False) -> np.ndarray:
+def neg_laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """-Delta f, spectrally, on the layout of ``values``.  The exact gradient
     of grad_norm_sq/2."""
-    if even:
+    if on_octant(grid, values):
         return _octant_multiply(grid, values, _k_sq_octant(grid))
     return scipy.fft.irfftn(_k_sq_rfft(grid) * scipy.fft.rfftn(values), s=grid.shape)
+
+
+def laplacian_resolvent_values(grid: GridSpec, values: np.ndarray, sigma: float) -> np.ndarray:
+    """(sigma - Delta)^{-1} f, spectrally, on the layout of ``values``."""
+    if on_octant(grid, values):
+        return _octant_multiply(grid, values, 1.0 / (sigma + _k_sq_octant(grid)))
+    return scipy.fft.irfftn(scipy.fft.rfftn(values) / (sigma + _k_sq_rfft(grid)), s=grid.shape)
 
 
 def _octant_multiply(grid: GridSpec, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -337,12 +347,12 @@ def neg_laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, neg_laplacian_values(f.grid, f.values))
 
 
-def x_grad_values(grid: GridSpec, values: np.ndarray, even: bool = False) -> np.ndarray:
+def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """x . grad f, with each partial derivative a periodic Fourier multiplier
-    that drops the Nyquist mode, of full-grid values or, with ``even``, of an
-    octant, where d_k is a DCT-I along k, times pi j / L, and a DST-I over the
-    modes and offsets 1..M/2 - 1; offsets 0 and M/2 get zero, as on the grid."""
-    if even:
+    that drops the Nyquist mode, of full-grid values or of an octant, where
+    d_k is a DCT-I along k, times pi j / L, and a DST-I over the modes and
+    offsets 1..M/2 - 1; offsets 0 and M/2 get zero, as on the grid."""
+    if on_octant(grid, values):
         half = grid.points_per_axis // 2
         j = np.arange(1, half)
         wavenumber, x_over_m = np.pi * j / grid.half_extent, grid.spacing * j / (2 * half)
@@ -467,23 +477,43 @@ def _shell_order(grid: GridSpec) -> np.ndarray:
     return np.lexsort((np.arange(r2.size), r2))
 
 
-@lru_cache(maxsize=32)
-def radial_shells(grid: GridSpec, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def radial_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(shell_r2, shell_of): the distinct values of |x|^2 in increasing
     order, and the shell index of each point in flat (C) order, so that
-    ``shell_r2[shell_of]`` rebuilds ``grid.radius_sq().ravel()`` exactly;
-    with ``even``, of each octant point (the shells are the same).
+    ``shell_r2[shell_of]`` rebuilds ``grid.radius_sq().ravel()`` exactly.
 
     A radial function summed against a field, sum_i f(|x_i|^2) w_i, is then
-    sum_k f(shell_r2[k]) W_k with W = bincount(shell_of, w): f is evaluated
-    once per shell instead of once per point.
+    sum_k f(shell_r2[k]) W_k with W = bincount(shell_of, w) (``shell_sums``):
+    f is evaluated once per shell instead of once per point.
     """
+    return _shells(grid, False)
+
+
+@lru_cache(maxsize=32)
+def _shells(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``radial_shells`` of the grid's points or of its octant's."""
     r2 = _radius_sq(grid)
-    r2, shell_of = np.unique(fold(r2) if even else r2, return_inverse=True)
+    r2, shell_of = np.unique(fold(r2) if octant else r2, return_inverse=True)
     shell_of = shell_of.ravel()
     r2.setflags(write=False)
     shell_of.setflags(write=False)
     return r2, shell_of
+
+
+def shell_sums(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(shell_r2, W): the grid's radial shells and a field's sum over each,
+    an octant point counted with its multiplicity on the full grid."""
+    octant = on_octant(grid, values)
+    r2, shell_of = _shells(grid, octant)
+    if octant:
+        values = values * octant_weights(values.shape)
+    return r2, np.bincount(shell_of, weights=values.ravel(), minlength=r2.size)
+
+
+def layout_radius_sq(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """|x|^2 on the layout of ``values``, rebuilt exactly from its cached shells."""
+    r2, shell_of = _shells(grid, on_octant(grid, values))
+    return r2[shell_of].reshape(values.shape)
 
 
 def rearrange_radial_decreasing(f: ScalarField) -> ScalarField:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AlphaOutOfRange, NotSupercritical, RangeError
-from .grid import GridSpec, fold, x_grad_values
+from .grid import GridSpec, layout_radius_sq, x_grad_values
 
 GN_SAFETY = 2.0  # headroom over the Gaussian-family Gagliardo-Nirenberg estimate
 ALPHA_FLOOR = 1e-6  # smallest alpha a model accepts, clear of the Gamma(alpha/2) pole
@@ -183,11 +183,11 @@ def coupling_x_grad_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
 
 
 def coupling_scaled_values(
-    spec: CouplingSpec, grid: GridSpec, scale: float, even: bool = False
+    spec: CouplingSpec, grid: GridSpec, scale: float, like: np.ndarray | None = None
 ) -> np.ndarray:
     """beta(scale * x) for the built-in families (used along dilation fibers),
-    on the grid or, with ``even``, on its octant."""
-    r2 = fold(grid.radius_sq()) if even else grid.radius_sq()
+    on the grid or on the layout of the field ``like``."""
+    r2 = grid.radius_sq() if like is None else layout_radius_sq(grid, like)
     return coupling_radial_values(spec, scale**2 * r2)
 
 

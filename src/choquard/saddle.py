@@ -23,12 +23,10 @@ preconditioned direction and returns the Armijo slope, its ``measure`` is
 the fiber-maximized energy, and its kinetic trust cap rejects
 sub-resolution spike states.  The profile is dilated to its own fiber
 maximum only between rounds.  As in the flow, a reflection-even problem
-descends with its fields on the (M/2 + 1)^N octant and is certified on the
-full grid: the Armijo slope, the gauge removal and the fiber's shell sums
-weigh each octant point by its multiplicity, the fiber tangent x . grad and
-the resampled coupling beta(e^{-s} x) are taken on the octant, and only the
-recentering dilation, which has no octant form, runs on the expanded field
-and is folded back.  The retraction
+descends with its fields on the (M/2 + 1)^N octant, where every operator
+takes its octant form from the arrays' shape, and is certified on the full
+grid; only the recentering dilation, which has no octant form, runs through
+``_SphereDescent.through_full_grid``.  The retraction
 zeroes a frozen component, and the fiber tangent and the dilation go
 through ``StateEval.each``, once for a u = v profile of a swap-symmetric
 model and not at all for a zero component.  At
@@ -41,9 +39,9 @@ Admissibility of the coupling (sup-norm below the barrier bound, sign
 condition on 2 beta + x.grad beta / delta_p) is checked by
 ``check_geometry`` together with sampled estimates of the energy well and
 barrier separation; for a swap-symmetric model it samples each unordered
-width pair once, since E(a, b) = E(b, a).  Its samples are centred Gaussian
-pairs with rank-one densities |u|^p, so their B values take no grid
-convolution (``riesz_energy_rank_one``).
+width pair once, since E(a, b) = E(b, a).  Its samples, centred Gaussian
+pairs and the constant pair, have rank-one densities |u|^p, so their B
+values take no grid convolution (``riesz_energy_rank_one``).
 
 The fiber needs beta(e^{-s} x) off the grid, which only the built-in
 coupling families provide in closed form, so ``_SaddleEngine``, which also
@@ -83,8 +81,7 @@ from .grid import (
     grad_norm_sq_values,
     grid_sum,
     neg_laplacian_values,  # noqa: F401  (a traced-benchmark binding; the gradient is energy's)
-    octant_weights,
-    radial_shells,
+    shell_sums,
     x_grad_values,
 )
 from .energy import (
@@ -104,7 +101,6 @@ from .model import (
     c_xi_eta,
     coupling_radial_values,
     coupling_scaled_values,
-    coupling_values,
     h_thresholds,
 )
 from .riesz import RieszConvolver, riesz_energy_rank_one
@@ -148,21 +144,14 @@ class GeometryReport:
     analytic_barrier_lower_bound: float
 
 
-def _dilation_generator(grid: GridSpec, values: np.ndarray, even: bool = False) -> np.ndarray:
-    """(N/2) f + x . grad f, the infinitesimal mass-preserving dilation, on
-    the grid or, with ``even``, on its octant."""
-    return 0.5 * grid.dim * values + x_grad_values(grid, values, even)
-
-
 def _remove_component(
-    du: np.ndarray, dv: np.ndarray, tu: np.ndarray, tv: np.ndarray, even: bool = False
+    grid: GridSpec, du: np.ndarray, dv: np.ndarray, tu: np.ndarray, tv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(du, dv) with its component along (tu, tv) removed, on the grid or,
-    with ``even``, on its octant."""
-    tt = grid_sum(tu * tu, even) + grid_sum(tv * tv, even)
+    """(du, dv) with its component along (tu, tv) removed, on either layout."""
+    tt = grid_sum(grid, tu * tu) + grid_sum(grid, tv * tv)
     if tt <= 0.0:
         return du, dv
-    c = (grid_sum(du * tu, even) + grid_sum(dv * tv, even)) / tt
+    c = (grid_sum(grid, du * tu) + grid_sum(grid, dv * tv)) / tt
     return du - c * tu, dv - c * tv
 
 
@@ -199,11 +188,7 @@ class _FiberBasis:
         self.weighted_b = engine.params.mu1 * bd.b_u + engine.params.mu2 * bd.b_v
         self.coupling0 = bd.coupling_integral
         if engine.params.coupling.kind != "constant":
-            self.shell_r2, shell_of = radial_shells(engine.grid, ev.even)
-            uv = ev.u * ev.v
-            if ev.even:
-                uv *= octant_weights(uv.shape)
-            self.shell_uv = np.bincount(shell_of, weights=uv.ravel(), minlength=self.shell_r2.size)
+            self.shell_r2, self.shell_uv = shell_sums(engine.grid, ev.u * ev.v)
 
     def coupling_at(self, s: float) -> float:
         spec = self.engine.params.coupling
@@ -288,9 +273,8 @@ class _SaddleEngine(_SphereDescent):
         gradient."""
         beta_s = None
         if self.sampled.beta is not None:
-            beta_s = coupling_scaled_values(
-                self.params.coupling, self.grid, math.exp(-s_star), ev.even
-            )
+            scale = math.exp(-s_star)
+            beta_s = coupling_scaled_values(self.params.coupling, self.grid, scale, ev.u)
         return gradient_values(ev, self.params, self.sampled, s_star, beta_s)
 
     def pohozaev(self, ev: StateEval) -> float:
@@ -302,24 +286,25 @@ class _SaddleEngine(_SphereDescent):
         The merit is exactly invariant along this direction in the continuum
         but only up to resolution error on the grid, so descent steps are
         kept orthogonal to it (the offset s plays the role of the gauge)."""
-        generator = ev.each(lambda w: _dilation_generator(self.grid, w, ev.even))
-        return _sphere_tangent(*generator, ev)[:2]
+        generator = ev.each(lambda w: 0.5 * self.grid.dim * w + x_grad_values(self.grid, w))
+        return _sphere_tangent(self.grid, *generator, ev)[:2]
 
     def residual(self, ev: StateEval, s: float):
         """Sphere-tangential gradient of the merit with the fiber direction
         removed: (ru, rv, cu, cv, gauge) with the fiber tangent as gauge."""
-        return self.transverse(ev, *_sphere_tangent(*self.pulled_back_gradient(ev, s), ev))
+        tangent = _sphere_tangent(self.grid, *self.pulled_back_gradient(ev, s), ev)
+        return self.transverse(ev, *tangent)
 
     def transverse(self, ev: StateEval, ru, rv, cu, cv):
         """``residual`` from the sphere-tangential gradient (ru, rv, cu, cv)."""
         gauge = self.fiber_tangent(ev)
-        return *_remove_component(ru, rv, *gauge, ev.even), cu, cv, gauge
+        return *_remove_component(self.grid, ru, rv, *gauge), cu, cv, gauge
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
         """The flow's step with the gauge removed, and its Armijo slope."""
         du, dv, _ = super().step(ev, ru, rv, cu, cv, gauge)
-        du, dv = _remove_component(du, dv, *gauge, ev.even)
-        return du, dv, self.h_n * (grid_sum(ru * du, ev.even) + grid_sum(rv * dv, ev.even))
+        du, dv = _remove_component(self.grid, du, dv, *gauge)
+        return du, dv, self.h_n * (grid_sum(self.grid, ru * du) + grid_sum(self.grid, rv * dv))
 
     def prepare(self, it: int, ev: StateEval, merit: float, s: float):
         return ev, merit, s
@@ -376,14 +361,14 @@ def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
     _, x1, hmax = h_thresholds(c_xi_eta(params), params.p, dp)
     k2 = x1
     k1 = k2 / 100.0
-    beta_vals = coupling_values(params.coupling, grid)
-    beta_sup = float(np.max(np.abs(beta_vals)))
+    engine = _SphereDescent(params, grid)
+    beta = engine.sampled.beta
+    beta_sup = 0.0 if beta is None else float(np.max(np.abs(beta)))
     beta_bound = hmax / (2.0 * params.xi * params.eta)
     if beta_sup >= beta_bound:
         raise BetaTooLarge(
             f"coupling sup-norm {beta_sup:.4g} >= admissible bound {beta_bound:.4g}"
         )
-    engine = _SphereDescent(params, grid)
 
     def kinetic(wu: float, wv: float) -> float:
         return 0.5 * grid.dim * (params.xi**2 / wu**2 + params.eta**2 / wv**2)
@@ -409,11 +394,9 @@ def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
     ]
     # flattest admissible state: the constant pair, kinetic exactly zero
     vol = (2.0 * grid.half_extent) ** grid.dim
-    const = engine.evaluate(
-        np.full(grid.shape, params.xi / math.sqrt(vol)),
-        np.full(grid.shape, params.eta / math.sqrt(vol)),
-    )
-    well.append(float(const.breakdown.total))
+    u, v = (np.full(grid.shape, mass / math.sqrt(vol)) for mass in (params.xi, params.eta))
+    well.append(_rank_one_energy(engine, u, v, grad_norm_sq_values(grid, u),
+                                 grad_norm_sq_values(grid, v)))
     barrier = [e for e in barrier if e is not None]
     if not barrier:
         raise GeometryFailed("could not pin sample states to the barrier kinetic level")
@@ -445,9 +428,8 @@ def _pinned_energy(
     The first kinetic term is measured at the given widths, which the caller
     pins in closed form; a pair that misses the band is rescaled by its
     measured kinetic term, up to 12 times.  The energy of the accepted pair
-    is the full grid's, but each B is that of a rank-one density
-    (``_gaussian_b``), so no field is convolved.  None if a width leaves
-    (1e-2 h, 20 L) or the pair cannot be sampled."""
+    is ``_rank_one_energy``'s.  None if a width leaves (1e-2 h, 20 L) or the
+    pair cannot be sampled."""
     grid, params = engine.grid, engine.params
     wu, wv = width_u, width_v
     for _ in range(12):
@@ -464,17 +446,26 @@ def _pinned_energy(
             return None
         t = math.sqrt(k / kinetic)
         if (below and k <= kinetic) or abs(t - 1.0) < 0.02:
-            b_u, b_v = _gaussian_b(engine.conv, u, params.p), _gaussian_b(engine.conv, v, params.q)
-            return assemble_breakdown(u, v, params, engine.sampled, gu, gv, b_u, b_v).total
+            return _rank_one_energy(engine, u, v, gu, gv)
         wu *= t
         wv *= t
     return None
 
 
+def _rank_one_energy(
+    engine: _SphereDescent, u: np.ndarray, v: np.ndarray, gu: float, gv: float
+) -> float:
+    """The full grid's energy of a sample pair with kinetic norms gu and gv;
+    each B is of a rank-one density (``_gaussian_b``), so nothing is convolved."""
+    params = engine.params
+    b_u, b_v = _gaussian_b(engine.conv, u, params.p), _gaussian_b(engine.conv, v, params.q)
+    return assemble_breakdown(u, v, params, engine.sampled, gu, gv, b_u, b_v).total
+
+
 def _gaussian_b(conv: RieszConvolver, values: np.ndarray, p: float) -> float:
-    """B(u, p) of a centred Gaussian's grid values.  u is its peak a times a
-    product of one 1-D profile per axis, so |u|^p is the outer product of N
-    copies of |a^{1/N - 1} u|^p along the central line."""
+    """B(u, p) of grid values that are their central value a times one 1-D
+    profile per axis, each 1 at the centre (a centred Gaussian or a constant):
+    |u|^p is rank one, N copies of |a^{1/N - 1} u|^p along the central line."""
     grid = conv.grid
     centre = grid.points_per_axis // 2
     line = values[(slice(None),) + (centre,) * (grid.dim - 1)]
@@ -612,7 +603,7 @@ def _certificate(
     the first and the last meet the tolerances) of a recentered profile,
     from one pulled-back gradient."""
     opts = engine.opts
-    tangent = _sphere_tangent(*engine.pulled_back_gradient(ev, s_star), ev)
+    tangent = _sphere_tangent(engine.grid, *engine.pulled_back_gradient(ev, s_star), ev)
     ru, rv, *_ = engine.transverse(ev, *tangent)
     grad_norm = engine.grad_norm(ru, rv)
     poh = engine.pohozaev(ev)

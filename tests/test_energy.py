@@ -502,24 +502,24 @@ class TestEvenSubspaceEnergy:
         octant = (g.points_per_axis // 2 + 1,) * g.dim
 
         def energy(du, dv):
-            ev = cq.energy.evaluate_state(u + du, v + dv, params, conv, sampled, even=True)
+            ev = cq.energy.evaluate_state(u + du, v + dv, params, conv, sampled)
             return ev.breakdown.total
 
         full_energy = cq.energy.evaluate_state(u_full, v_full, params, conv, full).breakdown.total
         assert abs(energy(0.0, 0.0) - full_energy) > 1e-8
-        ev = cq.energy.evaluate_state(u, v, params, conv, sampled, even=True)
+        ev = cq.energy.evaluate_state(u, v, params, conv, sampled)
         gu, gv = cq.energy.gradient_values(ev, params, sampled)
-        assert ev.even and ev.conv_u.shape == ev.conv_v.shape == gu.shape == gv.shape == octant
+        assert ev.u.shape == ev.conv_u.shape == ev.conv_v.shape == gu.shape == gv.shape == octant
         rng = np.random.default_rng(8)
         t = 1e-4
         for k in range(6):
             phi = cq.grid.fold(rng.standard_normal(g.shape))
-            phi /= math.sqrt(g.cell_volume * cq.grid.grid_sum(phi * phi, even=True))
+            phi /= math.sqrt(g.cell_volume * cq.grid.grid_sum(g, phi * phi))
             up, vp, gval = (phi, 0.0, gu) if k % 2 == 0 else (0.0, phi, gv)
             one = energy(t * up, t * vp) - energy(-t * up, -t * vp)
             two = energy(2 * t * up, 2 * t * vp) - energy(-2 * t * up, -2 * t * vp)
             fd = (8.0 * one - two) / (12.0 * t)
-            ip = g.cell_volume * cq.grid.grid_sum(gval * phi, even=True)
-            norm = math.sqrt(g.cell_volume * cq.grid.grid_sum(gval * gval, even=True))
+            ip = g.cell_volume * cq.grid.grid_sum(g, gval * phi)
+            norm = math.sqrt(g.cell_volume * cq.grid.grid_sum(g, gval * gval))
             scale = max(abs(fd), norm)
             assert abs(fd - ip) < 1e-7 * scale, f"direction {k}"

@@ -401,9 +401,9 @@ class TestComponentShift:
         shifts = []
         precondition = cq.flow._precondition
 
-        def spy(grid, r, sigma, even):
+        def spy(grid, r, sigma):
             shifts.append(sigma)
-            return precondition(grid, r, sigma, even)
+            return precondition(grid, r, sigma)
 
         monkeypatch.setattr(cq.flow, "_precondition", spy)
         du, dv, slope = engine.step(ev, ru, rv, cu, cv, gauge)
@@ -411,7 +411,7 @@ class TestComponentShift:
         damp = np.maximum(engine.sampled.v1, 0.0)
         want_u = precondition(grid24, ru, sigma_u) / (1.0 + damp / sigma_u)
         want_v = precondition(grid24, rv, sigma_v) / (1.0 + damp / sigma_v)
-        want_u, want_v, _, _ = cq.flow._sphere_tangent(want_u, want_v, ev)
+        want_u, want_v, _, _ = cq.flow._sphere_tangent(grid24, want_u, want_v, ev)
         assert np.array_equal(du, want_u) and np.array_equal(dv, want_v)
 
 

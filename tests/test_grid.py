@@ -6,7 +6,12 @@ Oracle values for the Gaussian e^{-r^2}, derived independently:
 cross-checked below by 1D radial quadrature.
 """
 
+import ast
+import importlib
+import inspect
 import math
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +233,7 @@ class TestOctantOperators:
         g = cq.GridSpec(dim, L, m)
         f, w = self.octant(g), self.octant(g, seed=1)
         full = np.sum(cq.grid.from_octant(f) * cq.grid.from_octant(w))
-        assert cq.grid.grid_sum(f * w, even=True) == pytest.approx(full, rel=1e-13)
+        assert cq.grid.grid_sum(g, f * w) == pytest.approx(full, rel=1e-13)
         assert np.sum(cq.grid.octant_weights(f.shape)) == g.size
 
     @pytest.mark.parametrize("dim,m,L", CASES)
@@ -236,13 +241,13 @@ class TestOctantOperators:
         g = cq.GridSpec(dim, L, m)
         f = self.octant(g)
         want = cq.grid.grad_norm_sq_values(g, cq.grid.from_octant(f))
-        assert cq.grid.grad_norm_sq_values(g, f, even=True) == pytest.approx(want, rel=1e-13)
+        assert cq.grid.grad_norm_sq_values(g, f) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("dim,m,L", CASES)
     def test_neg_laplacian(self, dim, m, L):
         g = cq.GridSpec(dim, L, m)
         f = self.octant(g)
-        got = cq.grid.neg_laplacian_values(g, f, even=True)
+        got = cq.grid.neg_laplacian_values(g, f)
         want = cq.grid.neg_laplacian_values(g, cq.grid.from_octant(f))
         assert got.shape == f.shape and self.close(cq.grid.from_octant(got), want)
 
@@ -250,7 +255,7 @@ class TestOctantOperators:
     def test_preconditioner(self, dim, m, L):
         g = cq.GridSpec(dim, L, m)
         f = self.octant(g)
-        got = cq.flow._precondition(g, f, 1.7, even=True)
+        got = cq.flow._precondition(g, f, 1.7)
         want = cq.flow._precondition(g, cq.grid.from_octant(f), 1.7)
         assert got.shape == f.shape and self.close(cq.grid.from_octant(got), want)
 
@@ -259,7 +264,7 @@ class TestOctantOperators:
         # x . grad f is even, so the fold of the full-grid result is its octant
         g = cq.GridSpec(dim, L, m)
         f = self.octant(g)
-        got = cq.grid.x_grad_values(g, f, even=True)
+        got = cq.grid.x_grad_values(g, f)
         want = cq.grid.fold(cq.grid.x_grad_values(g, cq.grid.from_octant(f)))
         assert got.shape == f.shape and self.close(got, want)
         # each d_k is zero at offsets 0 and M/2 along k, as on the full grid
@@ -280,10 +285,34 @@ class TestOctantOperators:
 
     @pytest.mark.parametrize("dim,m,L", CASES)
     def test_radial_shells(self, dim, m, L):
+        # an octant point counts with its multiplicity, so the shell sums of
+        # ones are the full grid's shell populations
         g = cq.GridSpec(dim, L, m)
-        shell_r2, shell_of = cq.grid.radial_shells(g, even=True)
-        assert np.array_equal(shell_r2, cq.grid.radial_shells(g)[0])
-        assert np.array_equal(shell_r2[shell_of], cq.grid.fold(g.radius_sq()).ravel())
+        shell_r2, shell_of = cq.grid.radial_shells(g)
+        f = self.octant(g)
+        r2, population = cq.grid.shell_sums(g, np.ones_like(f))
+        assert np.array_equal(r2, shell_r2)
+        assert np.array_equal(population, np.bincount(shell_of))
+        got, want = cq.grid.shell_sums(g, f)[1], cq.grid.shell_sums(g, cq.grid.from_octant(f))[1]
+        assert self.close(got, want)
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_quadratures_read_the_layout(self, dim, m, L):
+        # no argument names the layout: an octant is known by its shape
+        g = cq.GridSpec(dim, L, m)
+        rng = np.random.default_rng(dim)
+        f = rng.standard_normal(g.shape)
+        w = f + 0.5 * rng.standard_normal(g.shape)
+        (of, ow), (ef, ew) = map(cq.grid.fold, (f, w)), map(cq.grid.even_part, (f, w))
+        assert cq.grid.grid_sum(g, of * of) == pytest.approx(np.sum(ef * ef), rel=1e-13)
+        assert cq.energy._quad(g, of * ow) == pytest.approx(cq.energy._quad(g, ef * ew), rel=1e-13)
+        got = cq.flow._normalized(of, 0.7, g)
+        assert self.close(cq.grid.from_octant(got), cq.flow._normalized(ef, 0.7, g))
+        (got, got_ratio), (want, want_ratio) = (
+            cq.flow._tangential(g, ow, of), cq.flow._tangential(g, ew, ef)
+        )
+        assert got_ratio == pytest.approx(want_ratio, rel=1e-13)
+        assert self.close(cq.grid.from_octant(got), want, rtol=1e-12)
 
 
 class TestRadialShells:
@@ -361,3 +390,47 @@ class TestRearrangement:
         f = cq.ScalarField(g, np.abs(rng.standard_normal(g.shape)))
         r = cq.rearrange_radial_decreasing(f)
         assert np.allclose(np.sort(r.values), np.sort(f.values), rtol=0, atol=0)
+
+
+class TestLayoutIsTheShape:
+    """An array's shape is its layout: no function takes a layout flag, and
+    the octant format stays behind ``grid`` (and the flow engine's switch)."""
+
+    @staticmethod
+    def callables(module):
+        for obj in vars(module).values():
+            if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+                yield obj
+                if inspect.isclass(obj):
+                    yield from (m for m in vars(obj).values() if callable(m))
+
+    def test_no_function_takes_an_even_flag(self):
+        flagged = []
+        for info in pkgutil.iter_modules(cq.__path__):
+            module = importlib.import_module(f"choquard.{info.name}")
+            for obj in self.callables(module):
+                try:
+                    params = inspect.signature(obj).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "even" in params:
+                    flagged.append(f"{module.__name__}.{obj.__qualname__}")
+        assert flagged == []
+
+    @staticmethod
+    def imports(name):
+        """(module, name) of each ``from ... import`` in a choquard module."""
+        source = (Path(cq.__file__).parent / f"{name}.py").read_text()
+        return {
+            (node.module, alias.name)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+
+    def test_octant_format_stays_in_grid(self):
+        for name in ("saddle", "model"):
+            names = {n for _, n in self.imports(name)}
+            assert names & {"fold", "from_octant", "octant_weights"} == set(), name
+        private = [n for m, n in self.imports("flow") if m == "grid" and n.startswith("_")]
+        assert private == []

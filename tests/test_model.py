@@ -248,7 +248,7 @@ class TestCouplingFormulas:
         # the fold of the full-grid samples, since r^2 is bitwise even
         g = cq.GridSpec(3, 10.0, 40)
         decay = cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
-        got = coupling_scaled_values(decay, g, scale, even=True)
+        got = coupling_scaled_values(decay, g, scale, fold(g.radius_sq()))
         assert got.shape == (21, 21, 21)
         assert np.array_equal(got, fold(coupling_scaled_values(decay, g, scale)))
 

@@ -79,10 +79,12 @@ class TestGeometryPinning:
     """Closed-form pinning: one energy evaluation per width ratio and level."""
 
     def test_evaluation_count(self, grid32, monkeypatch):
+        # each sample's energy is assembled from its kinetic norms and
+        # rank-one B values, not evaluated on the grid
         calls = []
-        evaluate = cq.flow.evaluate_state
+        assemble = cq.saddle.assemble_breakdown
         monkeypatch.setattr(
-            cq.flow, "evaluate_state", lambda *a, **k: calls.append(1) or evaluate(*a, **k)
+            cq.saddle, "assemble_breakdown", lambda *a, **k: calls.append(1) or assemble(*a, **k)
         )
         cq.check_geometry(sup_params(), grid32)
         assert 0 < len(calls) <= 40
@@ -114,6 +116,7 @@ class TestGeometryPinning:
             # an unbounded level takes the first widths, as a resolved pair does
             got = [cq.saddle._pinned_energy(engine, wu, wv, math.inf, below=True)
                    for wu, wv in pairs]
+            cq.check_geometry(params, grid32)  # the constant pair's B is rank one too
         for (wu, wv), energy in zip(pairs, got):
             u = cq.gaussian_field(grid32, wu, mass=params.xi**2).values
             v = cq.gaussian_field(grid32, wv, mass=params.eta**2).values
@@ -229,7 +232,7 @@ class TestOctantFiber:
         full = cq.saddle._SaddleEngine(params, grid)
         octant = cq.saddle._SaddleEngine(params, grid)
         ev_octant = octant.evaluate(*octant.enter_even_subspace(u, v))
-        assert octant.even and ev_octant.even
+        assert octant.even and ev_octant.u.shape == (17, 17, 17)
         return full, full.evaluate(u, v), octant, ev_octant
 
     def test_tangent_and_gradient_match_the_full_grid(self, grid32, monkeypatch):
@@ -255,7 +258,7 @@ class TestOctantFiber:
         gradient, descent_round = cq.saddle.gradient_values, cq.saddle._descent_round
 
         def counting_gradient(ev, *args):
-            layouts.append("octant" if ev.even else "full")
+            layouts.append("octant" if ev.u.shape != g.shape else "full")
             return gradient(ev, *args)
 
         def fresh_round(*args):
@@ -277,7 +280,7 @@ class TestOctantFiber:
         engine = cq.saddle._SaddleEngine(sup_params(), g)
         ev = engine.evaluate(rep.state.u.values, rep.state.v.values)
         fu, fv, _, _ = cq.flow._sphere_tangent(
-            *engine.pulled_back_gradient(ev, rep.residuals["fiber_offset"]), ev
+            g, *engine.pulled_back_gradient(ev, rep.residuals["fiber_offset"]), ev
         )
         assert rep.residuals["el_residual"] == engine.grad_norm(fu, fv)
 
@@ -316,10 +319,10 @@ class TestFiberShells:
         assert calls == []
 
     def test_constant_coupling_builds_no_shells(self, grid32, monkeypatch):
-        def refuse(grid):
+        def refuse(*args):
             raise AssertionError("a constant coupling needs no shells")
 
-        monkeypatch.setattr(cq.saddle, "radial_shells", refuse)
+        monkeypatch.setattr(cq.saddle, "shell_sums", refuse)
         engine, ev, basis = self.basis(grid32, cq.CouplingSpec("constant", 0.015))
         assert basis.coupling_at(1.5) == ev.breakdown.coupling_integral
         engine.fiber_max(ev)
