@@ -216,7 +216,10 @@ def octant_weights(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def on_octant(grid: GridSpec, values: np.ndarray) -> bool:
-    """Whether ``values`` is a field's (M/2 + 1)^N octant, not its M^N samples."""
+    """Whether ``values`` is a field's (M/2 + 1)^N octant, not its M^N
+    samples; an array of any other shape is a GridMismatch."""
+    if values.shape not in (grid.shape, (grid.points_per_axis // 2 + 1,) * grid.dim):
+        raise GridMismatch(f"values shape {values.shape} is neither {grid.shape} nor its octant")
     return values.shape != grid.shape
 
 
@@ -486,34 +489,32 @@ def radial_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     sum_k f(shell_r2[k]) W_k with W = bincount(shell_of, w) (``shell_sums``):
     f is evaluated once per shell instead of once per point.
     """
-    return _shells(grid, False)
+    return _shells(grid, False)[1:]
 
 
 @lru_cache(maxsize=32)
-def _shells(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``radial_shells`` of the grid's points or of its octant's."""
-    r2 = _radius_sq(grid)
-    r2, shell_of = np.unique(fold(r2) if octant else r2, return_inverse=True)
-    shell_of = shell_of.ravel()
-    r2.setflags(write=False)
-    shell_of.setflags(write=False)
-    return r2, shell_of
+def _shells(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|x|^2 on the grid or on its octant, and its ``radial_shells``."""
+    r2 = fold(_radius_sq(grid)) if octant else _radius_sq(grid)
+    shell_r2, shell_of = np.unique(r2, return_inverse=True)
+    for a in (r2, shell_r2, shell_of):
+        a.setflags(write=False)
+    return r2, shell_r2, shell_of.ravel()
 
 
 def shell_sums(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(shell_r2, W): the grid's radial shells and a field's sum over each,
     an octant point counted with its multiplicity on the full grid."""
     octant = on_octant(grid, values)
-    r2, shell_of = _shells(grid, octant)
+    _, r2, shell_of = _shells(grid, octant)
     if octant:
         values = values * octant_weights(values.shape)
     return r2, np.bincount(shell_of, weights=values.ravel(), minlength=r2.size)
 
 
 def layout_radius_sq(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """|x|^2 on the layout of ``values``, rebuilt exactly from its cached shells."""
-    r2, shell_of = _shells(grid, on_octant(grid, values))
-    return r2[shell_of].reshape(values.shape)
+    """|x|^2 on the layout of ``values`` (cached, read-only)."""
+    return _shells(grid, on_octant(grid, values))[0]
 
 
 def rearrange_radial_decreasing(f: ScalarField) -> ScalarField:

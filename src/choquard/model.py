@@ -183,12 +183,11 @@ def coupling_x_grad_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
 
 
 def coupling_scaled_values(
-    spec: CouplingSpec, grid: GridSpec, scale: float, like: np.ndarray | None = None
+    spec: CouplingSpec, grid: GridSpec, scale: float, field: np.ndarray
 ) -> np.ndarray:
     """beta(scale * x) for the built-in families (used along dilation fibers),
-    on the grid or on the layout of the field ``like``."""
-    r2 = grid.radius_sq() if like is None else layout_radius_sq(grid, like)
-    return coupling_radial_values(spec, scale**2 * r2)
+    on the layout of ``field``."""
+    return coupling_radial_values(spec, scale**2 * layout_radius_sq(grid, field))
 
 
 def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:

@@ -434,3 +434,9 @@ class TestLayoutIsTheShape:
             assert names & {"fold", "from_octant", "octant_weights"} == set(), name
         private = [n for m, n in self.imports("flow") if m == "grid" and n.startswith("_")]
         assert private == []
+
+    @pytest.mark.parametrize("shape", [(20, 20, 20), (11, 11, 11), (16, 16, 15), (9, 9)])
+    def test_a_foreign_shape_is_no_layout(self, shape):
+        # e.g. a field sampled with another M: neither 16^3 nor the octant's 9^3
+        with pytest.raises(cq.GridMismatch, match="neither"):
+            cq.grid.grid_sum(cq.GridSpec(3, 10.0, 16), np.ones(shape))

@@ -238,8 +238,8 @@ class TestCouplingFormulas:
             "decay_scaled": decay.beta0 * (1.0 + scale**2 * r2) ** (-decay.decay),
         }
         assert np.array_equal(coupling_values(decay, g), want["decay"])
-        assert np.array_equal(coupling_scaled_values(decay, g, scale), want["decay_scaled"])
-        for got in (coupling_values(flat, g), coupling_scaled_values(flat, g, scale)):
+        assert np.array_equal(coupling_scaled_values(decay, g, scale, r2), want["decay_scaled"])
+        for got in (coupling_values(flat, g), coupling_scaled_values(flat, g, scale, r2)):
             assert got.shape == g.shape and np.all(got == 0.1)
 
     @pytest.mark.parametrize("scale", [1.0, math.exp(-0.3), math.exp(2.0)])
@@ -250,12 +250,12 @@ class TestCouplingFormulas:
         decay = cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
         got = coupling_scaled_values(decay, g, scale, fold(g.radius_sq()))
         assert got.shape == (21, 21, 21)
-        assert np.array_equal(got, fold(coupling_scaled_values(decay, g, scale)))
+        assert np.array_equal(got, fold(coupling_scaled_values(decay, g, scale, g.radius_sq())))
 
     def test_table_has_no_scaled_values(self, grid3_small):
         spec = cq.CouplingSpec("tabulated", values=np.ones(grid3_small.shape))
         with pytest.raises(cq.RangeError, match="resampled"):
-            coupling_scaled_values(spec, grid3_small, 0.5)
+            coupling_scaled_values(spec, grid3_small, 0.5, grid3_small.radius_sq())
 
 
 class TestPotentialValidator:

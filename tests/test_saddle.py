@@ -301,7 +301,7 @@ class TestFiberShells:
     def test_matches_grid_sum(self, grid32, s):
         spec = cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
         _, ev, basis = self.basis(grid32, spec)
-        beta_s = cq.model.coupling_scaled_values(spec, grid32, math.exp(-s))
+        beta_s = cq.model.coupling_scaled_values(spec, grid32, math.exp(-s), ev.u)
         want = grid32.cell_volume * np.sum(beta_s * ev.u * ev.v)
         assert basis.coupling_at(s) == pytest.approx(want, rel=1e-13)
 
