@@ -100,8 +100,8 @@ def rel_diff(octant_result, full_result) -> float:
 
 
 def layer_calls(grid, params, conv, u, v, model) -> dict:
-    """name -> a call of that layer on the layout of u, v and ``model``,
-    returning its result."""
+    """name -> a call of that layer on the layout of u and v, with ``model``
+    the full grid's samples, returning its result."""
     ev = evaluate_state(u, v, params, conv, model)
     convolve = riesz_convolve_even if on_octant(grid, u) else riesz_convolve_values
     return {
@@ -111,7 +111,7 @@ def layer_calls(grid, params, conv, u, v, model) -> dict:
         "x_grad": lambda: x_grad_values(grid, u),
         "convolve": lambda: convolve(conv, u * u),
         "evaluate_state": lambda: evaluate_state(u, v, params, conv, model).breakdown.total,
-        "gradient_values": lambda: gradient_values(ev, params, model),
+        "gradient_values": lambda: gradient_values(ev, params),
     }
 
 
@@ -123,7 +123,7 @@ def measure_case(dim: int, m: int, repeats: int) -> dict:
     u = cq.gaussian_field(grid, 1.5, mass=1.0).values
     v = cq.gaussian_field(grid, 1.8, mass=1.0).values
     full = layer_calls(grid, params, conv, u, v, model)
-    octant = layer_calls(grid, params, conv, fold(u), fold(v), model.folded())
+    octant = layer_calls(grid, params, conv, fold(u), fold(v), model)
     out = {"dim": dim, "points_per_axis": m, "half_extent": grid.half_extent, "layers": {}}
     for name in full:
         timings = {"full": time_call(full[name], repeats),

@@ -24,9 +24,8 @@ computing it again would give; a map alike on u and v goes through
 is zeroed by the solvers' retraction, and its convolution and its
 ``StateEval.each`` maps are skipped.
 
-A reflection-even state may be evaluated on its (M/2 + 1)^N octant, with
-the model sampled there too (``SampledModel.folded``); its convolutions and
-gradient are then octants.  The layout is the arrays' shape
+A reflection-even state may be evaluated on its (M/2 + 1)^N octant; its
+convolutions and gradient are then octants.  The layout is the arrays' shape
 (``grid.on_octant``): the quadrature weighs each octant point by its
 multiplicity on the full grid (``grid.grid_sum``), the kinetic term and the
 Laplacian are DCT-I forms, and the nonlocal term is ``riesz_convolve_even``.
@@ -35,8 +34,10 @@ The state functions (``energy_total``, ``el_gradient``,
 ``lagrange_multipliers``, ``pohozaev_residual``, ``multiplier_sum_identity``)
 take ``(state, params)`` and build their convolver from
 ``(state.grid, params.alpha)``.  The solvers call ``evaluate_state`` with
-the convolver they hold and reuse its result in the ``_from_breakdown`` and
-``_from_state`` helpers.
+the convolver and full-grid ``SampledModel`` they hold and reuse its result
+in the ``_from_breakdown`` and ``_from_state`` helpers.  The result carries
+the samples of its fields' layout (``StateEval.sampled``; the octant's are
+folded once and cached, ``SampledModel.folded``), which the helpers read.
 
 Identity checks:
 
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,7 +109,7 @@ class Multipliers:
 
 @dataclass
 class SampledModel:
-    """Grid samples of the model's spatial data, computed once per solve.
+    """Full-grid samples of the model's spatial data, computed once per solve.
 
     beta and x_grad_beta are None only for the identically-zero coupling;
     a zero potential is None as well."""
@@ -118,9 +120,10 @@ class SampledModel:
     beta: np.ndarray | None
     x_grad_beta: np.ndarray | None
 
+    @cached_property
     def folded(self) -> "SampledModel":
-        """The samples on the octant, for an even-subspace evaluation; the fold
-        of a bitwise-even sample is its restriction."""
+        """The samples on the octant, for an even-subspace evaluation, folded
+        on first use; the fold of a bitwise-even sample is its restriction."""
         samples = (self.v1, self.v2, self.beta, self.x_grad_beta)
         return SampledModel(self.grid, *(None if a is None else fold(a) for a in samples))
 
@@ -180,14 +183,15 @@ class StateEval:
     """Cache of everything the energy and gradient share for one state.
 
     ``mirrored`` marks a state with u == v of a swap-symmetric model; its
-    v-side quantities are u's (``conv_v`` is ``conv_u``).  The fields are
-    full-grid arrays or octants."""
+    v-side quantities are u's (``conv_v`` is ``conv_u``).  The fields, and
+    the model's samples in ``sampled``, are full-grid arrays or octants."""
 
     u: np.ndarray
     v: np.ndarray
     conv_u: np.ndarray | None
     conv_v: np.ndarray | None
     breakdown: EnergyBreakdown
+    sampled: SampledModel
     mirrored: bool = False
 
     def each(self, f):
@@ -210,9 +214,10 @@ def evaluate_state(
     sampled: SampledModel,
 ) -> StateEval:
     """The energy of a state and what its gradient reuses, of full-grid
-    fields or of the octants of a reflection-even state, with ``sampled``
-    on the same layout."""
+    fields or of the octants of a reflection-even state; ``sampled`` is the
+    full grid's, and the evaluation keeps them on the fields' layout."""
     grid = conv.grid
+    sampled = sampled.folded if on_octant(grid, u_values) else sampled
     mirrored = params.swap_symmetric and np.array_equal(u_values, v_values)
     gu = grad_norm_sq_values(grid, u_values)
     gv = gu if mirrored else grad_norm_sq_values(grid, v_values)
@@ -222,7 +227,7 @@ def evaluate_state(
     breakdown = assemble_breakdown(u_values, v_values, params, sampled, gu, gv, b_u, b_v)
     return StateEval(
         u=u_values, v=v_values, conv_u=conv_u, conv_v=conv_v, breakdown=breakdown,
-        mirrored=mirrored,
+        sampled=sampled, mirrored=mirrored,
     )
 
 
@@ -261,7 +266,6 @@ def assemble_breakdown(
 def gradient_values(
     ev: StateEval,
     params: ModelParams,
-    sampled: SampledModel,
     s: float = 0.0,
     beta: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +274,9 @@ def gradient_values(
     With an offset s it is the gradient pulled back from the dilation fiber
     point s * (u, v): the kinetic term scales by e^{2s}, the nonlocal terms
     by e^{2 p delta_p s} and e^{2 q delta_q s}, and ``beta`` must then be
-    beta(e^{-s} x), on the state's layout.  s = 0 with the sampled beta is
-    the plain gradient.  A mirrored state computes the u side and copies it."""
+    beta(e^{-s} x), on the state's layout.  s = 0 with the evaluation's beta
+    is the plain gradient.  A mirrored state computes the u side and copies it."""
+    sampled = ev.sampled
     grid = sampled.grid
     beta = sampled.beta if beta is None else beta
 
@@ -292,23 +297,22 @@ def gradient_values(
     return gu, side(ev.v, ev.u, ev.conv_v, sampled.v2, params.mu2, params.q, params.delta_q)
 
 
-def _evaluated(state: StatePair, params: ModelParams) -> tuple[StateEval, SampledModel]:
+def _evaluated(state: StatePair, params: ModelParams) -> StateEval:
     """A state evaluated with the convolver of its grid and ``params.alpha``."""
     conv = build_convolver(state.grid, params.alpha)
     sampled = sample_model(params, state.grid)
-    return evaluate_state(state.u.values, state.v.values, params, conv, sampled), sampled
+    return evaluate_state(state.u.values, state.v.values, params, conv, sampled)
 
 
 def energy_total(state: StatePair, params: ModelParams) -> EnergyBreakdown:
     """Full energy with per-term breakdown; zero potentials reduce it to the
     translation-invariant functional."""
-    return _evaluated(state, params)[0].breakdown
+    return _evaluated(state, params).breakdown
 
 
 def el_gradient(state: StatePair, params: ModelParams) -> StatePair:
     """Gradient pair of the energy; the flow direction and residual source."""
-    ev, sampled = _evaluated(state, params)
-    gu, gv = gradient_values(ev, params, sampled)
+    gu, gv = gradient_values(_evaluated(state, params), params)
     return StatePair(ScalarField(state.grid, gu), ScalarField(state.grid, gv))
 
 
@@ -321,7 +325,7 @@ def lagrange_multipliers(state: StatePair, params: ModelParams) -> Multipliers:
     mass_v = state.v.mass
     if mass_u <= 0.0 or mass_v <= 0.0:
         raise ZeroMass("multipliers require both components to carry mass")
-    bd = _evaluated(state, params)[0].breakdown
+    bd = _evaluated(state, params).breakdown
     return multipliers_from_breakdown(bd, params, mass_u, mass_v)
 
 
@@ -357,12 +361,11 @@ def pohozaev_residual(state: StatePair, params: ModelParams) -> float:
     the identity is available there.
     """
     _require_translation_invariant_supercritical(params, "the dilation identity")
-    ev, sampled = _evaluated(state, params)
-    return pohozaev_from_state(ev, params, sampled)
+    return pohozaev_from_state(_evaluated(state, params), params)
 
 
-def pohozaev_from_state(ev: StateEval, params: ModelParams, sampled: SampledModel) -> float:
-    bd = ev.breakdown
+def pohozaev_from_state(ev: StateEval, params: ModelParams) -> float:
+    bd, sampled = ev.breakdown, ev.sampled
     res = (bd.grad_sq_u + bd.grad_sq_v) - params.delta_p * (
         params.mu1 * bd.b_u + params.mu2 * bd.b_v
     )
@@ -380,15 +383,12 @@ def multiplier_sum_identity(state: StatePair, params: ModelParams) -> tuple[floa
     holds: lhs - rhs = -pohozaev_residual / delta_p.
     """
     _require_translation_invariant_supercritical(params, "the multiplier-sum identity")
-    ev, sampled = _evaluated(state, params)
-    return multiplier_sum_from_state(ev, params, sampled)
+    return multiplier_sum_from_state(_evaluated(state, params), params)
 
 
-def multiplier_sum_from_state(
-    ev: StateEval, params: ModelParams, sampled: SampledModel
-) -> tuple[float, float]:
+def multiplier_sum_from_state(ev: StateEval, params: ModelParams) -> tuple[float, float]:
     """(lhs, rhs) of the multiplier-sum identity from an evaluated state."""
-    bd = ev.breakdown
+    bd, sampled = ev.breakdown, ev.sampled
     k = bd.grad_sq_u + bd.grad_sq_v
     lhs = -k + params.mu1 * bd.b_u + params.mu2 * bd.b_v + 2.0 * bd.coupling_integral
     dp = params.delta_p

@@ -27,14 +27,14 @@ along (a, a) plus 4 int beta a^2, so a local minimum on the diagonal is one of
 the full problem.
 
 A problem whose sampled V1, V2, beta and start are reflection-even in every
-axis descends in the even subspace (``_SphereDescent.enter_even_subspace``):
-the engine holds the state, gradients, steps and sampled model on the
-(M/2 + 1)^N octant, and every norm, projection, Laplacian, preconditioner
-and convolution takes its octant form from the arrays' shape.  A map with no
-octant form, such as the rearrangement, expands the octant, runs on the
-full grid and folds its result back (``through_full_grid``).  The final
-state is expanded to the full grid and evaluated there once more, and the
-report and ``converged`` come from that certificate.
+axis descends in the even subspace: ``_SphereDescent.enter_even_subspace``
+returns the start on the (M/2 + 1)^N octant, every norm, projection,
+Laplacian, preconditioner and convolution takes its octant form from the
+arrays' shape, and each evaluation carries the samples of its layout.  A
+map with no octant form, such as the rearrangement, expands the octant,
+runs on the full grid and folds its result back (``through_full_grid``).
+The final state is expanded to the full grid and measured there once more
+(``leave_even_subspace``); the report and ``converged`` come from that.
 
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
@@ -66,6 +66,7 @@ from .grid import (
     gaussian_field,
     grid_sum,
     is_even,
+    on_octant,
     rearrange_radial_decreasing,
     laplacian_resolvent_values,
 )
@@ -180,9 +181,9 @@ class _SphereDescent:
     """Projected descent on the pair of mass spheres, as the flow runs it.
     ``_SaddleEngine`` overrides the loop's hooks (``residual``, ``step``,
     ``prepare``, ``settled``, ``stuck``, ``exhausted``), ``measure`` and
-    ``kinetic_cap``.  ``opts`` holds the engine's options.  While ``even``
-    (from ``enter_even_subspace`` to ``leave_even_subspace``), the engine's
-    fields and ``sampled`` are octants."""
+    ``kinetic_cap``.  ``opts`` holds the engine's options and ``sampled``
+    the full grid's samples of the model; the engine holds no layout, which
+    each field's shape gives."""
 
     exhausted = "line search exhausted at small residual"
 
@@ -191,32 +192,27 @@ class _SphereDescent:
         self.grid = grid
         self.opts = opts or FlowOptions()
         self.conv = build_convolver(grid, params.alpha)
-        self.full_sampled = self.sampled = sample_model(params, grid)
+        self.sampled = sample_model(params, grid)
         self.h_n = grid.cell_volume
-        self.even = False
 
     def enter_even_subspace(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Work on the octant if the sampled V1, V2 and beta and the start
-        (u, v) are all bitwise reflection-even; returns the start in the
-        engine's layout."""
-        full = self.full_sampled
-        self.even = all(w is None or is_even(w) for w in (full.v1, full.v2, full.beta, u, v))
-        self.sampled = full.folded() if self.even else full
-        return (fold(u), fold(v)) if self.even else (u, v)
+        """The start (u, v) on its octant if the sampled V1, V2 and beta and
+        the start are all bitwise reflection-even, else as it is."""
+        s = self.sampled
+        even = all(w is None or is_even(w) for w in (s.v1, s.v2, s.beta, u, v))
+        return (fold(u), fold(v)) if even else (u, v)
 
-    def leave_even_subspace(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray]:
-        """Back to the full grid, for the certificate: the evaluated state's
-        fields expanded from their octants."""
-        self.even = False
-        self.sampled = self.full_sampled
-        return from_octant(ev.u), from_octant(ev.v)
+    def leave_even_subspace(self, ev: StateEval) -> tuple[StateEval, float, float] | None:
+        """The ``measure`` of an octant state expanded to the full grid, for
+        the certificate; None for a full-grid state."""
+        if not on_octant(self.grid, ev.u):
+            return None
+        return self.measure(from_octant(ev.u), from_octant(ev.v))
 
     def through_full_grid(self, f):
-        """A map of full-grid fields as a map of the engine's fields: while
-        ``even`` the octant is expanded, mapped and folded back."""
-        if not self.even:
-            return f
-        return lambda w: fold(f(from_octant(w)))
+        """A map of full-grid fields as a map of fields on either layout: an
+        octant is expanded, mapped and folded back."""
+        return lambda w: fold(f(from_octant(w))) if on_octant(self.grid, w) else f(w)
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> StateEval:
         ev = evaluate_state(u, v, self.params, self.conv, self.sampled)
@@ -236,7 +232,7 @@ class _SphereDescent:
     def residual(self, ev: StateEval, s: float):
         """(ru, rv, cu, cv, gauge): the sphere-tangential energy gradient, its
         Rayleigh ratios, and no gauge direction."""
-        gu, gv = gradient_values(ev, self.params, self.sampled)
+        gu, gv = gradient_values(ev, self.params)
         return *_sphere_tangent(self.grid, gu, gv, ev), None
 
     def grad_norm(self, ru: np.ndarray, rv: np.ndarray) -> float:
@@ -249,10 +245,10 @@ class _SphereDescent:
         sigma_u, sigma_v = max(1.0, abs(cu)), max(1.0, abs(cv))
         du = _precondition(self.grid, ru, sigma_u)
         dv = du if ev.mirrored else _precondition(self.grid, rv, sigma_v)
-        if self.sampled.v1 is not None:
-            du = du / (1.0 + np.maximum(self.sampled.v1, 0.0) / sigma_u)
-        if self.sampled.v2 is not None:
-            dv = dv / (1.0 + np.maximum(self.sampled.v2, 0.0) / sigma_v)
+        if ev.sampled.v1 is not None:
+            du = du / (1.0 + np.maximum(ev.sampled.v1, 0.0) / sigma_u)
+        if ev.sampled.v2 is not None:
+            dv = dv / (1.0 + np.maximum(ev.sampled.v2, 0.0) / sigma_v)
         du, dv, _, _ = _sphere_tangent(self.grid, du, dv, ev)
         return du, dv, 0.0
 
@@ -376,9 +372,9 @@ def _descend(
     ev, _, _, iters, converged, _, message = _descent_round(
         engine, start.pop(), 0.0, trace[0], engine.opts.max_iters, 1.0, trace
     )
-    if engine.even:  # the full-grid certificate, which ends the trace
-        ev = engine.evaluate(*engine.leave_even_subspace(ev))
-        trace[-1] = ev.breakdown.total
+    full = engine.leave_even_subspace(ev)
+    if full is not None:  # the full-grid certificate, which ends the trace
+        ev, trace[-1], _ = full
     ru, rv, *_ = engine.residual(ev, 0.0)
     grad_norm = engine.grad_norm(ru, rv)
     if converged and not grad_norm < engine.opts.grad_tol:

@@ -62,9 +62,10 @@ _MAX_POINTS = 2**27
 class GridSpec:
     """Uniform Cartesian discretization of the box [-L, L)^N.
 
-    dim must be 1, 2 or 3; points_per_axis M must be even (the padded
-    free-space convolution doubles the grid), at least 8, and keep that
-    convolution's (2M)^N workspace within ``_MAX_POINTS``.
+    dim must be 1, 2 or 3; points_per_axis M must be even (the octant, the
+    coordinates h (i - M/2) and the Nyquist rules of ``_kinetic_weights``
+    and ``x_grad_values`` need it), at least 8, and keep the padded
+    free-space convolution's (2M)^N workspace within ``_MAX_POINTS``.
     """
 
     dim: int
@@ -414,7 +415,6 @@ def fold(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
 def _resample_matrix(grid: GridSpec, scale: float) -> np.ndarray:
     """Rows of trigonometric-interpolation weights at the points scale * x_i.
 
@@ -433,7 +433,6 @@ def _resample_matrix(grid: GridSpec, scale: float) -> np.ndarray:
     w = np.where(near, 1.0, np.sin(m * tt) / (m * np.tan(tt)))
     outside = np.abs(scale * x) > half_extent
     w[outside, :] = 0.0
-    w.setflags(write=False)
     return w
 
 

@@ -24,8 +24,9 @@ the fiber-maximized energy, and its kinetic trust cap rejects
 sub-resolution spike states.  The profile is dilated to its own fiber
 maximum only between rounds.  As in the flow, a reflection-even problem
 descends with its fields on the (M/2 + 1)^N octant, where every operator
-takes its octant form from the arrays' shape, and is certified on the full
-grid; only the recentering dilation, which has no octant form, runs through
+takes its octant form from the arrays' shape and each evaluation carries
+the samples of its layout, and is certified on the full grid; only the
+recentering dilation, which has no octant form, runs through
 ``_SphereDescent.through_full_grid``.  The retraction
 zeroes a frozen component, and the fiber tangent and the dilation go
 through ``StateEval.each``, once for a u = v profile of a swap-symmetric
@@ -275,10 +276,7 @@ class _SaddleEngine(_SphereDescent):
         if self.sampled.beta is not None:
             scale = math.exp(-s_star)
             beta_s = coupling_scaled_values(self.params.coupling, self.grid, scale, ev.u)
-        return gradient_values(ev, self.params, self.sampled, s_star, beta_s)
-
-    def pohozaev(self, ev: StateEval) -> float:
-        return pohozaev_from_state(ev, self.params, self.sampled)
+        return gradient_values(ev, self.params, s_star, beta_s)
 
     def fiber_tangent(self, ev: StateEval) -> tuple[np.ndarray, np.ndarray]:
         """Generator of the dilation fiber at the profile: (N/2) u + x.grad u.
@@ -338,7 +336,7 @@ def fiber_energy(state: StatePair, params: ModelParams, s: float) -> float:
     return _FiberBasis(engine, ev).energy_at(s)
 
 
-def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
+def check_geometry(params: ModelParams, grid: GridSpec, engine=None) -> GeometryReport:
     """Thresholds and sampled energy estimates of the well/barrier split.
 
     k2 is the kinetic level where the barrier profile h peaks (with the
@@ -353,6 +351,7 @@ def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
     the 8 ratios wu >= wv and the unscaled pairs with wu >= wv: the pair
     pinned for a ratio's inverse is its exact swap, and E(a, b) = E(b, a).
     Raises BetaTooLarge when the coupling sup-norm reaches hmax/(2 xi eta).
+    An ``engine`` of these params and grid lends its samples and convolver.
     """
     _require_saddle_mode(params)
     if params.xi <= 0 or params.eta <= 0:
@@ -361,7 +360,7 @@ def check_geometry(params: ModelParams, grid: GridSpec) -> GeometryReport:
     _, x1, hmax = h_thresholds(c_xi_eta(params), params.p, dp)
     k2 = x1
     k1 = k2 / 100.0
-    engine = _SphereDescent(params, grid)
+    engine = engine or _SphereDescent(params, grid)
     beta = engine.sampled.beta
     beta_sup = 0.0 if beta is None else float(np.max(np.abs(beta)))
     beta_bound = hmax / (2.0 * params.xi * params.eta)
@@ -485,7 +484,7 @@ def mountain_pass_solve(
     engine = _SaddleEngine(params, init.grid, opts)
     if params.xi <= 0 or params.eta <= 0:
         raise ZeroMass("the coupled saddle needs positive masses on both components")
-    geo = check_geometry(params, init.grid)
+    geo = check_geometry(params, init.grid, engine)
     if not geo.separated:
         raise GeometryFailed(
             f"sampled well max {geo.sup_well_estimate:.4g} does not sit below "
@@ -551,8 +550,9 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
             break
     # the last round's recentering is the one the reported state went through
     message = "; ".join(m for m in (message, recenter_msg) if m)
-    if engine.even:  # the full-grid certificate
-        ev, psi, s_star = engine.measure(*engine.leave_even_subspace(ev))
+    full = engine.leave_even_subspace(ev)
+    if full is not None:  # the full-grid certificate
+        ev, psi, s_star = full
         grad_norm, full_el, poh, certified = _certificate(engine, ev, s_star)
         if converged and not certified:
             converged, message = False, "the full-grid certificate misses the tolerances"
@@ -566,7 +566,7 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
     grid = engine.grid
     bd = ev.breakdown
     mult = multipliers_from_breakdown(bd, params, params.xi**2, params.eta**2)
-    lhs, rhs = multiplier_sum_from_state(ev, params, engine.sampled)
+    lhs, rhs = multiplier_sum_from_state(ev, params)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     residuals = {
         "projected_gradient": grad_norm,
@@ -606,7 +606,7 @@ def _certificate(
     tangent = _sphere_tangent(engine.grid, *engine.pulled_back_gradient(ev, s_star), ev)
     ru, rv, *_ = engine.transverse(ev, *tangent)
     grad_norm = engine.grad_norm(ru, rv)
-    poh = engine.pohozaev(ev)
+    poh = pohozaev_from_state(ev, engine.params)
     kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
     ok = grad_norm <= opts.grad_tol and abs(poh) <= opts.pohozaev_rel_tol * max(kin, 1e-300)
     return grad_norm, engine.grad_norm(*tangent[:2]), poh, ok

@@ -413,14 +413,14 @@ class TestMirroredState:
         assert ev.mirrored and n == 1
         ev_pair, n_pair = self.count_convolutions(monkeypatch, params, conv, u, v)
         assert not ev_pair.mirrored and n_pair == 2
-        gu, gv = cq.energy.gradient_values(ev, params, cq.energy.sample_model(params, g))
+        gu, gv = cq.energy.gradient_values(ev, params)
         # the same state with the sharing switched off
         monkeypatch.setattr(cq.ModelParams, "swap_symmetric", property(lambda self: False))
         plain = self.evaluate(params, conv, u, u.copy())
         assert not plain.mirrored
         assert ev.breakdown == plain.breakdown
         assert np.array_equal(ev.conv_v, plain.conv_v)
-        pu, pv = cq.energy.gradient_values(plain, params, cq.energy.sample_model(params, g))
+        pu, pv = cq.energy.gradient_values(plain, params)
         assert np.array_equal(gu, pu) and np.array_equal(gv, pv)
         assert gv is not gu
 
@@ -495,20 +495,19 @@ class TestEvenSubspaceEnergy:
         )
         conv = cq.build_convolver(g, params.alpha)
         full = cq.energy.sample_model(params, g)
-        sampled = full.folded()
         u_full = cq.gaussian_field(g, 2.0, mass=1.0).values  # face at e^{-2} of the peak
         v_full = cq.gaussian_field(g, 1.6, mass=1.44).values
         u, v = cq.grid.fold(u_full), cq.grid.fold(v_full)
         octant = (g.points_per_axis // 2 + 1,) * g.dim
 
         def energy(du, dv):
-            ev = cq.energy.evaluate_state(u + du, v + dv, params, conv, sampled)
+            ev = cq.energy.evaluate_state(u + du, v + dv, params, conv, full)
             return ev.breakdown.total
 
         full_energy = cq.energy.evaluate_state(u_full, v_full, params, conv, full).breakdown.total
         assert abs(energy(0.0, 0.0) - full_energy) > 1e-8
-        ev = cq.energy.evaluate_state(u, v, params, conv, sampled)
-        gu, gv = cq.energy.gradient_values(ev, params, sampled)
+        ev = cq.energy.evaluate_state(u, v, params, conv, full)
+        gu, gv = cq.energy.gradient_values(ev, params)
         assert ev.u.shape == ev.conv_u.shape == ev.conv_v.shape == gu.shape == gv.shape == octant
         rng = np.random.default_rng(8)
         t = 1e-4

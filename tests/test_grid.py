@@ -435,6 +435,28 @@ class TestLayoutIsTheShape:
         private = [n for m, n in self.imports("flow") if m == "grid" and n.startswith("_")]
         assert private == []
 
+    def test_an_evaluation_carries_its_samples(self):
+        # an evaluation carries its samples, and the engine holds no layout
+        for f in (cq.energy.gradient_values, cq.energy.pohozaev_from_state,
+                  cq.energy.multiplier_sum_from_state):
+            assert "sampled" not in inspect.signature(f).parameters, f.__name__
+        params = cq.ModelParams(dim=3, alpha=2.0, p=2.0, q=2.0, mu1=1.0, mu2=1.0, xi=1.0,
+                                eta=1.0, coupling=cq.CouplingSpec("constant", 0.1))
+        engine = cq.flow._SphereDescent(params, cq.GridSpec(3, 8.0, 8))
+        assert not hasattr(engine, "even") and not hasattr(engine, "full_sampled")
+        # only a constructor sets an engine's samples
+        source = (Path(cq.__file__).parent / "flow.py").read_text()
+        source += (Path(cq.__file__).parent / "saddle.py").read_text()
+        setters = [
+            node.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+            for target in ast.walk(node)
+            if isinstance(target, ast.Attribute) and target.attr == "sampled"
+            and isinstance(target.ctx, ast.Store)
+        ]
+        assert setters == []
+
     @pytest.mark.parametrize("shape", [(20, 20, 20), (11, 11, 11), (16, 16, 15), (9, 9)])
     def test_a_foreign_shape_is_no_layout(self, shape):
         # e.g. a field sampled with another M: neither 16^3 nor the octant's 9^3

@@ -133,6 +133,20 @@ class TestGeometryPinning:
         assert cq.build_convolver.cache_info().misses == 1
         assert conv.grid == grid32
 
+    def test_saddle_solve_samples_the_model_once(self, monkeypatch):
+        # the geometry check reads the solve engine's samples
+        g = cq.GridSpec(3, 8.0, 16)
+        calls = []
+        sample = cq.flow.sample_model
+        monkeypatch.setattr(cq.flow, "sample_model", lambda *a: calls.append(a) or sample(*a))
+        bump = cq.gaussian_field(g, 1.2, mass=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cq.mountain_pass_solve(
+                sup_params(), cq.StatePair(bump, bump.copy()), cq.SaddleOptions(max_iters=10)
+            )
+        assert len(calls) == 1
+
 
 class TestFiberMaximize:
     def test_interior_max_dominates_origin(self, grid32):
@@ -232,8 +246,24 @@ class TestOctantFiber:
         full = cq.saddle._SaddleEngine(params, grid)
         octant = cq.saddle._SaddleEngine(params, grid)
         ev_octant = octant.evaluate(*octant.enter_even_subspace(u, v))
-        assert octant.even and ev_octant.u.shape == (17, 17, 17)
+        assert ev_octant.u.shape == (17, 17, 17)
         return full, full.evaluate(u, v), octant, ev_octant
+
+    @pytest.mark.parametrize("octant_first", [True, False])
+    def test_one_engine_evaluates_either_layout(self, grid32, octant_first):
+        # each evaluation carries the samples of its own layout, in either order
+        params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0))
+        u = cq.gaussian_field(grid32, 1.3, mass=1.0).values
+        v = cq.gaussian_field(grid32, 1.1, mass=1.0).values
+        engine = cq.saddle._SaddleEngine(params, grid32)
+        starts = {"octant": engine.enter_even_subspace(u, v), "full": (u, v)}
+        order = ("octant", "full") if octant_first else ("full", "octant")
+        evs = {layout: engine.evaluate(*starts[layout]) for layout in order}
+        assert evs["octant"].u.shape == (17, 17, 17) and evs["full"].u.shape == grid32.shape
+        for ev in evs.values():
+            assert ev.sampled.beta.shape == ev.sampled.x_grad_beta.shape == ev.u.shape
+        total = evs["full"].breakdown.total
+        assert evs["octant"].breakdown.total == pytest.approx(total, rel=1e-12)
 
     def test_tangent_and_gradient_match_the_full_grid(self, grid32, monkeypatch):
         full, ev, octant, ev_octant = self.engines(grid32)
