@@ -9,7 +9,8 @@ negligible at the boundary, so the periodification is harmless.
 Field operations provided here:
 
 * ``l2_norm_sq`` / ``inner`` / ``grad_norm_sq`` -- quadrature norms, the
-  gradient norm evaluated via Parseval with the |k|^2 multiplier.
+  gradient norm evaluated via Parseval with the |k|^2 multiplier, and by
+  ``rank_one_grad_norm_sq`` from 1-D sums for a product of N equal factors.
 * ``dilate`` -- the mass-preserving rescaling s * f = e^{Ns/2} f(e^s x),
   realized by resampling the trigonometric interpolant on the scaled tensor
   grid (spectral accuracy for resolved fields), with an exact post-rescale
@@ -319,6 +320,21 @@ def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
         spec = scipy.fft.rfftn(values)
         s = np.sum(_kinetic_weights(grid) * (spec.real**2 + spec.imag**2))
     return float(s * grid.cell_volume / grid.size)
+
+
+def rank_one_grad_norm_sq(grid: GridSpec, line: np.ndarray) -> float:
+    """||grad u||^2 of u = a f (x) ... (x) f, f = 1 at the centre, from its
+    central line a f: N a^2 (sum k^2 |F_k|^2)(sum |F_k|^2)^{N-1} h^N / M^N
+    with F the 1-D FFT of f.  This is ``grad_norm_sq_values``'s Parseval sum
+    factored (the same wavenumbers, Nyquist included), with no N-D transform."""
+    m = grid.points_per_axis
+    a = line[m // 2]
+    spec = scipy.fft.fft(line / a)
+    power = spec.real**2 + spec.imag**2
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
+    scale = grid.spacing / m
+    kinetic, mass = scale * np.dot(k * k, power), scale * np.sum(power)
+    return float(grid.dim * a * a * kinetic * mass ** (grid.dim - 1))
 
 
 def neg_laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ along which the invariants transform in closed form:
     kinetic -> e^{2s} K,   B(., p) -> e^{2 p delta_p s} B,
     coupling -> int beta(e^{-s} x) u v.
 
-``fiber_maximize`` finds the maximum of the fiber energy; the stationarity
-condition d/ds E(s * state) = 0 is exactly the dilation (Pohozaev-type)
-identity, so states at their fiber maximum satisfy it by construction.
+``fiber_maximize`` finds the maximum of the fiber energy with Brent's
+bounded golden-section and parabolic step (``_bounded_max``); the
+stationarity condition d/ds E(s * state) = 0 is exactly the dilation
+(Pohozaev-type) identity, so states at their fiber maximum satisfy it by
+construction.
 
 ``mountain_pass_solve`` minimizes the fiber-maximized energy over profiles.
 The merit is dilation-invariant, so the fiber direction is a gauge.  Each
@@ -41,8 +43,10 @@ condition on 2 beta + x.grad beta / delta_p) is checked by
 ``check_geometry`` together with sampled estimates of the energy well and
 barrier separation; for a swap-symmetric model it samples each unordered
 width pair once, since E(a, b) = E(b, a).  Its samples, centred Gaussian
-pairs and the constant pair, have rank-one densities |u|^p, so their B
-values take no grid convolution (``riesz_energy_rank_one``).
+pairs and the constant pair, are products of N equal 1-D factors, so their
+kinetic norms and B values are 1-D sums (``rank_one_grad_norm_sq``,
+``riesz_energy_rank_one``): the check runs no N-D transform or convolution
+and samples only each accepted pair on the grid.
 
 The fiber needs beta(e^{-s} x) off the grid, which only the built-in
 coupling families provide in closed form, so ``_SaddleEngine``, which also
@@ -68,6 +72,7 @@ from .errors import (
     GeometryFailed,
     ModeMismatch,
     NoInteriorMax,
+    NonFinite,
     NotConverged,
     NotSupercritical,
     Stalled,
@@ -79,9 +84,9 @@ from .grid import (
     StatePair,
     dilate,
     gaussian_field,
-    grad_norm_sq_values,
     grid_sum,
     neg_laplacian_values,  # noqa: F401  (a traced-benchmark binding; the gradient is energy's)
+    rank_one_grad_norm_sq,
     shell_sums,
     x_grad_values,
 )
@@ -108,6 +113,7 @@ from .riesz import RieszConvolver, riesz_energy_rank_one
 
 _FIBER_BRACKET = (-4.0, 4.0)  # first bracket of the fiber maximizer, widened once
 _FIBER_TOL = 1e-11  # tolerance on the maximizing s
+_FIBER_BUDGET = 500  # fiber energies per bracket
 # recenter (dilate the profile to its own fiber maximum) whenever the
 # maximizing s exceeds this; the dilation-identity residual of the
 # reported profile scales with the leftover offset, so keep it tiny
@@ -208,6 +214,70 @@ class _FiberBasis:
         )
 
 
+def _bounded_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """(s, fn(s)) at the maximum of fn over [lo, hi], s to ``_FIBER_TOL``.
+
+    Brent's bounded minimization of -fn (Algorithms for Minimization without
+    Derivatives, 1973, ch. 5): a parabola through the three best points when
+    its vertex lies inside the bracket and its step is under half the step
+    before last, a golden-section step otherwise.  Transcribed from scipy's
+    BSD-licensed ``_minimize_scalar_bounded``, so it returns the floats of
+    ``minimize_scalar(method="bounded")``.  Raises NonFinite on a non-finite
+    fn and NoInteriorMax once it has spent ``_FIBER_BUDGET`` evaluations."""
+
+    def f(s: float) -> float:
+        value = fn(s)
+        if not math.isfinite(value):
+            raise NonFinite(f"fiber energy {value} at s = {s:.6g}")
+        return -value
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)  # best, second best, previous second best
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step and the one before
+    evals = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + _FIBER_TOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:  # the parabola through (v, w, x)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, d
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            d = p / q
+            if (x + d - a) < tol2 or (b - (x + d)) < tol2:
+                d = tol1 if xm >= x else -tol1
+        else:
+            e = (a if x >= xm else b) - x
+            d = golden * e
+        u = x + (max(abs(d), tol1) if d >= 0.0 else -max(abs(d), tol1))
+        fu = f(u)
+        evals += 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + _FIBER_TOL / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= _FIBER_BUDGET:
+            raise NoInteriorMax(f"fiber maximizer spent its {evals} evaluations in [{lo}, {hi}]")
+    return x, -fx
+
+
 class _SaddleEngine(_SphereDescent):
     exhausted = "line search exhausted near the residual tolerance"
 
@@ -241,25 +311,15 @@ class _SaddleEngine(_SphereDescent):
         return ev, psi, s_star
 
     def fiber_max(self, ev: StateEval) -> tuple[float, float]:
-        # imported here, its only caller, so a run that takes no fiber
-        # maximum never loads scipy.optimize
-        from scipy.optimize import minimize_scalar
-
         basis = _FiberBasis(self, ev)
         if basis.kinetic <= 0.0:
             raise ZeroMass("fiber maximization needs a state with positive kinetic energy")
         lo, hi = _FIBER_BRACKET
         for attempt in range(2):
-            res = minimize_scalar(
-                lambda s: -basis.energy_at(s),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": _FIBER_TOL},
-            )
-            s_star = float(res.x)
+            s_star, psi = _bounded_max(basis.energy_at, lo, hi)
             margin = 1e-3 * (hi - lo)
             if lo + margin < s_star < hi - margin:
-                return s_star, float(-res.fun)
+                return s_star, psi
             lo *= 2.0
             hi *= 2.0
         raise NoInteriorMax(
@@ -394,8 +454,7 @@ def check_geometry(params: ModelParams, grid: GridSpec, engine=None) -> Geometry
     # flattest admissible state: the constant pair, kinetic exactly zero
     vol = (2.0 * grid.half_extent) ** grid.dim
     u, v = (np.full(grid.shape, mass / math.sqrt(vol)) for mass in (params.xi, params.eta))
-    well.append(_rank_one_energy(engine, u, v, grad_norm_sq_values(grid, u),
-                                 grad_norm_sq_values(grid, v)))
+    well.append(_rank_one_energy(engine, u, v))
     barrier = [e for e in barrier if e is not None]
     if not barrier:
         raise GeometryFailed("could not pin sample states to the barrier kinetic level")
@@ -426,49 +485,53 @@ def _pinned_energy(
 
     The first kinetic term is measured at the given widths, which the caller
     pins in closed form; a pair that misses the band is rescaled by its
-    measured kinetic term, up to 12 times.  The energy of the accepted pair
-    is ``_rank_one_energy``'s.  None if a width leaves (1e-2 h, 20 L) or the
-    pair cannot be sampled."""
+    measured kinetic term, up to 12 times.  Each measure takes the pair's
+    1-D lines only (``rank_one_grad_norm_sq``), so the grid samples just the
+    accepted pair, whose energy is ``_rank_one_energy``'s.  None if a width
+    leaves (1e-2 h, 20 L)."""
     grid, params = engine.grid, engine.params
-    wu, wv = width_u, width_v
+    masses = (params.xi**2, params.eta**2)
+    widths = (width_u, width_v)
     for _ in range(12):
-        if not all(1e-2 * grid.spacing < w < 20 * grid.half_extent for w in (wu, wv)):
+        if not all(1e-2 * grid.spacing < w < 20 * grid.half_extent for w in widths):
             return None
-        try:
-            u = gaussian_field(grid, wu, mass=params.xi**2).values
-            v = gaussian_field(grid, wv, mass=params.eta**2).values
-        except ZeroMass:
-            return None
-        gu, gv = grad_norm_sq_values(grid, u), grad_norm_sq_values(grid, v)
-        k = gu + gv
+        k = sum(rank_one_grad_norm_sq(grid, _gaussian_line(grid, w, m))
+                for w, m in zip(widths, masses))
         if k <= 0.0:
             return None
         t = math.sqrt(k / kinetic)
         if (below and k <= kinetic) or abs(t - 1.0) < 0.02:
-            return _rank_one_energy(engine, u, v, gu, gv)
-        wu *= t
-        wv *= t
+            u, v = (gaussian_field(grid, w, mass=m).values for w, m in zip(widths, masses))
+            return _rank_one_energy(engine, u, v)
+        widths = tuple(w * t for w in widths)
     return None
 
 
-def _rank_one_energy(
-    engine: _SphereDescent, u: np.ndarray, v: np.ndarray, gu: float, gv: float
-) -> float:
-    """The full grid's energy of a sample pair with kinetic norms gu and gv;
-    each B is of a rank-one density (``_gaussian_b``), so nothing is convolved."""
-    params = engine.params
-    b_u, b_v = _gaussian_b(engine.conv, u, params.p), _gaussian_b(engine.conv, v, params.q)
+def _gaussian_line(grid: GridSpec, width: float, mass: float) -> np.ndarray:
+    """The central line a f of ``gaussian_field(grid, width, mass)``, with a
+    from the 1-D sum: a f (x) ... (x) f has mass a^2 (h sum f^2)^N, the full
+    grid's sum to roundoff."""
+    f = np.exp(-grid.axis() ** 2 / (2.0 * width**2))
+    return f * math.sqrt(mass / (grid.spacing * float(np.sum(f * f))) ** grid.dim)
+
+
+def _rank_one_energy(engine: _SphereDescent, u: np.ndarray, v: np.ndarray) -> float:
+    """The full grid's energy of a sample pair of centred Gaussians or
+    constants: each is its central value a times one 1-D profile per axis,
+    1 at the centre, so its kinetic norm and B are sums over its central
+    line and nothing is transformed on the grid or convolved."""
+    params, grid = engine.params, engine.grid
+    centre = (slice(None),) + (grid.points_per_axis // 2,) * (grid.dim - 1)
+    lu, lv = u[centre], v[centre]
+    gu, gv = rank_one_grad_norm_sq(grid, lu), rank_one_grad_norm_sq(grid, lv)
+    b_u, b_v = _gaussian_b(engine.conv, lu, params.p), _gaussian_b(engine.conv, lv, params.q)
     return assemble_breakdown(u, v, params, engine.sampled, gu, gv, b_u, b_v).total
 
 
-def _gaussian_b(conv: RieszConvolver, values: np.ndarray, p: float) -> float:
-    """B(u, p) of grid values that are their central value a times one 1-D
-    profile per axis, each 1 at the centre (a centred Gaussian or a constant):
-    |u|^p is rank one, N copies of |a^{1/N - 1} u|^p along the central line."""
-    grid = conv.grid
-    centre = grid.points_per_axis // 2
-    line = values[(slice(None),) + (centre,) * (grid.dim - 1)]
-    factor = line * line[centre] ** (1.0 / grid.dim - 1.0)
+def _gaussian_b(conv: RieszConvolver, line: np.ndarray, p: float) -> float:
+    """B(u, p) of u = a f (x) ... (x) f from its central line a f, f = 1 at
+    the centre: |u|^p is rank one, N copies of |a^{1/N - 1} line|^p."""
+    factor = line * line[conv.grid.points_per_axis // 2] ** (1.0 / conv.grid.dim - 1.0)
     return riesz_energy_rank_one(conv, _power_density(factor, p))
 
 

@@ -108,6 +108,26 @@ class TestNorms:
         got = cq.grid.x_grad_values(g, f.values)
         assert np.max(np.abs(got - want)) < 1e-8
 
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 32), (3, 16), (3, 40)])
+    def test_rank_one_kinetic_norm(self, dim, m):
+        # the full grid's Parseval sum, factored, for centred Gaussians of
+        # widths h to 20 L and a constant, read from their central line.  A
+        # Gaussian wider than the box is nearly flat, and the rounding of its
+        # full-grid samples alone moves its kinetic norm K by up to about
+        # k_max sqrt(K m) eps (Cauchy-Schwarz), so that is the absolute scale
+        g = cq.GridSpec(dim, 8.0, m)
+        k_max = math.pi / g.spacing
+        fields = [cq.gaussian_field(g, w, mass=1.3).values
+                  for w in np.geomspace(g.spacing, 20.0 * g.half_extent, 9)]
+        fields.append(np.full(g.shape, 0.3))
+        for u in fields:
+            line = u[(slice(None),) + (m // 2,) * (dim - 1)]
+            want = cq.grid.grad_norm_sq_values(g, u)
+            mass = g.cell_volume * np.sum(u * u)
+            assert cq.grid.rank_one_grad_norm_sq(g, line) == pytest.approx(
+                want, rel=1e-14, abs=1e-14 * k_max * math.sqrt(want * mass)
+            )
+
 
 class TestReflectionSymmetry:
     """The reflection i <-> (M - i) mod M fixes x = 0 and the x = -L face."""

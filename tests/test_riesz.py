@@ -224,6 +224,19 @@ class TestLean:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_fiber_maximum_loads_no_optimize(self):
+        code = (
+            "import sys, choquard as cq; "
+            "g = cq.GridSpec(3, 8.0, 16); "
+            "params = cq.ModelParams(dim=3, alpha=2.0, p=3.0, q=3.0, mu1=60.0, mu2=60.0, "
+            "xi=1.0, eta=1.0, coupling=cq.CouplingSpec('constant', 0.015)); "
+            "u = cq.gaussian_field(g, 1.2, mass=1.0); "
+            "s, _ = cq.fiber_maximize(cq.StatePair(u, u.copy()), params); "
+            "print(abs(s) < 4.0, 'scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True False"
+
     @staticmethod
     def traced_peak(fn, *args):
         tracemalloc.start()

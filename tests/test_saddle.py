@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.optimize import minimize_scalar
 
 import choquard as cq
 
@@ -123,6 +125,25 @@ class TestGeometryPinning:
             want = engine.evaluate(u, v).breakdown.total
             assert energy == pytest.approx(want, rel=1e-14), (wu, wv)
 
+    def test_geometry_makes_no_nd_transform(self, grid32, monkeypatch):
+        # every kinetic norm and B of the check is a sum over a 1-D line
+        params = cq.ModelParams(
+            **SUP, coupling=cq.CouplingSpec("rational_decay", 0.01, 2.0 / 3.0)
+        )
+        engine = cq.flow._SphereDescent(params, grid32)
+
+        def spy(name, transform):
+            def one_dimensional(x, *args, **kwargs):
+                if name.endswith("n") or np.ndim(x) > 1:
+                    raise AssertionError(f"scipy.fft.{name} of shape {np.shape(x)}")
+                return transform(x, *args, **kwargs)
+            return one_dimensional
+
+        for name in ("fft", "ifft", "rfft", "irfft", "dct",
+                     "fftn", "ifftn", "rfftn", "irfftn", "dctn", "idctn"):
+            monkeypatch.setattr(scipy.fft, name, spy(name, getattr(scipy.fft, name)))
+        assert cq.check_geometry(params, grid32, engine).separated
+
     def test_saddle_solve_builds_one_convolver(self, grid32, monkeypatch):
         monkeypatch.setattr(cq.saddle, "_saddle_descend", lambda engine, *a: engine.conv)
         bump = cq.gaussian_field(grid32, 1.2, mass=1.0)
@@ -195,6 +216,68 @@ class TestFiberMaximize:
             cq.fiber_energy(state, params, s)
         cq.fiber_maximize(state, params)
         assert cq.build_convolver.cache_info().misses == 1
+
+
+class TestFiberMaximizer:
+    """The bounded Brent step returns minimize_scalar's floats and fails loudly."""
+
+    CONSTANT = cq.CouplingSpec("constant", 0.015)
+    DECAY = cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
+
+    @staticmethod
+    def engine_and_state(grid, coupling, monkeypatch, stretch=1.0):
+        """An engine whose fiber bases scale the kinetic term by ``stretch``,
+        which moves the maximum by log(stretch) / (2 p delta_p - 2) = log(stretch) / 2."""
+
+        class Basis(cq.saddle._FiberBasis):
+            def __init__(self, engine, ev):
+                super().__init__(engine, ev)
+                self.kinetic *= stretch
+
+        monkeypatch.setattr(cq.saddle, "_FiberBasis", Basis)
+        engine = cq.saddle._SaddleEngine(cq.ModelParams(**SUP, coupling=coupling), grid)
+        u = cq.gaussian_field(grid, 1.3, mass=1.0).values
+        v = cq.gaussian_field(grid, 1.1, mass=1.0).values
+        return engine, engine.evaluate(u, v)
+
+    @staticmethod
+    def scipy_fiber_max(basis):
+        lo, hi = cq.saddle._FIBER_BRACKET
+        for _ in range(2):
+            res = minimize_scalar(lambda s: -basis.energy_at(s), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": cq.saddle._FIBER_TOL})
+            margin = 1e-3 * (hi - lo)
+            if lo + margin < res.x < hi - margin:
+                return float(res.x), float(-res.fun)
+            lo, hi = 2.0 * lo, 2.0 * hi
+        raise AssertionError("no interior maximum")
+
+    @pytest.mark.parametrize("coupling,stretch", [
+        (CONSTANT, 1.0), (DECAY, 1.0), (DECAY, math.exp(10.0))
+    ], ids=["constant", "rational_decay", "widened"])
+    def test_matches_scipy_bitwise(self, grid32, monkeypatch, coupling, stretch):
+        engine, ev = self.engine_and_state(grid32, coupling, monkeypatch, stretch)
+        got = engine.fiber_max(ev)
+        assert got == self.scipy_fiber_max(cq.saddle._FiberBasis(engine, ev))
+        if stretch != 1.0:  # the first bracket pinned it, the widened one holds it
+            assert cq.saddle._FIBER_BRACKET[1] < got[0] < 2.0 * cq.saddle._FIBER_BRACKET[1]
+
+    def test_edge_pinned_basis_has_no_interior_max(self, grid32, monkeypatch):
+        engine, ev = self.engine_and_state(grid32, self.DECAY, monkeypatch, math.exp(-40.0))
+        with pytest.raises(cq.NoInteriorMax, match="bracket edge"):
+            engine.fiber_max(ev)
+
+    def test_spent_budget_has_no_interior_max(self, grid32, monkeypatch):
+        engine, ev = self.engine_and_state(grid32, self.CONSTANT, monkeypatch)
+        monkeypatch.setattr(cq.saddle, "_FIBER_BUDGET", 5)
+        with pytest.raises(cq.NoInteriorMax, match="spent its 5 evaluations"):
+            engine.fiber_max(ev)
+
+    def test_non_finite_fiber_energy_is_refused(self, grid32, monkeypatch):
+        engine, ev = self.engine_and_state(grid32, self.CONSTANT, monkeypatch)
+        monkeypatch.setattr(cq.saddle._FiberBasis, "energy_at", lambda self, s: math.nan)
+        with pytest.raises(cq.NonFinite, match="fiber energy nan"):
+            engine.fiber_max(ev)
 
 
 class TestPulledBackGradient:
