@@ -11,7 +11,8 @@ other solve, and every certificate, on the full M^N grid.  For each case
 ``dim:M`` this times, on both layouts, one call of each layer: the kinetic
 norm, -Laplacian, the (sigma - Laplacian)^{-1} preconditioner, x . grad
 (the saddle's fiber tangent), the Riesz convolution, ``evaluate_state``
-and ``gradient_values``.  The state is a
+and ``gradient_values``; and, once per case, an uncached
+``build_convolver``, which serves both layouts.  The state is a
 pair of centered Gaussians of different widths, so no layer takes the
 mirrored (u = v) shortcut, and the model is the ``ground_state`` benchmark
 model (alpha = N/2 in 1-D and 2-D, where alpha < N).
@@ -124,7 +125,9 @@ def measure_case(dim: int, m: int, repeats: int) -> dict:
     v = cq.gaussian_field(grid, 1.8, mass=1.0).values
     full = layer_calls(grid, params, conv, u, v, model)
     octant = layer_calls(grid, params, conv, fold(u), fold(v), model)
-    out = {"dim": dim, "points_per_axis": m, "half_extent": grid.half_extent, "layers": {}}
+    out = {"dim": dim, "points_per_axis": m, "half_extent": grid.half_extent, "layers": {},
+           "build_convolver": time_call(
+               lambda: cq.build_convolver.__wrapped__(grid, params.alpha), repeats)}
     for name in full:
         timings = {"full": time_call(full[name], repeats),
                    "octant": time_call(octant[name], repeats)}
@@ -168,7 +171,8 @@ def main(argv=None) -> int:
         summary = ", ".join(f"{name} {lay['full']['median_ms']:.3g} -> "
                             f"{lay['octant']['median_ms']:.3g} ms"
                             for name, lay in case["layers"].items())
-        print(f"{dim}-D M={m}: {summary}", flush=True)
+        print(f"{dim}-D M={m}: {summary}; build_convolver "
+              f"{case['build_convolver']['median_ms']:.3g} ms", flush=True)
         args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -54,8 +54,11 @@ import scipy.fft
 from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, ZeroMass
 
 # most points of the (2M)^N padded convolution grid, reached at M = 256 in
-# 3-D; no array of that size is allocated, and the largest array a solve
-# holds is the (2M)^{N-1}(M+1) float64 kernel spectrum, 0.5 GiB at the cap
+# 3-D; no array of that size is allocated.  The largest array a solve holds
+# is the (M+1)^N float64 kernel spectrum, 0.13 GiB at the cap; a full-grid
+# convolution also allocates, for its duration, the last-axis rfft of its
+# data, M^{N-1}(M+1) complex128, and that rfft's real inverse of
+# M^{N-1}(2M) float64, 0.25 GiB each at the cap
 _MAX_POINTS = 2**27
 
 
@@ -66,7 +69,9 @@ class GridSpec:
     dim must be 1, 2 or 3; points_per_axis M must be even (the octant, the
     coordinates h (i - M/2) and the Nyquist rules of ``_kinetic_weights``
     and ``x_grad_values`` need it), at least 8, and keep the padded
-    free-space convolution's (2M)^N workspace within ``_MAX_POINTS``.
+    free-space convolution's (2M)^N grid within ``_MAX_POINTS``.  That grid
+    is never allocated: the convolver holds the kernel's (M+1)^N spectrum,
+    and a convolution transforms its data axis by axis (``riesz``).
     """
 
     dim: int

@@ -13,9 +13,11 @@ The padded kernel samples are even in every axis, and the padded index M
 holds the offset -M, whose distance is M.  The padded kernel is therefore
 the even extension of its (M + 1)^N octant of offsets 0..M, and its
 spectrum is the type-1 DCT of that octant (symmetric convolution, Martucci
-1994).  Only the octant is sampled and transformed; each leading axis of
-the real result is then mirrored out to 2M entries and the spectrum is
-stored as float64 in rfftn layout.
+1994).  Only the octant is sampled and transformed, and only its real
+(M + 1)^N spectrum is stored: it holds the last axis's rfft frequencies
+0..M, and each leading axis's frequency k > M equals its frequency 2M - k,
+so the full-grid multiply reads frequencies M + 1..2M - 1 of a leading axis
+from the octant's rows M - 1..1, reversed, through views.
 
 The data transform is pruned (Markel 1971): it runs axis by axis, so the
 forward pass transforms no row that is all zeros; the inverse pass crops
@@ -60,12 +62,13 @@ quadratic form sum (K * rho) rho without an N-D transform
 (``riesz_energy_rank_one``).
 
 ``build_convolver`` keeps its last result: every solve, geometry check,
-scan cell and fiber call on one (grid, alpha) shares one read-only kernel
+scan cell and fiber call on one (grid, alpha) shares one read-only octant
 spectrum, which stays alive until another (grid, alpha) is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -122,16 +125,14 @@ class RieszConvolver:
     """Precomputed padded-kernel spectrum for one (grid, alpha) pair.
 
     octant_spectrum is the DCT-I of the kernel's (M + 1)^N octant of
-    offsets 0..M, the spectrum of the even-subspace convolution.
-    kernel_spectrum is the real spectrum of the (2M)^N padded kernel
-    samples, contiguous float64 of shape (2M, ..., 2M, M + 1): the octant
-    spectrum with each leading axis mirrored (index k > M holds index
-    2M - k).  Both are shared by every caller on one (grid, alpha), so the
-    convolver is frozen and its spectra read-only."""
+    offsets 0..M, contiguous float64: the spectrum of the even-subspace
+    convolution and, read with each leading axis mirrored (frequency k > M
+    is frequency 2M - k), the real spectrum of the (2M)^N padded kernel.
+    It is shared by every caller on one (grid, alpha), so the convolver is
+    frozen and its spectrum read-only."""
 
     grid: GridSpec
     alpha: float
-    kernel_spectrum: np.ndarray = field(repr=False)
     octant_spectrum: np.ndarray = field(repr=False)
     singular_value: float
 
@@ -152,11 +153,8 @@ def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
     kern[(0,) * grid.dim] = sing
     octant = scipy.fft.dctn(kern, type=1)
     del kern
-    mirror = np.concatenate([np.arange(m + 1), np.arange(m - 1, 0, -1)])
-    spectrum = octant[np.ix_(*([mirror] * (grid.dim - 1)), np.arange(m + 1))]
-    spectrum.setflags(write=False)
     octant.setflags(write=False)
-    return RieszConvolver(grid, alpha, spectrum, octant, sing)
+    return RieszConvolver(grid, alpha, octant, sing)
 
 
 def riesz_convolve(conv: RieszConvolver, rho: ScalarField) -> ScalarField:
@@ -173,13 +171,17 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     lead = grid.dim - 1
     spec = scipy.fft.rfft(values, n=n, axis=-1)
     if lead == 0:
-        spec *= conv.kernel_spectrum
+        spec *= conv.octant_spectrum
     else:
         # blocks of last-axis frequencies, that axis first, pass through one
         # workspace; every complex pass runs in place on a view of it
         front = np.moveaxis(spec, -1, 0)
-        kern = np.moveaxis(conv.kernel_spectrum, -1, 0)
+        kern = np.moveaxis(conv.octant_spectrum, -1, 0)
         core = (slice(None),) + (slice(0, m),) * lead
+        # per leading axis, the slab's frequencies 0..M and M + 1..2M - 1
+        # against the octant's rows 0..M and M - 1..1
+        halves = ((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, n), slice(m - 1, 0, -1)))
+        picks = [tuple(zip(*pick)) for pick in itertools.product(halves, repeat=lead)]
         work = np.empty((_SLAB,) + (n,) * lead, dtype=np.complex128)
         for k0 in range(0, m + 1, _SLAB):
             block = slice(k0, min(k0 + _SLAB, m + 1))
@@ -189,7 +191,8 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
                 slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
                 rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
                 scipy.fft.fft(slab[rows], axis=ax + 1, overwrite_x=True)
-            slab *= kern[block]
+            for dst, src in picks:
+                slab[(slice(None),) + dst] *= kern[(block,) + src]
             for ax in range(lead - 1, -1, -1):
                 rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
                 scipy.fft.ifft(slab[rows], axis=ax + 1, overwrite_x=True)

@@ -1,5 +1,6 @@
-"""``scripts/bench_layers.py`` times every layer on both layouts and records
-where it ran; a small 3-D case runs end to end."""
+"""``scripts/bench_layers.py`` times every layer on both layouts and the
+convolver build, and records where it ran; a small 3-D case runs end to
+end."""
 
 import importlib.util
 import json
@@ -28,6 +29,8 @@ def test_smoke_at_m16(tmp_path, monkeypatch):
     [case] = data["cases"]
     assert (case["dim"], case["points_per_axis"]) == (3, 16)
     assert set(case["layers"]) == LAYERS
+    build = case["build_convolver"]
+    assert 0.0 < build["q1_ms"] <= build["median_ms"] <= build["q3_ms"]
     for name, layer in case["layers"].items():
         for layout in ("full", "octant"):
             t = layer[layout]

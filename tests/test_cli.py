@@ -517,6 +517,22 @@ class TestCheckMode:
         assert report["result"]["v1"]["label"] == "V1"
         assert report["result"]["v2"]["label"] == "V2"
 
+    def test_tabulated_trap_falls_back_to_v2(self, tmp_path):
+        # a tabulated potential is first checked as a vanishing well (V1);
+        # a trap fails that and is then reported against the V2 class
+        payload = tiny_minimize_config(mode="check")
+        grid = cq.GridSpec(3, 8.0, 16)
+        np.save(tmp_path / "trap.npy", grid.radius_sq())
+        payload["model"]["v1"] = {"kind": "tabulated", "path": "trap.npy"}
+        path = write_config(tmp_path, payload)
+        code = main(["check", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] is True
+        assert report["result"]["v1"]["label"] == "V2"
+        assert report["result"]["v1"]["requested"] == "V2"
+        assert report["result"]["v1"]["passed"] is True
+
 
 class TestOracleMode:
     def test_equivalence_passes(self, tmp_path):

@@ -257,6 +257,15 @@ class TestMassScan:
         scalar = cq.scalar_ground_state(0.8, 5.0, 2.0, 2.0, grid24, OPTS, init_width=2.3)
         assert table.energy_at(0.0, 0.8) == pytest.approx(scalar.energy.total, abs=1e-4)
 
+    def test_zero_mass_cell_is_zero_without_a_solve(self):
+        grid = cq.GridSpec(3, 8.0, 16)
+        table = cq.mass_scan(coupled_params(), grid, [0.0, 0.5], [0.0, 0.5],
+                             cq.FlowOptions(max_iters=5), n_starts=1, seed=3)
+        assert table.energies[0, 0] == 0.0
+        assert bool(table.converged[0, 0])
+        assert table.iterations[0, 0] == 0
+        assert table.iterations[1, 1] > 0
+
     def test_subadditive_and_monotone(self, grid24):
         params = coupled_params(p=1.8, mu=8.0, beta=0.2)
         table = cq.mass_scan(params, grid24, [1.0, 2.0], [1.0, 2.0], OPTS, n_starts=2, seed=5)

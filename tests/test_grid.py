@@ -211,6 +211,18 @@ class TestDilate:
         with pytest.raises(cq.DilationOutOfBox):
             cq.dilate(wide, -1.5)  # stretches far past the box
 
+    def test_leak_warns_then_raises(self):
+        # a width-3 Gaussian on [-8, 8): stretched by e^{0.2} it loses
+        # 1.9e-3 of its mass past the faces (a warning, and the result is
+        # renormalized), by e^{0.4} 1.1% (an error)
+        g = cq.GridSpec(1, 8.0, 64)
+        wide = cq.gaussian_field(g, 3.0)
+        with pytest.warns(UserWarning, match="leaked"):
+            out = cq.dilate(wide, -0.2)
+        assert cq.l2_norm_sq(out) == pytest.approx(cq.l2_norm_sq(wide), rel=1e-13)
+        with pytest.raises(cq.DilationOutOfBox):
+            cq.dilate(wide, -0.4)
+
 
 def reflection_mean(values):
     """The even part by its definition: the mean with the reflection

@@ -136,18 +136,29 @@ def dense_padded_convolution(conv, values):
 
 
 class TestPruned:
-    def test_kernel_spectrum_is_real_float64(self, grid3_small):
-        spec = cq.build_convolver(grid3_small, 2.0).kernel_spectrum
-        assert spec.dtype == np.float64
-        assert spec.flags.c_contiguous
-        m = grid3_small.points_per_axis
-        assert spec.shape == (2 * m, 2 * m, m + 1)
+    def test_kernel_spectrum_is_real_float64(self):
+        for dim, m in [(1, 64), (2, 40), (3, 16)]:
+            spec = cq.build_convolver(cq.GridSpec(dim, 6.0, m), dim / 2.0).octant_spectrum
+            assert spec.dtype == np.float64
+            assert spec.flags.c_contiguous
+            assert spec.shape == (m + 1,) * dim
 
-    def test_kernel_spectrum_is_read_only(self, grid3_small):
+    def test_kernel_spectrum_is_read_only(self):
+        for dim, m in [(1, 64), (2, 40), (3, 16)]:
+            g = cq.GridSpec(dim, 6.0, m)
+            conv = cq.build_convolver(g, dim / 2.0)
+            assert cq.build_convolver(g, dim / 2.0) is conv
+            with pytest.raises(ValueError):
+                conv.octant_spectrum[(0,) * dim] = 1.0
+
+    def test_one_spectrum_is_held(self, grid3_small):
+        # the full-grid convolution reads the padded spectrum's mirrored
+        # leading axes from the octant, so no (2M)^{N-1}(M + 1) copy is kept
         conv = cq.build_convolver(grid3_small, 2.0)
-        assert cq.build_convolver(grid3_small, 2.0) is conv
-        with pytest.raises(ValueError):
-            conv.kernel_spectrum[0, 0, 0] = 1.0
+        arrays = [v for v in vars(conv).values() if isinstance(v, np.ndarray)]
+        m = grid3_small.points_per_axis
+        assert sum(a.nbytes for a in arrays) == (m + 1) ** 3 * 8
+        assert [a.shape for a in arrays] == [(m + 1,) * 3]
 
     @pytest.mark.parametrize(
         "dim,m,L,alpha",
@@ -250,7 +261,7 @@ class TestLean:
         g = cq.GridSpec(3, 6.0, 32)
         # the uncached build, so that the traced call builds rather than hits
         build = cq.build_convolver.__wrapped__
-        spec = build(g, 2.0).kernel_spectrum  # warms the K(0) cache
+        spec = build(g, 2.0).octant_spectrum  # warms the K(0) cache
         assert self.traced_peak(build, g, 2.0) < 3 * spec.nbytes
 
     def test_convolution_peak_below_one_complex_spectrum(self):
@@ -327,7 +338,6 @@ class TestEvenConvolution:
         conv = cq.build_convolver(grid3_small, 2.0)
         m = grid3_small.points_per_axis
         assert conv.octant_spectrum.shape == (m + 1,) * 3
-        assert np.array_equal(conv.octant_spectrum, conv.kernel_spectrum[: m + 1, : m + 1])
         with pytest.raises(ValueError):
             conv.octant_spectrum[0, 0, 0] = 1.0
 
