@@ -15,7 +15,9 @@ with one backtracking search, ``_line_search``.  What differs is an engine
 method that the saddle's engine overrides: ``residual``, ``step``,
 ``prepare``, ``settled``, ``measure`` and ``stuck``.  The flow's step has
 slope 0, so its search asks for plain decrease and its energy trace is
-nonincreasing.
+nonincreasing.  Both end the same way: the engine's ``certificate`` gives
+the final state's residuals and whether they meet the tolerances, and
+``_report`` builds the ``SolveReport``.
 
 The diagonal rule: a swap-symmetric model (``ModelParams.swap_symmetric``)
 with beta >= 0 descends from the lower of (u0, u0) and (v0, v0).  With F the
@@ -34,7 +36,8 @@ arrays' shape, and each evaluation carries the samples of its layout.  A
 map with no octant form, such as the rearrangement, expands the octant,
 runs on the full grid and folds its result back (``through_full_grid``).
 The final state is expanded to the full grid and measured there once more
-(``leave_even_subspace``); the report and ``converged`` come from that.
+(``leave_even_subspace``); ``certificate``, the report and ``converged``
+come from that.
 
 The tangential gradient equals the Euler-Lagrange residual with the
 multipliers extracted from the constraint pairing, so the reported
@@ -180,12 +183,14 @@ _precondition = laplacian_resolvent_values  # patched by tests and the traced be
 class _SphereDescent:
     """Projected descent on the pair of mass spheres, as the flow runs it.
     ``_SaddleEngine`` overrides the loop's hooks (``residual``, ``step``,
-    ``prepare``, ``settled``, ``stuck``, ``exhausted``), ``measure`` and
-    ``kinetic_cap``.  ``opts`` holds the engine's options and ``sampled``
-    the full grid's samples of the model; the engine holds no layout, which
-    each field's shape gives."""
+    ``prepare``, ``settled``, ``stuck``, ``exhausted``), ``measure``,
+    ``kinetic_cap`` and the end of a solve's hook, ``certificate`` with its
+    ``uncertified`` message.  ``opts`` holds the engine's options and
+    ``sampled`` the full grid's samples of the model; the engine holds no
+    layout, which each field's shape gives."""
 
     exhausted = "line search exhausted at small residual"
+    uncertified = "the full-grid residual is above grad_tol"
 
     def __init__(self, params: ModelParams, grid: GridSpec, opts=None):
         self.params = params
@@ -237,6 +242,13 @@ class _SphereDescent:
 
     def grad_norm(self, ru: np.ndarray, rv: np.ndarray) -> float:
         return math.sqrt(self.h_n * (grid_sum(self.grid, ru * ru) + grid_sum(self.grid, rv * rv)))
+
+    def certificate(self, ev: StateEval, s: float) -> tuple[dict[str, float], bool]:
+        """(residuals, ok) of the final state: the residual norm, which is the
+        EL residual, and the mass drift; ok when the norm is below grad_tol."""
+        g = self.grad_norm(*self.residual(ev, s)[:2])
+        residuals = {"projected_gradient": g, "el_residual": g, "mass_drift": self.mass_drift(ev)}
+        return residuals, g < self.opts.grad_tol
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
         """(du, dv, slope): solve with (sigma - Lap) spectrally, sigma = max(1, |c|)
@@ -375,18 +387,26 @@ def _descend(
     full = engine.leave_even_subspace(ev)
     if full is not None:  # the full-grid certificate, which ends the trace
         ev, trace[-1], _ = full
-    ru, rv, *_ = engine.residual(ev, 0.0)
-    grad_norm = engine.grad_norm(ru, rv)
-    if converged and not grad_norm < engine.opts.grad_tol:
-        converged, message = False, "the full-grid residual is above grad_tol"
+    residuals, ok = engine.certificate(ev, 0.0)
+    if converged and not ok:
+        converged, message = False, engine.uncertified
     if not (converged or message):
         message = "iteration budget exhausted"
-    residuals = {
-        "projected_gradient": grad_norm,
-        "el_residual": grad_norm,
-        "mass_drift": engine.mass_drift(ev),
-    }
     return ev, residuals, iters, converged, trace, message
+
+
+def _report(engine: _SphereDescent, ev: StateEval, residuals: dict[str, float], iters: int,
+            converged: bool, trace: list[float], message: str) -> SolveReport:
+    """The report of a finished solve, with the state, energy and multipliers
+    of its certified evaluation ``ev``."""
+    params = engine.params
+    return SolveReport(
+        state=StatePair(ScalarField(engine.grid, ev.u), ScalarField(engine.grid, ev.v)),
+        energy=ev.breakdown,
+        multipliers=multipliers_from_breakdown(ev.breakdown, params, params.xi**2, params.eta**2),
+        residuals=residuals, iterations=iters, converged=converged,
+        regime=params.regime().label, energy_trace=trace, message=message,
+    )
 
 
 def minimize_normalized(
@@ -404,22 +424,9 @@ def minimize_normalized(
         raise NotSubcritical(
             f"ground-state flow requires subcritical exponents, got {regime.label_p}/{regime.label_q}"
         )
-    grid = init.grid
-    engine = _SphereDescent(params, grid, opts)
+    engine = _SphereDescent(params, init.grid, opts)
     u0, v0 = engine.enter_even_subspace(init.u.values, init.v.values)
-    ev, residuals, iters, converged, trace, message = _descend(engine, u0, v0)
-    state = StatePair(ScalarField(grid, ev.u), ScalarField(grid, ev.v))
-    return SolveReport(
-        state=state,
-        energy=ev.breakdown,
-        multipliers=multipliers_from_breakdown(ev.breakdown, params, params.xi**2, params.eta**2),
-        residuals=residuals,
-        iterations=iters,
-        converged=converged,
-        regime=regime.label,
-        energy_trace=trace,
-        message=message,
-    )
+    return _report(engine, *_descend(engine, u0, v0))
 
 
 def _scalar_params(c: float, mu: float, p: float, dim: int, alpha: float) -> ModelParams:
@@ -475,6 +482,8 @@ def mass_scan(
     """
     if len(xi_list) < 2 or len(eta_list) < 2:
         raise ValueError("mass lists need at least two entries each")
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     for lst, name in ((xi_list, "xi_list"), (eta_list, "eta_list")):
         if any(b <= a for a, b in zip(lst, lst[1:])):
             raise ValueError(f"{name} must be strictly increasing")

@@ -16,27 +16,30 @@ stationarity condition d/ds E(s * state) = 0 is exactly the dilation
 (Pohozaev-type) identity, so states at their fiber maximum satisfy it by
 construction.
 
-``mountain_pass_solve`` minimizes the fiber-maximized energy over profiles.
-The merit is dilation-invariant, so the fiber direction is a gauge.  Each
-descent round is the flow's loop, ``flow._descent_round``, run with
-``_SaddleEngine``: its ``residual`` is the pulled-back gradient with the
-fiber tangent removed, its ``step`` removes that gauge from the
+``mountain_pass_solve`` minimizes the fiber-maximized energy over
+profiles.  The merit is dilation-invariant, so the fiber direction is a
+gauge.  Each descent round is the flow's loop, ``flow._descent_round``,
+run with ``_SaddleEngine``: its ``residual`` is the pulled-back gradient
+with the fiber tangent removed, its ``step`` removes that gauge from the
 preconditioned direction and returns the Armijo slope, its ``measure`` is
 the fiber-maximized energy, and its kinetic trust cap rejects
 sub-resolution spike states.  The profile is dilated to its own fiber
-maximum only between rounds.  As in the flow, a reflection-even problem
-descends with its fields on the (M/2 + 1)^N octant, where every operator
-takes its octant form from the arrays' shape and each evaluation carries
-the samples of its layout, and is certified on the full grid; only the
-recentering dilation, which has no octant form, runs through
-``_SphereDescent.through_full_grid``.  The retraction
-zeroes a frozen component, and the fiber tangent and the dilation go
-through ``StateEval.each``, once for a u = v profile of a swap-symmetric
-model and not at all for a zero component.  At
-the fixed point the state is simultaneously a fiber maximum (dilation
-identity holds) and transversally critical: a discrete mountain-pass
-critical point.  The level is reported without any minimality claim among
-such points.
+maximum only between rounds, and each round ends with the engine's
+``certificate``: the transverse and EL residuals of one pulled-back
+gradient and the dilation and multiplier-sum identities.  The last
+certificate and ``flow._report`` end the solve as they end the flow's.  As
+in the flow, a reflection-even problem descends with its fields on the
+(M/2 + 1)^N octant, where every operator takes its octant form from the
+arrays' shape and each evaluation carries the samples of its layout, and
+is certified on the full grid; only the recentering dilation, which has no
+octant form, runs through ``_SphereDescent.through_full_grid``.  The
+retraction zeroes a frozen component, and the fiber tangent and the
+dilation go through ``StateEval.each``, once for a u = v profile of a
+swap-symmetric model and not at all for a zero component.  At the fixed
+point the state is simultaneously a fiber maximum (dilation identity
+holds) and transversally critical: a discrete mountain-pass critical
+point.  The level is reported without any minimality claim among such
+points.
 
 Admissibility of the coupling (sup-norm below the barrier bound, sign
 condition on 2 beta + x.grad beta / delta_p) is checked by
@@ -97,11 +100,12 @@ from .energy import (
     assemble_breakdown,
     gradient_values,
     multiplier_sum_from_state,
-    multipliers_from_breakdown,
     pohozaev_from_state,
     sample_model,
 )
-from .flow import SolveReport, _SphereDescent, _descent_round, _scalar_params, _sphere_tangent
+from .flow import (
+    SolveReport, _SphereDescent, _descent_round, _report, _scalar_params, _sphere_tangent,
+)
 from .model import (
     ModelParams,
     c_xi_eta,
@@ -280,6 +284,7 @@ def _bounded_max(fn, lo: float, hi: float) -> tuple[float, float]:
 
 class _SaddleEngine(_SphereDescent):
     exhausted = "line search exhausted near the residual tolerance"
+    uncertified = "the full-grid certificate misses the tolerances"
 
     def __init__(self, params: ModelParams, grid: GridSpec, opts: SaddleOptions | None = None):
         _require_saddle_mode(params)
@@ -350,13 +355,30 @@ class _SaddleEngine(_SphereDescent):
     def residual(self, ev: StateEval, s: float):
         """Sphere-tangential gradient of the merit with the fiber direction
         removed: (ru, rv, cu, cv, gauge) with the fiber tangent as gauge."""
-        tangent = _sphere_tangent(self.grid, *self.pulled_back_gradient(ev, s), ev)
-        return self.transverse(ev, *tangent)
-
-    def transverse(self, ev: StateEval, ru, rv, cu, cv):
-        """``residual`` from the sphere-tangential gradient (ru, rv, cu, cv)."""
+        ru, rv, cu, cv = _sphere_tangent(self.grid, *self.pulled_back_gradient(ev, s), ev)
         gauge = self.fiber_tangent(ev)
         return *_remove_component(self.grid, ru, rv, *gauge), cu, cv, gauge
+
+    def certificate(self, ev: StateEval, s: float) -> tuple[dict[str, float], bool]:
+        """(residuals, ok) of a recentered profile at fiber offset s from one
+        pulled-back gradient, with and without the fiber direction; ok when
+        the transverse residual and the dilation identity meet the tolerances."""
+        params, opts = self.params, self.opts
+        ru, rv, _, _ = _sphere_tangent(self.grid, *self.pulled_back_gradient(ev, s), ev)
+        grad_norm = self.grad_norm(*_remove_component(self.grid, ru, rv, *self.fiber_tangent(ev)))
+        poh = pohozaev_from_state(ev, params)
+        lhs, rhs = multiplier_sum_from_state(ev, params)
+        residuals = {
+            "projected_gradient": grad_norm,
+            "el_residual": self.grad_norm(ru, rv),
+            "mass_drift": self.mass_drift(ev),
+            "pohozaev": poh,
+            "multiplier_identity_gap": abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
+            "fiber_offset": s,
+        }
+        kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
+        ok = grad_norm <= opts.grad_tol and abs(poh) <= opts.pohozaev_rel_tol * max(kin, 1e-300)
+        return residuals, ok
 
     def step(self, ev, ru, rv, cu, cv, gauge) -> tuple[np.ndarray, np.ndarray, float]:
         """The flow's step with the gauge removed, and its Armijo slope."""
@@ -607,7 +629,7 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
         if msg:
             message = msg
         ev, s_star, psi, recenter_msg = _recenter(engine, ev, s_star, psi)
-        grad_norm, full_el, poh, certified = _certificate(engine, ev, s_star)
+        residuals, certified = engine.certificate(ev, s_star)
         converged = descended and certified
         if converged:
             break
@@ -615,64 +637,25 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
     message = "; ".join(m for m in (message, recenter_msg) if m)
     full = engine.leave_even_subspace(ev)
     if full is not None:  # the full-grid certificate
-        ev, psi, s_star = full
-        grad_norm, full_el, poh, certified = _certificate(engine, ev, s_star)
+        ev, _, s_star = full
+        residuals, certified = engine.certificate(ev, s_star)
         if converged and not certified:
-            converged, message = False, "the full-grid certificate misses the tolerances"
+            converged, message = False, engine.uncertified
     if budget <= 0 and not descended:
         message = message or "iteration budget exhausted"
-    if not message and descended and grad_norm > opts.grad_tol:
+    if not message and descended and residuals["projected_gradient"] > opts.grad_tol:
         message = (
             "descent/recentering alternation left a residual above tolerance "
             "(grid resolution limits the dilation identity); refine the grid"
         )
-    grid = engine.grid
-    bd = ev.breakdown
-    mult = multipliers_from_breakdown(bd, params, params.xi**2, params.eta**2)
-    lhs, rhs = multiplier_sum_from_state(ev, params)
-    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    residuals = {
-        "projected_gradient": grad_norm,
-        "el_residual": full_el,
-        "mass_drift": engine.mass_drift(ev),
-        "pohozaev": poh,
-        "multiplier_identity_gap": gap,
-        "fiber_offset": s_star,
-    }
-    if converged and params.eta > 0.0 and mult.lambda2 <= 0.0:
+    rep = _report(engine, ev, residuals, total_iters, converged, trace, message)
+    if converged and params.eta > 0.0 and rep.multipliers.lambda2 <= 0.0:
         warnings.warn(
             "lambda2 <= 0 at a converged saddle: the coupled system admits no "
             "semi-trivial normalized solutions, so this critical point is suspect",
             stacklevel=2,
         )
-    state = StatePair(ScalarField(grid, ev.u), ScalarField(grid, ev.v))
-    return SolveReport(
-        state=state,
-        energy=bd,
-        multipliers=mult,
-        residuals=residuals,
-        iterations=total_iters,
-        converged=converged,
-        regime="supercritical",
-        energy_trace=trace,
-        message=message,
-    )
-
-
-def _certificate(
-    engine: _SaddleEngine, ev: StateEval, s_star: float
-) -> tuple[float, float, float, bool]:
-    """(transverse residual, EL residual, dilation-identity residual, whether
-    the first and the last meet the tolerances) of a recentered profile,
-    from one pulled-back gradient."""
-    opts = engine.opts
-    tangent = _sphere_tangent(engine.grid, *engine.pulled_back_gradient(ev, s_star), ev)
-    ru, rv, *_ = engine.transverse(ev, *tangent)
-    grad_norm = engine.grad_norm(ru, rv)
-    poh = pohozaev_from_state(ev, engine.params)
-    kin = ev.breakdown.grad_sq_u + ev.breakdown.grad_sq_v
-    ok = grad_norm <= opts.grad_tol and abs(poh) <= opts.pohozaev_rel_tol * max(kin, 1e-300)
-    return grad_norm, engine.grad_norm(*tangent[:2]), poh, ok
+    return rep
 
 
 def _recenter(engine: _SaddleEngine, ev: StateEval, s_star: float, psi: float):

@@ -111,6 +111,14 @@ class TestGroundState:
         assert ground.multipliers.lambda1 > 0
         assert ground.multipliers.lambda2 > 0
 
+    def test_certificate_hook_reproduces_the_report(self, ground, grid24):
+        # the grad_tol of OPTS is the fixture's, the only option it reads
+        engine = cq.flow._SphereDescent(coupled_params(), grid24, OPTS)
+        ev = engine.evaluate(ground.state.u.values, ground.state.v.values)
+        residuals, ok = engine.certificate(ev, 0.0)
+        assert residuals == ground.residuals
+        assert ok
+
     def test_multipliers_match_returned_state(self, ground, grid24):
         lam = cq.lagrange_multipliers(ground.state, coupled_params())
         assert ground.multipliers.lambda1 == pytest.approx(lam.lambda1, rel=1e-12)
@@ -199,6 +207,15 @@ class TestRegimeGuards:
             cq.minimize_normalized(params, init)
 
 
+class TestNonFiniteEvaluation:
+    def test_overflowing_state_raises(self):
+        grid = cq.GridSpec(3, 6.0, 16)
+        engine = cq.flow._SphereDescent(coupled_params(), grid)
+        u = 1e160 * cq.gaussian_field(grid, 1.5, mass=1.0).values
+        with np.errstate(all="ignore"), pytest.raises(cq.NonFinite, match="non-finite value"):
+            engine.evaluate(u, u.copy())
+
+
 class TestExhaustedLineSearch:
     """Every trial state scores non-finite, so the line search halves its
     step until it underflows: a large residual is a solver failure, one
@@ -279,6 +296,8 @@ class TestMassScan:
             cq.mass_scan(params, grid24, [1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             cq.mass_scan(params, grid24, [2.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="n_starts"):
+            cq.mass_scan(params, grid24, [1.0, 2.0], [1.0, 2.0], n_starts=0)
 
     def test_scan_builds_one_convolver(self):
         grid = cq.GridSpec(3, 8.0, 16)

@@ -397,6 +397,21 @@ class TestOctantFiber:
         )
         assert rep.residuals["el_residual"] == engine.grad_norm(fu, fv)
 
+    def test_full_grid_certificate_can_reject_a_converged_solve(self, monkeypatch):
+        # the saddle benchmark's model and start; the octant descent
+        # certifies, and a dilation identity the full grid misses undoes it
+        g = cq.GridSpec(3, 10.0, 40)
+        params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0))
+        pohozaev = cq.saddle.pohozaev_from_state
+        monkeypatch.setattr(cq.saddle, "pohozaev_from_state",
+                            lambda ev, p: 1.0 if ev.u.shape == g.shape else pohozaev(ev, p))
+        bump = cq.gaussian_field(g, 1.2, mass=1.0)
+        rep = cq.mountain_pass_solve(params, cq.StatePair(bump, bump.copy()),
+                                     cq.SaddleOptions(max_iters=400))
+        assert not rep.converged
+        assert rep.message == "the full-grid certificate misses the tolerances"
+        assert rep.iterations == 28 and rep.residuals["pohozaev"] == 1.0
+
 
 class TestFiberShells:
     """The fiber's coupling integral as a sum over the grid's radial shells."""
@@ -533,6 +548,14 @@ class TestMountainPass:
         assert rep.energy.total >= geo.inf_barrier_estimate
         kin = rep.energy.grad_sq_u + rep.energy.grad_sq_v
         assert kin >= geo.k1
+
+    def test_certificate_hook_reproduces_the_report(self, saddle_report, grid48):
+        engine = cq.saddle._SaddleEngine(sup_params(), grid48, SOPTS)
+        state = saddle_report.state
+        ev = engine.evaluate(state.u.values, state.v.values)
+        residuals, ok = engine.certificate(ev, saddle_report.residuals["fiber_offset"])
+        assert residuals == saddle_report.residuals
+        assert ok
 
     def test_multipliers_positive(self, saddle_report):
         assert saddle_report.multipliers.lambda1 > 0
