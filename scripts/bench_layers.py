@@ -19,11 +19,13 @@ model (alpha = N/2 in 1-D and 2-D, where alpha < N).
 
 Each timing is the median over ``--repeats`` samples of the time per call,
 where a sample loops the call often enough to last about 20 ms, after one
-warm-up call.  Next to each pair of timings the JSON holds the largest
-difference between the two layouts' results, relative to the largest full
-result: a faster layer that gives a different answer is no gain.  The
-convolution splits the x = -L face between -L and +L on the octant, so
-its difference is of the size of the fields there.  The output also
+warm-up call.  Next to it, ``peak_mib`` is the call's tracemalloc peak:
+the most memory that numpy and Python allocated at once during one extra,
+untimed call, its result included.  Next to each pair of timings the JSON
+holds the largest difference between the two layouts' results, relative
+to the largest full result: a faster layer that gives a different answer
+is no gain.  The convolution splits the x = -L face between -L and +L on
+the octant, so its difference is of the size of the fields there.  The output also
 records the host, the numpy and scipy versions and the thread settings.
 BLAS and OpenMP pools are pinned to one thread unless the environment
 sets them, and scipy.fft runs one worker.
@@ -43,6 +45,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -70,8 +73,19 @@ def params_for(dim: int) -> cq.ModelParams:
     )
 
 
+def traced_peak_mib(call) -> float:
+    """The tracemalloc peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def time_call(call, repeats: int) -> dict:
-    """Median and quartiles of the seconds per call, in ms."""
+    """Median and quartiles of the seconds per call, in ms, and the traced
+    peak of one more call."""
     call()
     t0 = time.perf_counter()
     call()
@@ -82,11 +96,13 @@ def time_call(call, repeats: int) -> dict:
         for _ in range(number):
             call()
         per_call.append(1e3 * (time.perf_counter() - t0) / number)
+    peak = traced_peak_mib(call)
     if repeats == 1:
         return {"median_ms": per_call[0], "q1_ms": per_call[0], "q3_ms": per_call[0],
-                "calls_per_sample": number}
+                "calls_per_sample": number, "peak_mib": peak}
     q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
-    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "calls_per_sample": number}
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "calls_per_sample": number,
+            "peak_mib": peak}
 
 
 def rel_diff(octant_result, full_result) -> float:
@@ -169,10 +185,12 @@ def main(argv=None) -> int:
         case = measure_case(dim, m, args.repeats)
         out["cases"].append(case)
         summary = ", ".join(f"{name} {lay['full']['median_ms']:.3g} -> "
-                            f"{lay['octant']['median_ms']:.3g} ms"
+                            f"{lay['octant']['median_ms']:.3g} ms ({lay['full']['peak_mib']:.3g}"
+                            f" -> {lay['octant']['peak_mib']:.3g} MiB)"
                             for name, lay in case["layers"].items())
+        build = case["build_convolver"]
         print(f"{dim}-D M={m}: {summary}; build_convolver "
-              f"{case['build_convolver']['median_ms']:.3g} ms", flush=True)
+              f"{build['median_ms']:.3g} ms ({build['peak_mib']:.3g} MiB)", flush=True)
         args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -111,29 +111,33 @@ class Multipliers:
 class SampledModel:
     """Full-grid samples of the model's spatial data, computed once per solve.
 
-    beta and x_grad_beta are None only for the identically-zero coupling;
-    a zero potential is None as well."""
+    A constant coupling is held as its value beta0, a float that every
+    product with a field broadcasts bitwise as its M^N samples would, and
+    its x_grad_beta, identically zero, is None.  The zero coupling has beta
+    None too, and a zero potential is None."""
 
     grid: GridSpec
     v1: np.ndarray | None
     v2: np.ndarray | None
-    beta: np.ndarray | None
+    beta: np.ndarray | float | None
     x_grad_beta: np.ndarray | None
 
     @cached_property
     def folded(self) -> "SampledModel":
         """The samples on the octant, for an even-subspace evaluation, folded
-        on first use; the fold of a bitwise-even sample is its restriction."""
+        on first use; the fold of a bitwise-even sample is its restriction,
+        and a constant is even and stays as it is."""
         samples = (self.v1, self.v2, self.beta, self.x_grad_beta)
-        return SampledModel(self.grid, *(None if a is None else fold(a) for a in samples))
+        return SampledModel(self.grid, *(a if np.ndim(a) == 0 else fold(a) for a in samples))
 
 
 def sample_model(params: ModelParams, grid: GridSpec) -> SampledModel:
-    beta = None
-    xgb = None
-    if not (params.coupling.kind == "constant" and params.coupling.beta0 == 0.0):
-        beta = coupling_values(params.coupling, grid)
-        xgb = coupling_x_grad_values(params.coupling, grid)
+    spec = params.coupling
+    beta = xgb = None
+    if spec.kind != "constant":
+        beta, xgb = coupling_values(spec, grid), coupling_x_grad_values(spec, grid)
+    elif spec.beta0 != 0.0:
+        beta = float(spec.beta0)
     v1 = None if params.v1.is_zero else potential_values(params.v1, grid)
     v2 = None if params.v2.is_zero else potential_values(params.v2, grid)
     return SampledModel(grid=grid, v1=v1, v2=v2, beta=beta, x_grad_beta=xgb)
@@ -394,6 +398,8 @@ def multiplier_sum_from_state(ev: StateEval, params: ModelParams) -> tuple[float
     dp = params.delta_p
     rhs = (1.0 / dp - 1.0) * k
     if sampled.beta is not None:
-        combo = 2.0 * sampled.beta + sampled.x_grad_beta / dp
+        combo = 2.0 * sampled.beta
+        if sampled.x_grad_beta is not None:
+            combo = combo + sampled.x_grad_beta / dp
         rhs += _quad(sampled.grid, combo * (ev.u * ev.v))
     return lhs, rhs

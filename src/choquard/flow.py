@@ -49,7 +49,8 @@ m(c, mu); ``mass_scan`` maps the ground-state value over a mass grid with
 seeded multi-start initialization.  A frozen component is zeroed by the
 retraction (``_normalized``) and its residual by ``_tangential``; a map
 applied alike to u and v goes through ``StateEval.each``, once on a
-mirrored (u = v) state.
+mirrored (u = v) state, whose tangent projection (``_sphere_tangent``)
+likewise projects u's side once and shares it with v's.
 """
 
 from __future__ import annotations
@@ -171,8 +172,12 @@ def _sphere_tangent(
     grid: GridSpec, gu: np.ndarray, gv: np.ndarray, ev: StateEval
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Project a gradient pair onto the tangent space of the mass spheres at
-    the evaluated state: (ru, rv, cu, cv) with the Rayleigh ratios."""
+    the evaluated state: (ru, rv, cu, cv) with the Rayleigh ratios.  On a
+    mirrored state, whose pairs are bitwise u's on both sides, u's side is
+    projected once and shared."""
     ru, cu = _tangential(grid, gu, ev.u)
+    if ev.mirrored:
+        return ru, ru, cu, cu
     rv, cv = _tangential(grid, gv, ev.v)
     return ru, rv, cu, cv
 
@@ -202,9 +207,10 @@ class _SphereDescent:
 
     def enter_even_subspace(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The start (u, v) on its octant if the sampled V1, V2 and beta and
-        the start are all bitwise reflection-even, else as it is."""
+        the start are all bitwise reflection-even, else as it is; a constant
+        (0-d) sample is even."""
         s = self.sampled
-        even = all(w is None or is_even(w) for w in (s.v1, s.v2, s.beta, u, v))
+        even = all(np.ndim(w) == 0 or is_even(w) for w in (s.v1, s.v2, s.beta, u, v))
         return (fold(u), fold(v)) if even else (u, v)
 
     def leave_even_subspace(self, ev: StateEval) -> tuple[StateEval, float, float] | None:
@@ -372,7 +378,7 @@ def _descend(
 ) -> tuple[StateEval, dict[str, float], int, bool, list[float], str]:
     u0, v0 = engine.retract(u0, v0)
     beta = engine.sampled.beta
-    diagonal = engine.params.swap_symmetric and (beta is None or beta.min() >= 0.0)
+    diagonal = engine.params.swap_symmetric and (beta is None or np.min(beta) >= 0.0)
     if diagonal and not np.array_equal(u0, v0):  # the diagonal rule of the module docstring
         start = [min((engine.evaluate(w, w) for w in (u0, v0)),
                      key=lambda ev: ev.breakdown.total)]
@@ -425,8 +431,9 @@ def minimize_normalized(
             f"ground-state flow requires subcritical exponents, got {regime.label_p}/{regime.label_q}"
         )
     engine = _SphereDescent(params, init.grid, opts)
-    u0, v0 = engine.enter_even_subspace(init.u.values, init.v.values)
-    return _report(engine, *_descend(engine, u0, v0))
+    start = list(engine.enter_even_subspace(init.u.values, init.v.values))
+    del init  # popped, so that only the descent holds the start and frees it
+    return _report(engine, *_descend(engine, start.pop(0), start.pop(0)))
 
 
 def _scalar_params(c: float, mu: float, p: float, dim: int, alpha: float) -> ModelParams:

@@ -57,8 +57,9 @@ from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, Ze
 # 3-D; no array of that size is allocated.  The largest array a solve holds
 # is the (M+1)^N float64 kernel spectrum, 0.13 GiB at the cap; a full-grid
 # convolution also allocates, for its duration, the last-axis rfft of its
-# data, M^{N-1}(M+1) complex128, and that rfft's real inverse of
-# M^{N-1}(2M) float64, 0.25 GiB each at the cap
+# data, M^{N-1}(M+1) complex128 (0.25 GiB at the cap), its M^N float64
+# result (0.13 GiB) once the complex passes have freed their workspace
+# (32 MiB), and one stripe of rows at a time of its real transforms
 _MAX_POINTS = 2**27
 
 

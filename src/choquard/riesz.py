@@ -23,7 +23,13 @@ The data transform is pruned (Markel 1971): it runs axis by axis, so the
 forward pass transforms no row that is all zeros; the inverse pass crops
 each axis to its first M entries before transforming the next, so it
 transforms no row whose output would be discarded.  The real transform
-takes the last axis, first forward and last inverse.  Between them, the
+takes the last axis, first forward and last inverse, on _SLAB rows of the
+first axis at a time: a stripe is zero-padded to 2M, transformed and
+stored into the M^{N-1}(M + 1) complex spectrum, and on the way back each
+stripe's inverse is cropped to its first M entries and scaled into the
+M^N result, so no padded real array of the whole grid exists.  Each row's
+transform is computed by itself, so the stripes change no bit of the
+result.  Between the real passes, the
 complex passes and the kernel multiply run on slabs of _SLAB last-axis
 frequencies at a time, in place in one reused workspace, so no padded
 complex array of the full grid exists.  Within a slab the complex passes
@@ -107,12 +113,19 @@ def _singular_coefficient(dim: int, alpha: float) -> float:
     surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
     integral = surf * m**alpha * _window_integral(alpha)
     axis = np.arange(-m, m + 1, dtype=np.float64)
-    d2 = np.zeros((2 * m + 1,) * dim)
-    for d in range(dim):
-        d2 = d2 + axis.reshape((1,) * d + (-1,) + (1,) * (dim - d - 1)) ** 2
-    dist = np.sqrt(d2)
-    mask = (dist > 0.0) & (dist < m)
-    lattice = float(np.sum(dist[mask] ** (alpha - dim) * _cutoff(dist[mask] / m)))
+    rest = np.zeros((2 * m + 1,) * (dim - 1))
+    for d in range(dim - 1):
+        rest = rest + axis.reshape((1,) * d + (-1,) + (1,) * (dim - d - 2)) ** 2
+    # the distances inside the window, _SLAB rows of the first axis at a
+    # time in the cube's order: squared integer offsets are exact and sqrt
+    # is correctly rounded, so this is the masked cube bitwise
+    pieces = []
+    for k0 in range(0, 2 * m + 1, _SLAB):
+        dist = np.sqrt(axis[k0 : k0 + _SLAB].reshape((-1,) + (1,) * (dim - 1)) ** 2 + rest)
+        pieces.append(dist[(dist > 0.0) & (dist < m)])
+    dist = np.concatenate(pieces)
+    del pieces
+    lattice = float(np.sum(dist ** (alpha - dim) * _cutoff(dist / m)))
     return integral - lattice
 
 
@@ -169,36 +182,47 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     grid = conv.grid
     m, n = grid.points_per_axis, 2 * grid.points_per_axis
     lead = grid.dim - 1
-    spec = scipy.fft.rfft(values, n=n, axis=-1)
     if lead == 0:
+        spec = scipy.fft.rfft(values, n=n)
         spec *= conv.octant_spectrum
-    else:
-        # blocks of last-axis frequencies, that axis first, pass through one
-        # workspace; every complex pass runs in place on a view of it
-        front = np.moveaxis(spec, -1, 0)
-        kern = np.moveaxis(conv.octant_spectrum, -1, 0)
-        core = (slice(None),) + (slice(0, m),) * lead
-        # per leading axis, the slab's frequencies 0..M and M + 1..2M - 1
-        # against the octant's rows 0..M and M - 1..1
-        halves = ((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, n), slice(m - 1, 0, -1)))
-        picks = [tuple(zip(*pick)) for pick in itertools.product(halves, repeat=lead)]
-        work = np.empty((_SLAB,) + (n,) * lead, dtype=np.complex128)
-        for k0 in range(0, m + 1, _SLAB):
-            block = slice(k0, min(k0 + _SLAB, m + 1))
-            slab = work[: block.stop - k0]
-            slab[core] = front[block]
-            for ax in range(lead):
-                slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
-                rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-                scipy.fft.fft(slab[rows], axis=ax + 1, overwrite_x=True)
-            for dst, src in picks:
-                slab[(slice(None),) + dst] *= kern[(block,) + src]
-            for ax in range(lead - 1, -1, -1):
-                rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-                scipy.fft.ifft(slab[rows], axis=ax + 1, overwrite_x=True)
-            front[block] = slab[core]
-    out = scipy.fft.irfft(spec, n=n, axis=-1)[..., :m]
-    return out * grid.cell_volume
+        return scipy.fft.irfft(spec, n=n)[:m] * grid.cell_volume
+    # the last axis's real transforms run on _SLAB rows of the first axis at
+    # a time, so no padded real copy of the data and no padded real inverse
+    # of the whole grid is allocated
+    stripes = [slice(i0, i0 + _SLAB) for i0 in range(0, m, _SLAB)]
+    spec = np.empty(values.shape[:-1] + (m + 1,), dtype=np.complex128)
+    for stripe in stripes:
+        spec[stripe] = scipy.fft.rfft(values[stripe], n=n, axis=-1)
+    # blocks of last-axis frequencies, that axis first, pass through one
+    # workspace; every complex pass runs in place on a view of it
+    front = np.moveaxis(spec, -1, 0)
+    kern = np.moveaxis(conv.octant_spectrum, -1, 0)
+    core = (slice(None),) + (slice(0, m),) * lead
+    # per leading axis, the slab's frequencies 0..M and M + 1..2M - 1
+    # against the octant's rows 0..M and M - 1..1
+    halves = ((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, n), slice(m - 1, 0, -1)))
+    picks = [tuple(zip(*pick)) for pick in itertools.product(halves, repeat=lead)]
+    work = np.empty((_SLAB,) + (n,) * lead, dtype=np.complex128)
+    for k0 in range(0, m + 1, _SLAB):
+        block = slice(k0, min(k0 + _SLAB, m + 1))
+        slab = work[: block.stop - k0]
+        slab[core] = front[block]
+        for ax in range(lead):
+            slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
+            rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
+            scipy.fft.fft(slab[rows], axis=ax + 1, overwrite_x=True)
+        for dst, src in picks:
+            slab[(slice(None),) + dst] *= kern[(block,) + src]
+        for ax in range(lead - 1, -1, -1):
+            rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
+            scipy.fft.ifft(slab[rows], axis=ax + 1, overwrite_x=True)
+        front[block] = slab[core]
+    del work, slab
+    out = np.empty(values.shape)
+    for stripe in stripes:
+        np.multiply(scipy.fft.irfft(spec[stripe], n=n, axis=-1)[..., :m], grid.cell_volume,
+                    out=out[stripe])
+    return out
 
 
 def riesz_convolve_even(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:

@@ -170,7 +170,10 @@ def _coupling_sup(sampled: SampledModel, pdp: float) -> float:
     """sup |2 p delta_p beta + x.grad beta| over the grid."""
     if sampled.beta is None:
         return 0.0
-    return float(np.max(np.abs(2.0 * pdp * sampled.beta + sampled.x_grad_beta)))
+    combo = 2.0 * pdp * sampled.beta
+    if sampled.x_grad_beta is not None:
+        combo = combo + sampled.x_grad_beta
+    return float(np.max(np.abs(combo)))
 
 
 def _require_saddle_mode(params: ModelParams) -> None:
@@ -337,8 +340,8 @@ class _SaddleEngine(_SphereDescent):
         rule: differentiate at the frozen maximizer), with the coupling
         resampled at e^{-s_star} x.  For s_star = 0 this is the plain energy
         gradient."""
-        beta_s = None
-        if self.sampled.beta is not None:
+        beta_s = self.sampled.beta  # a constant's: beta(e^{-s} x) = beta0
+        if np.ndim(beta_s) > 0:
             scale = math.exp(-s_star)
             beta_s = coupling_scaled_values(self.params.coupling, self.grid, scale, ev.u)
         return gradient_values(ev, self.params, s_star, beta_s)
@@ -575,7 +578,9 @@ def mountain_pass_solve(
             f"sampled well max {geo.sup_well_estimate:.4g} does not sit below "
             f"sampled barrier min {geo.inf_barrier_estimate:.4g}"
         )
-    return _saddle_descend(engine, init.u.values, init.v.values)
+    start = [init.u.values, init.v.values]
+    del init  # popped, as in minimize_normalized
+    return _saddle_descend(engine, start.pop(0), start.pop(0))
 
 
 def scalar_constrained_saddle(
@@ -600,6 +605,7 @@ def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> So
     params = engine.params
     opts = engine.opts
     ev, psi, s_star = engine.measure(*engine.retract(*engine.enter_even_subspace(u0, v0)))
+    del u0, v0  # the caller's start
 
     # Round structure: the merit is invariant along each profile's dilation
     # fiber in the continuum but carries a small resolution-induced slope on

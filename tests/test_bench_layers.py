@@ -1,6 +1,6 @@
 """``scripts/bench_layers.py`` times every layer on both layouts and the
-convolver build, and records where it ran; a small 3-D case runs end to
-end."""
+convolver build, traces their peak memory, and records where it ran; a
+small 3-D case runs end to end."""
 
 import importlib.util
 import json
@@ -31,10 +31,12 @@ def test_smoke_at_m16(tmp_path, monkeypatch):
     assert set(case["layers"]) == LAYERS
     build = case["build_convolver"]
     assert 0.0 < build["q1_ms"] <= build["median_ms"] <= build["q3_ms"]
+    assert build["peak_mib"] > 0.0
     for name, layer in case["layers"].items():
         for layout in ("full", "octant"):
             t = layer[layout]
             assert 0.0 < t["q1_ms"] <= t["median_ms"] <= t["q3_ms"], (name, layout)
+            assert t["peak_mib"] > 0.0, (name, layout)
         assert layer["speedup"] > 0.0
         # the width-1.5 Gaussian is below 1e-13 on the face, so even the
         # face-split convolution agrees with the full grid to roundoff

@@ -470,6 +470,18 @@ class TestDeterminism:
             b = (tmp_path / "b" / fname).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("widths, digest", [
+        ((1.5, 1.5), "2c959efc4fa56b1cf79047fda2ac823a091feb95fbc1b578ad5465a474d3474a"),
+        ((1.5, 1.2), "2138133899b4bd9ee5d8dc6a492df39d2ed85530148d214367de79811256c9aa"),
+    ], ids=["mirrored", "diagonal-rule"])
+    def test_constant_coupling_report_is_unchanged(self, tmp_path, widths, digest):
+        # the sha256 of report.json recorded when beta = 0.1 was sampled on
+        # every grid point: holding it as its value changes no byte
+        payload = tiny_minimize_config(init={"width_u": widths[0], "width_v": widths[1]})
+        assert run(parse_config(write_config(tmp_path, payload)), tmp_path / "out") == 0
+        data = (tmp_path / "out" / "report.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_seed_override_changes_default_init(self, tmp_path):
         payload = tiny_minimize_config()
         del payload["init"]

@@ -424,6 +424,22 @@ class TestMirroredState:
         assert np.array_equal(gu, pu) and np.array_equal(gv, pv)
         assert gv is not gu
 
+    def test_one_tangent_projection_is_shared(self, conv32, monkeypatch):
+        g, conv = conv32
+        params = self.params()
+        u = smooth_random_field(g, np.random.default_rng(5)).values
+        ev = self.evaluate(params, conv, u, u.copy())
+        ru, rv, cu, cv = cq.flow._sphere_tangent(g, *cq.energy.gradient_values(ev, params), ev)
+        assert ev.mirrored and rv is ru and cv == cu
+        # the same state with the sharing switched off
+        monkeypatch.setattr(cq.ModelParams, "swap_symmetric", property(lambda self: False))
+        plain = self.evaluate(params, conv, u, u.copy())
+        pu, pv, pcu, pcv = cq.flow._sphere_tangent(
+            g, *cq.energy.gradient_values(plain, params), plain
+        )
+        assert not plain.mirrored and pv is not pu
+        assert np.array_equal(ru, pu) and np.array_equal(rv, pv) and (cu, cv) == (pcu, pcv)
+
     def test_evaluation_peak_frees_each_density(self, conv32):
         # each density is freed before the next side's convolution
         g, conv = conv32
@@ -479,6 +495,40 @@ class TestMirroredState:
         u = cq.gaussian_field(g, 1.2, mass=1.0).values
         assert not params.swap_symmetric
         assert not self.evaluate(params, conv, u, u.copy()).mirrored
+
+
+class TestConstantCoupling:
+    """A constant coupling is sampled as its value, as a zero potential is
+    sampled as None: no array of the grid's shape holds it."""
+
+    def test_held_as_its_value(self, conv32):
+        g, _ = conv32
+        params = cq.ModelParams(**P_SUB, coupling=cq.CouplingSpec("constant", 0.1))
+        sampled = cq.energy.sample_model(params, g)
+        assert sampled.beta == 0.1 and sampled.x_grad_beta is None
+        for samples in (sampled, sampled.folded):
+            fields = (samples.v1, samples.v2, samples.beta, samples.x_grad_beta)
+            assert all(np.ndim(a) == 0 for a in fields)
+
+    def test_values_and_identities_match_its_samples(self, conv32):
+        # the same state with beta sampled on every grid point
+        g, conv = conv32
+        params = cq.ModelParams(**{**SUP, "coupling": cq.CouplingSpec("constant", 0.015)})
+        rng = np.random.default_rng(7)
+        u, v = smooth_random_field(g, rng).values, smooth_random_field(g, rng).values
+        held = cq.energy.sample_model(params, g)
+        grid_wide = cq.energy.SampledModel(
+            g, None, None, cq.model.coupling_values(params.coupling, g),
+            cq.model.coupling_x_grad_values(params.coupling, g),
+        )
+        evs = [cq.energy.evaluate_state(u, v, params, conv, s) for s in (held, grid_wide)]
+        assert evs[0].breakdown == evs[1].breakdown
+        grads = [cq.energy.gradient_values(ev, params) for ev in evs]
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+        for f in (cq.energy.pohozaev_from_state, cq.energy.multiplier_sum_from_state):
+            assert f(evs[0], params) == f(evs[1], params)
+        pdp = params.p * params.delta_p
+        assert cq.saddle._coupling_sup(held, pdp) == cq.saddle._coupling_sup(grid_wide, pdp)
 
 
 class TestEvenSubspaceEnergy:

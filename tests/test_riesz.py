@@ -189,8 +189,8 @@ class TestPruned:
         with scipy.fft.set_workers(2):
             two = cq.riesz_convolve(conv, rho).values
         m, slab = g.points_per_axis, choquard.riesz._SLAB
-        blocks = -(-(m + 1) // slab)
-        assert len(workers) == 2 + 2 * (g.dim - 1) * blocks and set(workers) == {2}
+        blocks, stripes = -(-(m + 1) // slab), -(-m // slab)
+        assert len(workers) == 2 * stripes + 2 * (g.dim - 1) * blocks and set(workers) == {2}
         assert scipy.fft.get_workers() == 1
         assert np.max(np.abs(two - one)) <= 1e-13 * np.max(np.abs(one))
 
@@ -272,6 +272,36 @@ class TestLean:
         complex_spectrum = (2 * m) ** (g.dim - 1) * (m + 1) * 16
         peak = self.traced_peak(choquard.riesz.riesz_convolve_values, conv, vals)
         assert peak < complex_spectrum
+
+    def test_convolution_peak_at_64_below_seven_mib(self):
+        # the last axis's transforms run a stripe of rows at a time: the
+        # complex spectrum, the output and one stripe's buffers are held
+        g = cq.GridSpec(3, 12.0, 64)
+        conv = cq.build_convolver(g, 2.0)
+        vals = np.random.default_rng(4).standard_normal(g.shape)
+        peak = self.traced_peak(choquard.riesz.riesz_convolve_values, conv, vals)
+        assert peak <= 7 * 2**20
+
+    def test_singular_coefficient_peak_below_eight_mib(self):
+        # no (2 R / h + 1)^N cube of distances is built
+        choquard.riesz._singular_coefficient.cache_clear()
+        assert self.traced_peak(choquard.riesz._singular_coefficient, 3, 2.0) <= 8 * 2**20
+
+    @pytest.mark.parametrize("dim,alpha", [(1, 0.5), (2, 1.2), (3, 0.5), (3, 2.0), (3, 2.9)])
+    def test_singular_coefficient_equals_the_full_cube(self, dim, alpha):
+        # oracle: the masked distances of the whole (2 R / h + 1)^N lattice cube
+        m = choquard.riesz._WINDOW_CELLS
+        surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+        integral = surf * m**alpha * choquard.riesz._window_integral(alpha)
+        axis = np.arange(-m, m + 1, dtype=np.float64)
+        d2 = np.zeros((2 * m + 1,) * dim)
+        for d in range(dim):
+            d2 = d2 + axis.reshape((1,) * d + (-1,) + (1,) * (dim - d - 1)) ** 2
+        dist = np.sqrt(d2)
+        mask = (dist > 0.0) & (dist < m)
+        cutoff = choquard.riesz._cutoff(dist[mask] / m)
+        lattice = float(np.sum(dist[mask] ** (alpha - dim) * cutoff))
+        assert choquard.riesz._singular_coefficient(dim, alpha) == integral - lattice
 
     @pytest.mark.parametrize(
         "alpha,exact",

@@ -4,6 +4,7 @@ Solve-level tests run the p = q = 3, mu = 60 family on small 3D grids where
 the solution widths (0.8 - 1.9 across the tested masses) stay resolved.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -614,6 +615,53 @@ class TestMountainPass:
         bump = cq.gaussian_field(grid32, 1.0)
         with pytest.raises(cq.ZeroMass):
             cq.mountain_pass_solve(sup_params(eta=0.0), cq.StatePair(bump, bump.copy()))
+
+
+class TestGeometryFailures:
+    """Paths of the geometry check that the solves above never take, on the
+    mountain-pass benchmark's model: M = 40, rational-decay coupling."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        params = cq.ModelParams(
+            **SUP, coupling=cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0)
+        )
+        return cq.saddle._SaddleEngine(params, cq.GridSpec(3, 10.0, 40))
+
+    @staticmethod
+    def count_lines(monkeypatch):
+        calls = []
+        line = cq.saddle._gaussian_line
+        monkeypatch.setattr(cq.saddle, "_gaussian_line",
+                            lambda *args: calls.append(args) or line(*args))
+        return calls
+
+    @pytest.mark.parametrize("width", [1e-6, 1e6])
+    def test_no_pin_for_a_width_outside_the_band(self, engine, width, monkeypatch):
+        # the band is (1e-2 h, 20 L) = (5e-3, 200)
+        calls = self.count_lines(monkeypatch)
+        assert cq.saddle._pinned_energy(engine, width, 1.0, 1.0) is None
+        assert calls == []
+
+    def test_no_pin_after_twelve_rescalings(self, engine, monkeypatch):
+        # far below h a Gaussian is one grid point, whose kinetic term stops
+        # growing as it narrows: aimed 5% above that term, every rescaling
+        # (by t = 0.976) misses the 2% band and the width stays in its band
+        grid, width = engine.grid, 0.05 * engine.grid.spacing
+        masses = (engine.params.xi**2, engine.params.eta**2)
+        point = sum(cq.grid.rank_one_grad_norm_sq(grid, cq.saddle._gaussian_line(grid, width, m))
+                    for m in masses)
+        calls = self.count_lines(monkeypatch)
+        assert cq.saddle._pinned_energy(engine, width, width, 1.05 * point) is None
+        assert len(calls) == 2 * 12
+
+    def test_unseparated_geometry_refuses_the_solve(self, engine, monkeypatch):
+        real = cq.saddle.check_geometry
+        monkeypatch.setattr(cq.saddle, "check_geometry",
+                            lambda *args: dataclasses.replace(real(*args), separated=False))
+        bump = cq.gaussian_field(engine.grid, 1.2, mass=1.0)
+        with pytest.raises(cq.GeometryFailed, match="sampled well max .* does not sit below"):
+            cq.mountain_pass_solve(engine.params, cq.StatePair(bump, bump.copy()), SOPTS)
 
 
 class TestScalarSaddle:
