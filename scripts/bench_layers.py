@@ -56,9 +56,9 @@ import choquard as cq  # noqa: E402
 from choquard.energy import evaluate_state, gradient_values, sample_model  # noqa: E402
 from choquard.flow import _precondition  # noqa: E402
 from choquard.grid import (  # noqa: E402
-    fold, from_octant, grad_norm_sq_values, neg_laplacian_values, on_octant, x_grad_values,
+    fold, from_octant, grad_norm_sq_values, neg_laplacian_values, x_grad_values,
 )
-from choquard.riesz import riesz_convolve_even, riesz_convolve_values  # noqa: E402
+from choquard.riesz import riesz_convolve_values  # noqa: E402
 
 DEFAULT_CASES = "3:32,3:64,3:96,1:1024,2:256"
 HALF_EXTENT = {1: 40.0, 2: 16.0, 3: 12.0}
@@ -120,13 +120,12 @@ def layer_calls(grid, params, conv, u, v, model) -> dict:
     """name -> a call of that layer on the layout of u and v, with ``model``
     the full grid's samples, returning its result."""
     ev = evaluate_state(u, v, params, conv, model)
-    convolve = riesz_convolve_even if on_octant(grid, u) else riesz_convolve_values
     return {
         "kinetic_norm": lambda: grad_norm_sq_values(grid, u),
         "neg_laplacian": lambda: neg_laplacian_values(grid, u),
         "precondition": lambda: _precondition(grid, u, SIGMA),
         "x_grad": lambda: x_grad_values(grid, u),
-        "convolve": lambda: convolve(conv, u * u),
+        "convolve": lambda: riesz_convolve_values(conv, u * u),
         "evaluate_state": lambda: evaluate_state(u, v, params, conv, model).breakdown.total,
         "gradient_values": lambda: gradient_values(ev, params),
     }

@@ -13,11 +13,12 @@ artifacts into the output directory:
 * ``scan.csv``      -- xi, eta, energy, converged, iterations (scan mode)
 * ``error.json``    -- machine-readable error record on failure
 
-Each model field of a config is named once: ``_FAMILIES`` lists the fields
-of each built-in coupling and potential kind and ``_MODEL_NUMBERS`` the
-model's numbers, each with its default (``_MODEL_SPECS`` names the three
-family slots).  Parsing, the unknown-field check and the report's config
-echo all read these tables; the grid's fields are those of ``GridSpec``.
+Each model field of a config is named once: the ``FIELDS`` table of
+``CouplingSpec`` and ``PotentialSpec`` lists the fields each kind reads,
+whose defaults are the dataclass's, and ``_MODEL_NUMBERS`` the model's
+numbers with theirs (``_MODEL_SPECS`` names the three family slots).
+Parsing, the unknown-field check and the report's config echo all read
+these tables; the grid's fields are those of ``GridSpec``.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 validation
 failure.  Reports contain no timestamps; a fixed (config, seed) pair gives
@@ -57,17 +58,6 @@ _MODES = ("minimize", "saddle", "scan", "check", "oracle")
 _SCHEMA_VERSION = 1
 _MAX_COUNT = 1024  # most FFT workers or scan starts a config may ask for
 
-# the fields of each built-in coupling and potential kind, with their
-# defaults; the ``tabulated`` kind of either has only a ``path``
-_CONSTANT = {"beta0": 0.0}
-_FAMILIES = {
-    CouplingSpec: {"constant": _CONSTANT, "rational_decay": {**_CONSTANT, "decay": 1.0}},
-    PotentialSpec: {
-        "zero": {},
-        "gaussian_well": {"depth": 1.0, "width": 1.0},
-        "harmonic": {"stiffness": 1.0},
-    },
-}
 # the model's numbers with their defaults; None marks a required one
 _MODEL_NUMBERS = {
     "alpha": None, "p": None, "q": None, "mu1": 1.0, "mu2": 1.0, "xi": 1.0, "eta": 1.0
@@ -131,20 +121,19 @@ def _load_table(table: dict, path: str, grid: GridSpec, here: Path) -> np.ndarra
 
 
 def _parse_family(table: dict, path: str, spec_cls, grid: GridSpec, here: Path):
-    """A ``CouplingSpec`` or ``PotentialSpec``: a built-in kind of ``_FAMILIES``
-    with only its own fields, or a ``tabulated`` one with only a ``path``."""
-    families = _FAMILIES[spec_cls]
+    """A ``CouplingSpec`` or ``PotentialSpec`` of a kind in its ``FIELDS``: a
+    built-in kind with only the fields it reads, each left out taking the
+    dataclass's default, or a ``tabulated`` one with only a ``path``."""
     kind = _expect(table, "kind", str, path, required=True)
     if kind == "tabulated":
         _check_known(table, {"kind", "path"}, path)
         return spec_cls(kind, values=_load_table(table, path, grid, here))
-    if kind not in families:
+    if kind not in spec_cls.FIELDS:
         raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}, expected one of "
-                          f"{(*families, 'tabulated')}")
-    _check_known(table, {"kind", *families[kind]}, path)
-    return spec_cls(
-        kind, **{key: _expect(table, key, float, path, default=d) for key, d in families[kind].items()}
-    )
+                          f"{tuple(spec_cls.FIELDS)}")
+    _check_known(table, {"kind", *spec_cls.FIELDS[kind]}, path)
+    fields = {key: _expect(table, key, float, path) for key in table if key != "kind"}
+    return spec_cls(kind, **fields)
 
 
 def _in_range(key: str, value: int, path: str) -> int:
@@ -296,8 +285,7 @@ def _spec_dict(spec, table_path: str | None) -> dict:
         values = np.ascontiguousarray(spec.values, dtype=np.float64)
         return {"kind": spec.kind, "path": table_path,
                 "sha256": hashlib.sha256(values.tobytes()).hexdigest()}
-    fields = _FAMILIES[type(spec)][spec.kind]
-    return {"kind": spec.kind, **{key: getattr(spec, key) for key in fields}}
+    return {"kind": spec.kind, **{key: getattr(spec, key) for key in spec.FIELDS[spec.kind]}}
 
 
 def _resolve(cfg: RunConfig, tables: dict[str, str]) -> dict:

@@ -18,17 +18,17 @@ fiber, which the saddle solver descends.
 A model with p = q, mu1 = mu2, xi = eta and V1 = V2 is swap-symmetric
 (``ModelParams.swap_symmetric``), and a u = v state of it stays u = v under
 both solvers.  ``evaluate_state`` marks such a state ``mirrored``; it and
-the gradient then compute the v side once, from u, which is bitwise what
-computing it again would give; a map alike on u and v goes through
-``StateEval.each``, which applies it once.  A component frozen at zero mass
-is zeroed by the solvers' retraction, and its convolution and its
-``StateEval.each`` maps are skipped.
+the gradient then compute the v side once, from u, and hold one array for
+both sides, bitwise what computing it again would give; a map alike on u
+and v goes through ``StateEval.each``, which applies it once.  A component
+frozen at zero mass is zeroed by the solvers' retraction, and its
+convolution and its ``StateEval.each`` maps are skipped.
 
 A reflection-even state may be evaluated on its (M/2 + 1)^N octant; its
 convolutions and gradient are then octants.  The layout is the arrays' shape
 (``grid.on_octant``): the quadrature weighs each octant point by its
 multiplicity on the full grid (``grid.grid_sum``), the kinetic term and the
-Laplacian are DCT-I forms, and the nonlocal term is ``riesz_convolve_even``.
+Laplacian are DCT-I forms, and ``riesz_convolve_values`` reads it too.
 
 The state functions (``energy_total``, ``el_gradient``,
 ``lagrange_multipliers``, ``pohozaev_residual``, ``multiplier_sum_identity``)
@@ -64,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, ModeMismatch, ZeroMass
+from .errors import GridMismatch, ModeMismatch, NotSupercritical, ZeroMass
 from .grid import (
     GridSpec,
     ScalarField,
@@ -76,7 +76,7 @@ from .grid import (
     on_octant,
 )
 from .model import ModelParams, coupling_values, coupling_x_grad_values, potential_values
-from .riesz import RieszConvolver, build_convolver, riesz_convolve_even, riesz_convolve_values
+from .riesz import RieszConvolver, build_convolver, riesz_convolve_values
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,7 @@ def _nonlocal(
     if not np.any(values):
         return None, 0.0
     dens = _power_density(values, p)
-    convolve = riesz_convolve_even if on_octant(conv.grid, dens) else riesz_convolve_values
-    conv_w = convolve(conv, dens)
+    conv_w = riesz_convolve_values(conv, dens)
     return conv_w, _quad(conv.grid, conv_w * dens)
 
 
@@ -279,7 +278,7 @@ def gradient_values(
     point s * (u, v): the kinetic term scales by e^{2s}, the nonlocal terms
     by e^{2 p delta_p s} and e^{2 q delta_q s}, and ``beta`` must then be
     beta(e^{-s} x), on the state's layout.  s = 0 with the evaluation's beta
-    is the plain gradient.  A mirrored state computes the u side and copies it."""
+    is the plain gradient.  A mirrored state's u side serves both sides."""
     sampled = ev.sampled
     grid = sampled.grid
     beta = sampled.beta if beta is None else beta
@@ -297,7 +296,7 @@ def gradient_values(
 
     gu = side(ev.u, ev.v, ev.conv_u, sampled.v1, params.mu1, params.p, params.delta_p)
     if ev.mirrored:
-        return gu, gu.copy()
+        return gu, gu
     return gu, side(ev.v, ev.u, ev.conv_v, sampled.v2, params.mu2, params.q, params.delta_q)
 
 
@@ -317,6 +316,7 @@ def energy_total(state: StatePair, params: ModelParams) -> EnergyBreakdown:
 def el_gradient(state: StatePair, params: ModelParams) -> StatePair:
     """Gradient pair of the energy; the flow direction and residual source."""
     gu, gv = gradient_values(_evaluated(state, params), params)
+    gv = gu.copy() if gv is gu else gv  # a mirrored state's one array, handed out twice
     return StatePair(ScalarField(state.grid, gu), ScalarField(state.grid, gv))
 
 
@@ -350,11 +350,13 @@ def multipliers_from_breakdown(
     )
 
 
-def _require_translation_invariant_supercritical(params: ModelParams, what: str) -> None:
+def _require_saddle_regime(params: ModelParams, what: str) -> None:
+    """The regime of the dilation fiber and its identities: p = q and
+    supercritical (else NotSupercritical), no potentials (else ModeMismatch)."""
+    if not params.saddle_regime:
+        raise NotSupercritical(f"{what} requires p = q in the supercritical regime")
     if not (params.v1.is_zero and params.v2.is_zero):
         raise ModeMismatch(f"{what} is only derived without external potentials")
-    if not params.saddle_regime:
-        raise ModeMismatch(f"{what} requires p = q in the supercritical regime")
 
 
 def pohozaev_residual(state: StatePair, params: ModelParams) -> float:
@@ -364,7 +366,7 @@ def pohozaev_residual(state: StatePair, params: ModelParams) -> float:
     constrained problem.  Refuses potential-carrying states: no analogue of
     the identity is available there.
     """
-    _require_translation_invariant_supercritical(params, "the dilation identity")
+    _require_saddle_regime(params, "the dilation identity")
     return pohozaev_from_state(_evaluated(state, params), params)
 
 
@@ -386,7 +388,7 @@ def multiplier_sum_identity(state: StatePair, params: ModelParams) -> tuple[floa
     kinetic/coupling form.  The two agree exactly when the dilation identity
     holds: lhs - rhs = -pohozaev_residual / delta_p.
     """
-    _require_translation_invariant_supercritical(params, "the multiplier-sum identity")
+    _require_saddle_regime(params, "the multiplier-sum identity")
     return multiplier_sum_from_state(_evaluated(state, params), params)
 
 

@@ -33,12 +33,13 @@ class NotSubcritical(ChoquardError):
     """Operation requires the mass-subcritical exponent regime."""
 
 
-class NotSupercritical(ChoquardError):
-    """Operation requires the mass-supercritical exponent regime."""
-
-
 class ModeMismatch(ChoquardError):
     """State/parameters outside the regime an identity is derived for."""
+
+
+class NotSupercritical(ModeMismatch):
+    """Operation requires the mass-supercritical regime (and p = q for the
+    dilation fiber): the regime it was derived for."""
 
 
 class NoDescentStep(ChoquardError):

@@ -467,8 +467,9 @@ def scalar_ground_state(
         raise ZeroMass("scalar mass c must be positive")
     params = _scalar_params(c, mu, p, grid.dim, alpha)
     width = init_width if init_width is not None else grid.half_extent / 4.0
-    bump = gaussian_field(grid, width, mass=c**2)
-    return minimize_normalized(params, StatePair(bump, bump), opts)
+    # popped, as in _descend, so that only the solve holds the start
+    bump = [gaussian_field(grid, width, mass=c**2)]
+    return minimize_normalized(params, StatePair(bump[0], bump.pop()), opts)
 
 
 def mass_scan(
@@ -512,8 +513,8 @@ def mass_scan(
             cell = params.with_masses(xi, eta)
             best: SolveReport | None = None
             for w in widths:
-                bump = gaussian_field(grid, float(w))
-                rep = minimize_normalized(cell, StatePair(bump, bump), opts)
+                bump = [gaussian_field(grid, float(w))]  # popped, as above
+                rep = minimize_normalized(cell, StatePair(bump[0], bump.pop()), opts)
                 if best is None or _scan_key(rep) < _scan_key(best):
                     best = rep
             energies[i, j] = best.energy.total

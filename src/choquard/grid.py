@@ -458,12 +458,12 @@ def _resample_matrix(grid: GridSpec, scale: float) -> np.ndarray:
     return w
 
 
-def dilate(f: ScalarField, s: float, renormalize: bool = True) -> ScalarField:
+def dilate(f: ScalarField, s: float) -> ScalarField:
     """Mass-preserving dilation e^{Ns/2} f(e^s x).
 
     The trig interpolant of f is resampled on the scaled tensor grid (one
-    dense M x M weight matrix per axis).  When renormalize is True the
-    output is rescaled so its L2 norm matches f's exactly.  Raises
+    dense M x M weight matrix per axis), and the output is rescaled so its
+    L2 norm matches f's exactly.  Raises
     DilationOutOfBox if resampling alone moved more than 1% of the mass,
     and warns above 0.1%.
     """
@@ -489,7 +489,7 @@ def dilate(f: ScalarField, s: float, renormalize: bool = True) -> ScalarField:
                 f"dilation by s={s:g} leaked {defect:.2e} of the mass (box too small?)",
                 stacklevel=2,
             )
-        if renormalize and new > 0.0:
+        if new > 0.0:
             out *= math.sqrt(old / new)
     return ScalarField(grid, out)
 

@@ -104,9 +104,12 @@ class CouplingSpec:
     beta0: float = 0.0
     decay: float = 1.0
     values: np.ndarray | None = field(default=None, repr=False)
+    # the fields each kind reads
+    FIELDS = {"constant": ("beta0",), "rational_decay": ("beta0", "decay"),
+              "tabulated": ("values",)}
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "rational_decay", "tabulated"):
+        if self.kind not in self.FIELDS:
             raise RangeError(f"unknown coupling kind {self.kind!r}")
         if self.kind == "tabulated" and self.values is None:
             raise RangeError("tabulated coupling requires values")
@@ -130,9 +133,12 @@ class PotentialSpec:
     width: float = 1.0
     stiffness: float = 1.0
     values: np.ndarray | None = field(default=None, repr=False)
+    # the fields each kind reads
+    FIELDS = {"zero": (), "gaussian_well": ("depth", "width"), "harmonic": ("stiffness",),
+              "tabulated": ("values",)}
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "gaussian_well", "harmonic", "tabulated"):
+        if self.kind not in self.FIELDS:
             raise RangeError(f"unknown potential kind {self.kind!r}")
         if self.kind == "gaussian_well" and (self.depth <= 0 or self.width <= 0):
             raise RangeError("gaussian_well requires depth > 0 and width > 0")
@@ -274,15 +280,15 @@ class ModelParams:
     def swap_symmetric(self) -> bool:
         """Whether swapping u and v maps the energy and the constraint to
         themselves: p = q, mu1 = mu2, xi = eta and V1, V2 of one built-in
-        family with equal fields.  A tabulated potential counts as not
-        symmetric; its values are not compared."""
+        family, equal in the fields it reads.  A tabulated potential counts
+        as not symmetric; its values are not compared."""
         a, b = self.v1, self.v2
         return (
             self.p == self.q
             and self.mu1 == self.mu2
             and self.xi == self.eta
             and a.kind == b.kind != "tabulated"
-            and (a.depth, a.width, a.stiffness) == (b.depth, b.width, b.stiffness)
+            and all(getattr(a, key) == getattr(b, key) for key in a.FIELDS[a.kind])
         )
 
 

@@ -51,17 +51,18 @@ converges at fourth order (the corrected value reproduces the classical
 simple-cubic lattice constant 2.8372975 / h).  A direct double-sum oracle
 evaluates the identical quadrature for cross-checks.
 
-Reflection-even densities (``riesz_convolve_even``) are fixed by their
-(M/2 + 1)^N octant of offsets 0..M/2, and it takes and returns octants:
-the solvers hold even fields there.  Offset M/2 is the x = -L face, which
-has no partner at +L, so its sample is split half at -L, half at +L: the
-sum runs over the closed grid k = 0..M with weight 1/2 per face axis.  That
-is the DCT-I of the (M + 1)^N zero-padded octant times the kernel's octant
-spectrum, inverted and cropped to the octant, pruned pass by pass as above.
-The operator is symmetric on even fields, so an energy built on it has the
-gradient built on it as its exact derivative; it equals the full-grid sum
-when the face is zero.  The solvers descend with it and certify their
-answer with ``riesz_convolve_values``.
+A reflection-even density is fixed by its (M/2 + 1)^N octant of offsets
+0..M/2, where the solvers hold even fields.  ``riesz_convolve_values``
+reads the layout from the array's shape (``grid.on_octant``; any other
+shape is a ``GridMismatch``) and returns an octant for an octant.  Offset
+M/2 is the x = -L face, which has no partner at +L, so its sample is split
+half at -L, half at +L: the sum runs over the closed grid k = 0..M with
+weight 1/2 per face axis.  That is the DCT-I of the (M + 1)^N zero-padded
+octant times the kernel's octant spectrum, inverted and cropped to the
+octant, pruned pass by pass as above.  The operator is symmetric on even
+fields, so an energy built on it has the gradient built on it as its exact
+derivative; it equals the full-grid sum when the face is zero.  The solvers
+descend with it and certify their answer on the full grid.
 
 A density that is the outer product of N copies of one 1-D factor has its
 quadratic form sum (K * rho) rho without an N-D transform
@@ -83,7 +84,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec, ScalarField, on_octant
 
 _ORACLE_CAPS = {1: 1024, 2: 32, 3: 16}
 _WINDOW_CELLS = 32
@@ -178,7 +179,10 @@ def riesz_convolve(conv: RieszConvolver, rho: ScalarField) -> ScalarField:
 
 
 def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
-    """Kernel convolution of values by the pruned transform of the module docstring."""
+    """Kernel convolution of values, M^N samples or an even density's octant
+    (then an octant out), by the pruned transforms of the module docstring."""
+    if on_octant(conv.grid, values):
+        return _convolve_octant(conv, values)
     grid = conv.grid
     m, n = grid.points_per_axis, 2 * grid.points_per_axis
     lead = grid.dim - 1
@@ -225,7 +229,7 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     return out
 
 
-def riesz_convolve_even(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
+def _convolve_octant(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
     """Kernel convolution of a reflection-even density given on its
     (M/2 + 1)^N octant, with the x = -L face split between -L and +L
     (module docstring); the result is the octant of an even field."""

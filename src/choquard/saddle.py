@@ -53,7 +53,8 @@ and samples only each accepted pair on the grid.
 
 The fiber needs beta(e^{-s} x) off the grid, which only the built-in
 coupling families provide in closed form, so ``_SaddleEngine``, which also
-checks p = q, the supercritical regime and zero potentials, refuses a
+checks p = q, the supercritical regime and zero potentials (the guard of
+the dilation identities, ``energy._require_saddle_regime``), refuses a
 tabulated coupling; ``check_geometry`` samples at s = 0 only and accepts it.
 The built-in families are also radial, so the fiber's coupling integral is
 a sum over the grid's radial shells (``_FiberBasis``): each step of the
@@ -77,7 +78,6 @@ from .errors import (
     NoInteriorMax,
     NonFinite,
     NotConverged,
-    NotSupercritical,
     Stalled,
     ZeroMass,
 )
@@ -97,6 +97,7 @@ from .energy import (
     SampledModel,
     StateEval,
     _power_density,
+    _require_saddle_regime,
     assemble_breakdown,
     gradient_values,
     multiplier_sum_from_state,
@@ -174,13 +175,6 @@ def _coupling_sup(sampled: SampledModel, pdp: float) -> float:
     if sampled.x_grad_beta is not None:
         combo = combo + sampled.x_grad_beta
     return float(np.max(np.abs(combo)))
-
-
-def _require_saddle_mode(params: ModelParams) -> None:
-    if not params.saddle_regime:
-        raise NotSupercritical("the saddle solver requires p = q in the supercritical regime")
-    if not (params.v1.is_zero and params.v2.is_zero):
-        raise ModeMismatch("the saddle solver does not support external potentials")
 
 
 class _FiberBasis:
@@ -290,7 +284,7 @@ class _SaddleEngine(_SphereDescent):
     uncertified = "the full-grid certificate misses the tolerances"
 
     def __init__(self, params: ModelParams, grid: GridSpec, opts: SaddleOptions | None = None):
-        _require_saddle_mode(params)
+        _require_saddle_regime(params, "the saddle solver")
         if params.coupling.kind == "tabulated":
             raise ModeMismatch("the dilation fiber needs a built-in coupling family, not a table")
         super().__init__(params, grid, opts or SaddleOptions())
@@ -438,9 +432,9 @@ def check_geometry(params: ModelParams, grid: GridSpec, engine=None) -> Geometry
     Raises BetaTooLarge when the coupling sup-norm reaches hmax/(2 xi eta).
     An ``engine`` of these params and grid lends its samples and convolver.
     """
-    _require_saddle_mode(params)
+    _require_saddle_regime(params, "the mountain-pass geometry")
     if params.xi <= 0 or params.eta <= 0:
-        raise ZeroMass("geometry check requires positive target masses")
+        raise ZeroMass("the mountain-pass geometry needs positive masses on both components")
     dp = params.delta_p
     _, x1, hmax = h_thresholds(c_xi_eta(params), params.p, dp)
     k2 = x1
@@ -522,8 +516,6 @@ def _pinned_energy(
             return None
         k = sum(rank_one_grad_norm_sq(grid, _gaussian_line(grid, w, m))
                 for w, m in zip(widths, masses))
-        if k <= 0.0:
-            return None
         t = math.sqrt(k / kinetic)
         if (below and k <= kinetic) or abs(t - 1.0) < 0.02:
             u, v = (gaussian_field(grid, w, mass=m).values for w, m in zip(widths, masses))
@@ -570,8 +562,6 @@ def mountain_pass_solve(
     multipliers and the multiplier-sum identity gap.
     """
     engine = _SaddleEngine(params, init.grid, opts)
-    if params.xi <= 0 or params.eta <= 0:
-        raise ZeroMass("the coupled saddle needs positive masses on both components")
     geo = check_geometry(params, init.grid, engine)
     if not geo.separated:
         raise GeometryFailed(
@@ -597,8 +587,9 @@ def scalar_constrained_saddle(
     if c <= 0:
         raise ZeroMass("scalar mass c must be positive")
     engine = _SaddleEngine(_scalar_params(c, mu, p, grid.dim, alpha), grid, opts)
-    bump = gaussian_field(grid, init_width, mass=c**2).values
-    return _saddle_descend(engine, bump, bump)
+    # popped, as in flow._descend, so that only the descent holds the start
+    bump = [gaussian_field(grid, init_width, mass=c**2).values]
+    return _saddle_descend(engine, bump[0], bump.pop())
 
 
 def _saddle_descend(engine: _SaddleEngine, u0: np.ndarray, v0: np.ndarray) -> SolveReport:
@@ -693,7 +684,7 @@ def kinetic_bounds_check(report: SolveReport, params: ModelParams) -> tuple[bool
     identity (p delta_p - 1) K = 2 p delta_p E - d_s E + int(2 p delta_p beta
     + x.grad beta) u v, bounding the coupling integral by its sup-norm times
     xi eta.  Requires a converged supercritical report."""
-    _require_saddle_mode(params)
+    _require_saddle_regime(params, "the kinetic bounds check")
     if not report.converged:
         raise NotConverged("kinetic bounds are only meaningful at convergence")
     bd = report.energy

@@ -616,14 +616,12 @@ class TestShippedConfigsUseEvenSubspace:
         cfg.flow = dataclasses.replace(cfg.flow, max_iters=3)
         cfg.saddle = dataclasses.replace(cfg.saddle, max_iters=2)
         counts = {"full": 0, "even": 0}
-        for fn, key in (("riesz_convolve_values", "full"), ("riesz_convolve_even", "even")):
-            original = getattr(cq.energy, fn)
 
-            def counting(*args, _f=original, _k=key):
-                counts[_k] += 1
-                return _f(*args)
+        def counting(conv, values, _f=cq.energy.riesz_convolve_values):
+            counts["even" if cq.grid.on_octant(conv.grid, values) else "full"] += 1
+            return _f(conv, values)
 
-            monkeypatch.setattr(cq.energy, fn, counting)
+        monkeypatch.setattr(cq.energy, "riesz_convolve_values", counting)
         per_solve = []
         for module, fn in ((cq.flow, "_descend"), (cq.saddle, "_saddle_descend")):
             original = getattr(module, fn)

@@ -248,6 +248,19 @@ class TestPohozaev:
         with pytest.raises(cq.ModeMismatch):
             cq.pohozaev_residual(s, params)
 
+    def test_one_guard_checks_the_regime_first(self, conv32):
+        # the identities and the saddle solver share one guard: the regime
+        # is NotSupercritical, a ModeMismatch, before the potentials are read
+        g, conv = conv32
+        assert issubclass(cq.NotSupercritical, cq.ModeMismatch)
+        params = cq.ModelParams(**P_SUB, v1=cq.PotentialSpec("harmonic", stiffness=1.0))
+        s = cq.StatePair(cq.gaussian_field(g, 1.0), cq.gaussian_field(g, 1.0))
+        for check in (cq.pohozaev_residual, cq.multiplier_sum_identity):
+            with pytest.raises(cq.NotSupercritical, match="p = q in the supercritical"):
+                check(s, params)
+        with pytest.raises(cq.NotSupercritical):
+            cq.saddle._SaddleEngine(params, g)
+
     def test_equals_fiber_energy_slope(self):
         # the residual is d/ds E(s * state) at s = 0: compare with central
         # differences of the energy along the actual grid dilation (widths
@@ -422,7 +435,13 @@ class TestMirroredState:
         assert np.array_equal(ev.conv_v, plain.conv_v)
         pu, pv = cq.energy.gradient_values(plain, params)
         assert np.array_equal(gu, pu) and np.array_equal(gv, pv)
-        assert gv is not gu
+        assert gv is gu  # one array for both sides of a mirrored state
+        # the public pair hands out two arrays, also for a mirrored state
+        monkeypatch.undo()
+        state = cq.StatePair(cq.ScalarField(g, u), cq.ScalarField(g, u.copy()))
+        pair = cq.el_gradient(state, params)
+        assert pair.v.values is not pair.u.values
+        assert np.array_equal(pair.u.values, gu) and np.array_equal(pair.v.values, gv)
 
     def test_one_tangent_projection_is_shared(self, conv32, monkeypatch):
         g, conv = conv32

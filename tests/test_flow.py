@@ -6,6 +6,7 @@ against two independent scalar solves on the same grid.
 """
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -298,6 +299,8 @@ class TestMassScan:
             cq.mass_scan(params, grid24, [2.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="n_starts"):
             cq.mass_scan(params, grid24, [1.0, 2.0], [1.0, 2.0], n_starts=0)
+        with pytest.raises(ValueError, match="xi_list must be nonnegative"):
+            cq.mass_scan(params, grid24, [-1.0, 1.0], [1.0, 2.0])
 
     def test_scan_builds_one_convolver(self):
         grid = cq.GridSpec(3, 8.0, 16)
@@ -453,14 +456,12 @@ class TestEvenSubspace:
     @staticmethod
     def spy(monkeypatch) -> dict:
         counts = {"full": 0, "even": 0}
-        for name, key in (("riesz_convolve_values", "full"), ("riesz_convolve_even", "even")):
-            original = getattr(cq.energy, name)
 
-            def counting(*args, _f=original, _k=key):
-                counts[_k] += 1
-                return _f(*args)
+        def counting(conv, values, _f=cq.energy.riesz_convolve_values):
+            counts["even" if cq.grid.on_octant(conv.grid, values) else "full"] += 1
+            return _f(conv, values)
 
-            monkeypatch.setattr(cq.energy, name, counting)
+        monkeypatch.setattr(cq.energy, "riesz_convolve_values", counting)
         return counts
 
     def test_even_problem_reports_the_full_grid_certificate(self, monkeypatch):
@@ -588,3 +589,45 @@ class TestEvenSubspace:
         assert counts["even"] == 0 and counts["full"] > 40
         assert rep.energy.total == pytest.approx(-0.16008075404983207, rel=1e-13)
         assert rep.residuals["el_residual"] == pytest.approx(8.19807603695973e-06, rel=1e-9)
+
+
+class TestGaussianStartIsReleased:
+    """The convenience solvers build a Gaussian start and hand it over, so
+    no start array is alive once the descent runs on its retracted copy."""
+
+    @staticmethod
+    def probe(monkeypatch) -> list[int]:
+        starts, alive = [], []
+        for module in (cq.flow, cq.saddle):
+            make, descend = module.gaussian_field, module._descent_round
+
+            def recording(*args, _f=make, **kw):
+                field = _f(*args, **kw)
+                starts.append(weakref.ref(field.values))
+                return field
+
+            def counting(*args, _f=descend):
+                alive.append(sum(ref() is not None for ref in starts))
+                return _f(*args)
+
+            monkeypatch.setattr(module, "gaussian_field", recording)
+            monkeypatch.setattr(module, "_descent_round", counting)
+        return alive
+
+    def test_scalar_ground_state(self, monkeypatch):
+        alive = self.probe(monkeypatch)
+        grid = cq.GridSpec(3, 8.0, 16)
+        cq.scalar_ground_state(1.0, 1.0, 2.0, 2.0, grid, cq.FlowOptions(max_iters=2))
+        assert alive == [0]
+
+    def test_mass_scan(self, monkeypatch):
+        alive = self.probe(monkeypatch)
+        cq.mass_scan(coupled_params(), cq.GridSpec(3, 8.0, 16), [0.5, 1.0], [0.5, 1.0],
+                     cq.FlowOptions(max_iters=2), n_starts=1)
+        assert alive == [0, 0, 0, 0]
+
+    def test_scalar_constrained_saddle(self, monkeypatch):
+        alive = self.probe(monkeypatch)
+        cq.scalar_constrained_saddle(1.1, 60.0, 3.0, 2.0, cq.GridSpec(3, 8.0, 16),
+                                     cq.SaddleOptions(max_iters=2), init_width=1.3)
+        assert alive and not any(alive)

@@ -146,6 +146,21 @@ class TestModelParams:
     def test_no_upper_bound_in_low_dims(self):
         cq.ModelParams(dim=1, alpha=0.5, p=9.0, q=9.0, mu1=1.0, mu2=1.0, xi=1.0, eta=1.0)
 
+    def test_swap_symmetry_compares_the_fields_a_kind_reads(self):
+        # a harmonic trap reads only its stiffness, so its depth is no asymmetry
+        base = dict(dim=3, alpha=2.0, p=2.0, q=2.0, mu1=1.0, mu2=1.0, xi=1.0, eta=1.0)
+        v1 = cq.PotentialSpec("harmonic", depth=1.0, stiffness=0.5)
+        v2 = cq.PotentialSpec("harmonic", depth=3.0, stiffness=0.5)
+        assert cq.ModelParams(**base, v1=v1, v2=v2).swap_symmetric
+        other = cq.ModelParams(**base, v1=v1, v2=cq.PotentialSpec("harmonic", stiffness=0.6))
+        assert not other.swap_symmetric
+
+    def test_unknown_kinds_refused(self):
+        with pytest.raises(cq.RangeError, match="unknown coupling kind"):
+            cq.CouplingSpec("yukawa")
+        with pytest.raises(cq.RangeError, match="unknown potential kind"):
+            cq.PotentialSpec("box")
+
 
 class TestGaussianQuotient:
     def test_matches_grid_evaluation_and_dilation_invariant(self):
@@ -276,3 +291,12 @@ class TestPotentialValidator:
     def test_class_mismatch(self, grid3_small):
         rep = cq.validate_potential(cq.PotentialSpec("harmonic", stiffness=1.0), "V1", grid3_small)
         assert not rep.passed
+
+    def test_sign_changing_table_is_unclassified(self):
+        # cos|x| is neither a vanishing well (it is positive at the centre)
+        # nor a trap (its boundary does not rise above the centre's 1)
+        g = cq.GridSpec(3, 8.0, 16)
+        spec = cq.PotentialSpec("tabulated", values=np.cos(g.radius()))
+        for label in ("V1", "V2"):
+            rep = cq.validate_potential(spec, label, g)
+            assert rep.label == "unclassified" and not rep.passed

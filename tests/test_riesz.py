@@ -348,7 +348,7 @@ class TestEvenConvolution:
         octant = cq.grid.fold(rng.uniform(0.5, 1.5, g.shape))
         face = octant[(-1,) + (slice(None),) * (dim - 1)]
         assert face.min() >= 1e-3 * octant.max()
-        got = cq.riesz.riesz_convolve_even(cq.build_convolver(g, alpha), octant)
+        got = cq.riesz.riesz_convolve_values(cq.build_convolver(g, alpha), octant)
         want = face_weighted_double_sum(g, alpha, cq.grid.from_octant(octant))
         assert got.shape == octant.shape
         assert np.max(np.abs(cq.grid.from_octant(got) - want)) < 1e-12 * np.max(np.abs(want))
@@ -360,9 +360,18 @@ class TestEvenConvolution:
         for ax in range(dim):
             octant[(slice(None),) * ax + (-1,)] = 0.0
         conv = cq.build_convolver(g, alpha)
-        got = cq.riesz.riesz_convolve_even(conv, octant)
+        got = cq.riesz.riesz_convolve_values(conv, octant)
         want = cq.riesz.riesz_convolve_values(conv, cq.grid.from_octant(octant))
         assert np.max(np.abs(cq.grid.from_octant(got) - want)) < 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(18, 18, 18), (16, 16), (9, 9)],
+                             ids=["wider-cube", "2d-on-3d", "2d-octant-on-3d"])
+    def test_a_foreign_shape_is_refused(self, shape):
+        # the one entry reads the layout from the shape: an array that is
+        # neither the M^N grid nor its octant is no density of this grid
+        conv = cq.build_convolver(cq.GridSpec(3, 8.0, 16), 2.0)
+        with pytest.raises(cq.GridMismatch, match="neither"):
+            cq.riesz.riesz_convolve_values(conv, np.ones(shape))
 
     def test_octant_spectrum_is_kept_read_only(self, grid3_small):
         conv = cq.build_convolver(grid3_small, 2.0)

@@ -737,7 +737,7 @@ class TestRecenteringLeavesTheBox:
     fiber offset it was not moved by."""
 
     def test_message_names_the_reported_energy(self, monkeypatch):
-        def leave_the_box(f, s, renormalize=True):
+        def leave_the_box(f, s):
             raise cq.DilationOutOfBox(f"dilation by s={s:g} left the box")
 
         monkeypatch.setattr(cq.saddle, "dilate", leave_the_box)
