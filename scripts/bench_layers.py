@@ -18,8 +18,9 @@ mirrored (u = v) shortcut, and the model is the ``ground_state`` benchmark
 model (alpha = N/2 in 1-D and 2-D, where alpha < N).
 
 Each timing is the median over ``--repeats`` samples of the time per call,
-where a sample loops the call often enough to last about 20 ms, after one
-warm-up call.  Next to it, ``peak_mib`` is the call's tracemalloc peak:
+where a sample loops the call often enough to last about 0.1 s, and at
+least three times, after one warm-up call.  Next to it, ``peak_mib`` is
+the call's tracemalloc peak:
 the most memory that numpy and Python allocated at once during one extra,
 untimed call, its result included.  Next to each pair of timings the JSON
 holds the largest difference between the two layouts' results, relative
@@ -29,6 +30,14 @@ the octant, so its difference is of the size of the fields there.  The output al
 records the host, the numpy and scipy versions and the thread settings.
 BLAS and OpenMP pools are pinned to one thread unless the environment
 sets them, and scipy.fft runs one worker.
+
+``cold_solves`` holds, for the ``ground_state`` and ``saddle`` benchmark
+workloads, the tracemalloc peak of one certified solve of the benchmark's
+input (``perfbench/workloads.py``, seed 11, its first input) in a fresh
+process, so every cache starts empty: ``choquard.cli.run`` from the start
+state to the written report, in MiB, with its exit code.  It is one solve's
+own memory, which the benchmark's process peak over many solves does not
+isolate.
 """
 
 from __future__ import annotations
@@ -40,10 +49,13 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -60,10 +72,27 @@ from choquard.grid import (  # noqa: E402
 )
 from choquard.riesz import riesz_convolve_values  # noqa: E402
 
+ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CASES = "3:32,3:64,3:96,1:1024,2:256"
+SOLVES = ("ground_state", "saddle")
 HALF_EXTENT = {1: 40.0, 2: 16.0, 3: 12.0}
-SAMPLE_S = 0.02
+SAMPLE_S = 0.1
+MIN_CALLS = 3  # per sample: at 64^3 and above one 0.02 s sample was one call
 SIGMA = 1.3  # a preconditioner shift of the size the flow uses
+SOLVE_SEED = 11
+
+# run in a fresh interpreter: config path in, one JSON line out
+COLD_SOLVE = """
+import json, sys, tempfile, tracemalloc
+import choquard.cli
+cfg = choquard.cli.parse_config(sys.argv[1])
+with tempfile.TemporaryDirectory() as out:
+    tracemalloc.start()
+    rc = choquard.cli.run(cfg, out)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+print(json.dumps({"rc": rc, "peak_mib": peak / 2**20}))
+"""
 
 
 def params_for(dim: int) -> cq.ModelParams:
@@ -89,7 +118,7 @@ def time_call(call, repeats: int) -> dict:
     call()
     t0 = time.perf_counter()
     call()
-    number = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
+    number = max(MIN_CALLS, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
     per_call = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -154,6 +183,35 @@ def measure_case(dim: int, m: int, repeats: int) -> dict:
     return out
 
 
+def benchmark_input(workload: str) -> dict:
+    """The benchmark's first input of ``workload`` at SOLVE_SEED, read from
+    ``perfbench/workloads.py`` without writing bytecode next to it."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module.make_inputs(workload, SOLVE_SEED)[0]
+
+
+def cold_solve(config: dict) -> dict:
+    """The tracemalloc peak (MiB) and exit code of one ``cli.run`` of
+    ``config`` in a fresh interpreter that imports this process's choquard."""
+    src = str(Path(cq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        proc = subprocess.run([sys.executable, "-c", COLD_SOLVE, str(path)], env=env,
+                              capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def parse_cases(text: str) -> list[tuple[int, int]]:
     cases = []
     for item in text.split(","):
@@ -177,9 +235,18 @@ def main(argv=None) -> int:
         "scipy": scipy.__version__,
         "threads": {**{var: os.environ.get(var) for var in THREAD_VARS},
                     "fft_workers": scipy.fft.get_workers()},
-        "settings": {"repeats": args.repeats, "sample_s": SAMPLE_S, "sigma": SIGMA},
+        "settings": {"repeats": args.repeats, "sample_s": SAMPLE_S, "min_calls": MIN_CALLS,
+                     "sigma": SIGMA, "solve_seed": SOLVE_SEED},
         "cases": [],
+        "cold_solves": {},
     }
+    for workload in SOLVES:
+        config = benchmark_input(workload)
+        solve = {"points_per_axis": config["grid"]["points_per_axis"], **cold_solve(config)}
+        out["cold_solves"][workload] = solve
+        print(f"cold {workload} solve at M={solve['points_per_axis']}: rc {solve['rc']}, "
+              f"tracemalloc peak {solve['peak_mib']:.3f} MiB", flush=True)
+        args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     for dim, m in parse_cases(args.cases):
         case = measure_case(dim, m, args.repeats)
         out["cases"].append(case)

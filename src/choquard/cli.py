@@ -45,8 +45,8 @@ from .model import (
     CouplingSpec,
     ModelParams,
     PotentialSpec,
-    coupling_values,
-    potential_values,
+    coupling_radial_values,
+    potential_radial_values,
     validate_coupling,
     validate_potential,
 )
@@ -328,16 +328,24 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_profiles(path: Path, cfg: RunConfig, state: StatePair) -> None:
+    """u, v, V1, V2 and beta along the +x1 semi-axis.  The model is sampled
+    on that ray only: there |x|^2 is r^2 bitwise, the other coordinates
+    being 0, and a table is read at the ray's points."""
     r, u = radial_profile(state.u)
     _, v = radial_profile(state.v)
-    v1 = potential_values(cfg.params.v1, cfg.grid)
-    v2 = potential_values(cfg.params.v2, cfg.grid)
-    beta = coupling_values(cfg.params.coupling, cfg.grid)
-    m = cfg.grid.points_per_axis
-    c = m // 2
+    c = cfg.grid.points_per_axis // 2
     ray = (slice(c, None),) + (c,) * (cfg.grid.dim - 1)
+
+    def on_ray(spec, radial_values) -> np.ndarray:
+        if spec.kind == "tabulated":
+            return np.asarray(spec.values, dtype=np.float64)[ray]
+        return radial_values(spec, r**2)
+
+    params = cfg.params
+    v1, v2 = (on_ray(spec, potential_radial_values) for spec in (params.v1, params.v2))
+    beta = on_ray(params.coupling, coupling_radial_values)
     rows = ["r,u,v,v1,v2,beta"]
-    for vals in zip(r, u, v, v1[ray], v2[ray], beta[ray]):
+    for vals in zip(r, u, v, v1, v2, beta):
         rows.append(",".join(repr(float(x)) for x in vals))
     path.write_text("\n".join(rows) + "\n")
 

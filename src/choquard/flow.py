@@ -215,10 +215,12 @@ class _SphereDescent:
 
     def leave_even_subspace(self, ev: StateEval) -> tuple[StateEval, float, float] | None:
         """The ``measure`` of an octant state expanded to the full grid, for
-        the certificate; None for a full-grid state."""
+        the certificate; None for a full-grid state.  A mirrored state is
+        expanded once and its one array is both sides."""
         if not on_octant(self.grid, ev.u):
             return None
-        return self.measure(from_octant(ev.u), from_octant(ev.v))
+        u = from_octant(ev.u)
+        return self.measure(u, u if ev.mirrored else from_octant(ev.v))
 
     def through_full_grid(self, f):
         """A map of full-grid fields as a map of fields on either layout: an

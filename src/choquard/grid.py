@@ -39,6 +39,16 @@ at offsets 0 and M/2, 2 elsewhere); on an even field the periodic spectral
 Laplacian is diagonal in the octant's type-1 DCT, with wavenumbers pi j / L
 (Martucci 1994), so the kinetic norm, -Delta, (sigma - Delta)^{-1} and
 x . grad equal the full-grid operators of ``from_octant(f)`` to roundoff.
+
+This module caches per grid what a solve reads again: the 1-D coordinates
+and wavevectors, |k|^2 on the rfftn layout (the full-grid kinetic norm and
+Laplacian of the certificate read it), the octant's |k|^2, multiplicities
+and |x|^2 (the Gaussian start is built from it and expanded), the
+rearrangement's int32 order, and the radial shells of a layout that a
+radial coupling's fiber asks for.  The Gaussian start, the model's samples
+and the order compute the full grid's |x|^2 where they need it and keep
+none; only the full grid's shells, which a saddle's full-grid certificate
+of a non-constant coupling reads, hold it.
 """
 
 from __future__ import annotations
@@ -54,12 +64,15 @@ import scipy.fft
 from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, ZeroMass
 
 # most points of the (2M)^N padded convolution grid, reached at M = 256 in
-# 3-D; no array of that size is allocated.  The largest array a solve holds
-# is the (M+1)^N float64 kernel spectrum, 0.13 GiB at the cap; a full-grid
-# convolution also allocates, for its duration, the last-axis rfft of its
-# data, M^{N-1}(M+1) complex128 (0.25 GiB at the cap), its M^N float64
-# result (0.13 GiB) once the complex passes have freed their workspace
-# (32 MiB), and one stripe of rows at a time of its real transforms
+# 3-D, so M^N <= 2^24 and an int32 holds every flat index; no array of that
+# size is allocated.  The largest array a solve holds is the (M+1)^N float64
+# kernel spectrum, 0.13 GiB at the cap; its caches keep on the full grid
+# only |k|^2 on the rfftn layout (64.5 MiB) and, once a state is symmetrized,
+# the rearrangement's int32 order (64 MiB).  A full-grid convolution also
+# allocates, for its duration, the last-axis rfft of its data,
+# M^{N-1}(M+1) complex128 (0.25 GiB at the cap), its M^N float64 result
+# (0.13 GiB) once the complex passes have freed their workspace (32 MiB),
+# and one stripe of rows at a time of its real transforms
 _MAX_POINTS = 2**27
 
 
@@ -68,7 +81,7 @@ class GridSpec:
     """Uniform Cartesian discretization of the box [-L, L)^N.
 
     dim must be 1, 2 or 3; points_per_axis M must be even (the octant, the
-    coordinates h (i - M/2) and the Nyquist rules of ``_kinetic_weights``
+    coordinates h (i - M/2) and the Nyquist rules of ``grad_norm_sq_values``
     and ``x_grad_values`` need it), at least 8, and keep the padded
     free-space convolution's (2M)^N grid within ``_MAX_POINTS``.  That grid
     is never allocated: the convolver holds the kernel's (M+1)^N spectrum,
@@ -114,6 +127,7 @@ class GridSpec:
         return _axis(self)
 
     def radius_sq(self) -> np.ndarray:
+        """|x|^2 on the grid, a new array on each call."""
         return _radius_sq(self)
 
     def radius(self) -> np.ndarray:
@@ -135,12 +149,10 @@ def _axis(grid: GridSpec) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=32)
 def _radius_sq(grid: GridSpec) -> np.ndarray:
     r2 = np.zeros(grid.shape)
     for c in grid.coords():
         r2 = r2 + c**2
-    r2.setflags(write=False)
     return r2
 
 
@@ -179,18 +191,6 @@ def _k_sq_rfft(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _kinetic_weights(grid: GridSpec) -> np.ndarray:
-    """|k|^2 times the multiplicity of each rfftn mode (1 on the
-    real-symmetric planes, 2 elsewhere): the Parseval weights of ||grad f||^2."""
-    w = np.full(grid.points_per_axis // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    wk2 = w * _k_sq_rfft(grid)
-    wk2.setflags(write=False)
-    return wk2
-
-
-@lru_cache(maxsize=32)
 def _k_sq_octant(grid: GridSpec) -> np.ndarray:
     """|k|^2 on the DCT-I octant of wavenumbers pi j / L, j = 0..M/2."""
     k = np.pi * np.arange(grid.points_per_axis // 2 + 1) / grid.half_extent
@@ -199,15 +199,6 @@ def _k_sq_octant(grid: GridSpec) -> np.ndarray:
     )
     k2.setflags(write=False)
     return k2
-
-
-@lru_cache(maxsize=32)
-def _octant_kinetic_weights(grid: GridSpec) -> np.ndarray:
-    """|k|^2 times the multiplicity of each octant mode on the full grid."""
-    k2 = _k_sq_octant(grid)
-    wk2 = octant_weights(k2.shape) * k2
-    wk2.setflags(write=False)
-    return wk2
 
 
 @lru_cache(maxsize=8)
@@ -284,8 +275,10 @@ def from_callable(grid: GridSpec, fn) -> ScalarField:
 
 
 def gaussian_field(grid: GridSpec, sigma: float, mass: float | None = None) -> ScalarField:
-    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), optionally scaled to a target mass."""
-    f = ScalarField(grid, np.exp(-_radius_sq(grid) / (2.0 * sigma**2)))
+    """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), optionally scaled to a
+    target mass.  It is evaluated on the octant and expanded, which is
+    bitwise the full grid's formula, since the octant's |x|^2 is."""
+    f = ScalarField(grid, from_octant(np.exp(-_octant_radius_sq(grid) / (2.0 * sigma**2))))
     if mass is not None:
         m0 = f.mass
         if m0 <= 0:
@@ -318,14 +311,22 @@ def grad_norm_sq(f: ScalarField) -> float:
 
 
 def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
-    """||grad f||^2 by Parseval, of full-grid values or of an octant."""
+    """||grad f||^2 by Parseval, of full-grid values or of an octant: the sum
+    of |k|^2 |F_k|^2 over the modes, each counted with its multiplicity, on
+    the octant its point's and on the rfftn layout 1 at the halved axis's
+    modes 0 and M/2 and 2 elsewhere (the octant's rule in 1-D).  A
+    multiplicity is a power of two, so the power times it is exact and the
+    product with |k|^2 rounds once, as (multiplicity |k|^2) |F_k|^2 would."""
     if on_octant(grid, values):
         spec = scipy.fft.dctn(values, type=1)
-        s = np.sum(_octant_kinetic_weights(grid) * (spec * spec))
+        power, k2, weights = spec * spec, _k_sq_octant(grid), octant_weights(spec.shape)
     else:
         spec = scipy.fft.rfftn(values)
-        s = np.sum(_kinetic_weights(grid) * (spec.real**2 + spec.imag**2))
-    return float(s * grid.cell_volume / grid.size)
+        power, k2 = spec.real**2 + spec.imag**2, _k_sq_rfft(grid)
+        weights = octant_weights(spec.shape[-1:])
+    power *= weights
+    power *= k2
+    return float(np.sum(power) * grid.cell_volume / grid.size)
 
 
 def rank_one_grad_norm_sq(grid: GridSpec, line: np.ndarray) -> float:
@@ -496,9 +497,11 @@ def dilate(f: ScalarField, s: float) -> ScalarField:
 
 @lru_cache(maxsize=32)
 def _shell_order(grid: GridSpec) -> np.ndarray:
-    """Flat indices sorted by radius, ties broken by index order."""
-    r2 = _radius_sq(grid).ravel()
-    return np.lexsort((np.arange(r2.size), r2))
+    """Flat indices sorted by radius, ties broken by index order, as int32,
+    which holds every index below the cap M^N <= _MAX_POINTS / 2^N."""
+    order = np.argsort(_radius_sq(grid).ravel(), kind="stable").astype(np.int32)
+    order.setflags(write=False)
+    return order
 
 
 def radial_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -514,9 +517,18 @@ def radial_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
+def _octant_radius_sq(grid: GridSpec) -> np.ndarray:
+    """|x|^2 on the octant (cached, read-only): the full grid's restriction,
+    since x[M - i] = -x[i] bitwise."""
+    r2 = fold(_radius_sq(grid))
+    r2.setflags(write=False)
+    return r2
+
+
+@lru_cache(maxsize=32)
 def _shells(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|x|^2 on the grid or on its octant, and its ``radial_shells``."""
-    r2 = fold(_radius_sq(grid)) if octant else _radius_sq(grid)
+    r2 = _octant_radius_sq(grid) if octant else _radius_sq(grid)
     shell_r2, shell_of = np.unique(r2, return_inverse=True)
     for a in (r2, shell_r2, shell_of):
         a.setflags(write=False)

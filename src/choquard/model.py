@@ -196,13 +196,22 @@ def coupling_scaled_values(
     return coupling_radial_values(spec, scale**2 * layout_radius_sq(grid, field))
 
 
-def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
+def potential_radial_values(spec: PotentialSpec, r2: np.ndarray) -> np.ndarray:
+    """V at points of squared radius r2, for the built-in kinds, each of
+    which is radial: the grid's samples (``potential_values``) and a ray's
+    (the CLI's profiles) come from this one formula."""
     if spec.kind == "zero":
-        return np.zeros(grid.shape)
+        return np.zeros(np.shape(r2))
     if spec.kind == "gaussian_well":
-        return -spec.depth * np.exp(-grid.radius_sq() / spec.width**2)
+        return -spec.depth * np.exp(-r2 / spec.width**2)
     if spec.kind == "harmonic":
-        return spec.stiffness * grid.radius_sq()
+        return spec.stiffness * r2
+    raise RangeError("tabulated potentials cannot be resampled analytically")
+
+
+def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
+    if spec.kind != "tabulated":
+        return potential_radial_values(spec, grid.radius_sq())
     vals = np.asarray(spec.values, dtype=np.float64)
     if vals.shape != grid.shape:
         raise RangeError(f"tabulated potential shape {vals.shape} != grid {grid.shape}")

@@ -546,6 +546,47 @@ class TestCheckMode:
         assert report["result"]["v1"]["passed"] is True
 
 
+class TestProfiles:
+    """profiles.csv samples V1, V2 and beta on its ray only; its bytes are
+    those of reading the ray out of the full grid's samples, for every
+    built-in kind and a table."""
+
+    @staticmethod
+    def full_grid_text(cfg, state):
+        r, u = cq.radial_profile(state.u)
+        _, v = cq.radial_profile(state.v)
+        c = cfg.grid.points_per_axis // 2
+        ray = (slice(c, None),) + (c,) * (cfg.grid.dim - 1)
+        p = cfg.params
+        v1, v2 = (cq.model.potential_values(spec, cfg.grid)[ray] for spec in (p.v1, p.v2))
+        beta = cq.model.coupling_values(p.coupling, cfg.grid)[ray]
+        rows = ["r,u,v,v1,v2,beta"] + [",".join(repr(float(x)) for x in vals)
+                                       for vals in zip(r, u, v, v1, v2, beta)]
+        return "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize("dim,m", [(1, 32), (2, 16), (3, 16)])
+    def test_ray_samples_are_the_full_grid_samples(self, tmp_path, dim, m):
+        from types import SimpleNamespace
+
+        from choquard.cli import _write_profiles
+
+        g = cq.GridSpec(dim, 5.5, m)
+        rng = np.random.default_rng(dim)
+        state = cq.StatePair(cq.ScalarField(g, rng.standard_normal(g.shape)),
+                             cq.ScalarField(g, rng.standard_normal(g.shape)))
+        potentials = [cq.PotentialSpec("zero"), cq.PotentialSpec("gaussian_well", 1.3, 1.7),
+                      cq.PotentialSpec("harmonic", stiffness=0.37),
+                      cq.PotentialSpec("tabulated", values=rng.standard_normal(g.shape))]
+        couplings = [cq.CouplingSpec("constant", 0.0), cq.CouplingSpec("constant", 0.1),
+                     cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0),
+                     cq.CouplingSpec("tabulated", values=rng.standard_normal(g.shape))]
+        for i, (v1, v2, coupling) in enumerate(zip(potentials, potentials[::-1], couplings)):
+            cfg = SimpleNamespace(grid=g, params=SimpleNamespace(v1=v1, v2=v2, coupling=coupling))
+            _write_profiles(tmp_path / f"profiles{i}.csv", cfg, state)
+            got = (tmp_path / f"profiles{i}.csv").read_text()
+            assert got == self.full_grid_text(cfg, state), (v1.kind, v2.kind, coupling.kind)
+
+
 class TestOracleMode:
     def test_equivalence_passes(self, tmp_path):
         payload = tiny_minimize_config(mode="oracle")

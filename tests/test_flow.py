@@ -5,9 +5,14 @@ e(xi, eta) = m(xi, mu1) + m(eta, mu2) at beta = 0 checks the pair solver
 against two independent scalar solves on the same grid.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +551,33 @@ class TestEvenSubspace:
         u = rep.state.u.values
         assert np.max(np.abs(u - ref.state.u.values)) < 1e-8 * np.max(u)
 
+    @pytest.mark.parametrize("saddle", [False, True])
+    def test_mirrored_certificate_expands_once(self, saddle, monkeypatch):
+        # the flow's and the saddle's certificate of a u = v octant state
+        # expand one octant, and the one array is both sides; an unmirrored
+        # state expands both
+        g = cq.GridSpec(3, 8.0, 16)
+        if saddle:
+            params = cq.ModelParams(dim=3, alpha=2.0, p=3.0, q=3.0, mu1=60.0, mu2=60.0,
+                                    xi=1.0, eta=1.0, coupling=cq.CouplingSpec("constant", 0.015))
+            engine = cq.saddle._SaddleEngine(params, g)
+        else:
+            engine = cq.flow._SphereDescent(coupled_params(), g)
+        bump = cq.gaussian_field(g, 1.3, mass=1.0).values
+        ev = engine.evaluate(*engine.enter_even_subspace(bump, bump))
+        assert ev.mirrored and ev.u.shape != g.shape
+        calls = []
+        expand = cq.flow.from_octant
+        monkeypatch.setattr(cq.flow, "from_octant", lambda w: calls.append(w) or expand(w))
+        full, merit, s = engine.leave_even_subspace(ev)
+        assert len(calls) == 1 and full.mirrored and full.u is full.v
+        assert np.array_equal(full.u, bump)
+        want = engine.measure(expand(ev.u), expand(ev.v))
+        assert (full.breakdown, merit, s) == (want[0].breakdown, *want[1:])
+        calls.clear()
+        engine.leave_even_subspace(replace(ev, mirrored=False))
+        assert len(calls) == 2
+
     def test_certificate_gates_convergence(self, monkeypatch):
         # an even-subspace energy whose residual the full grid does not confirm
         g = self.GRID
@@ -631,3 +663,56 @@ class TestGaussianStartIsReleased:
         cq.scalar_constrained_saddle(1.1, 60.0, 3.0, 2.0, cq.GridSpec(3, 8.0, 16),
                                      cq.SaddleOptions(max_iters=2), init_width=1.3)
         assert alive and not any(alive)
+
+
+class TestCachesAfterAnEvenSolve:
+    """After a cold even solve of the ground_state benchmark's 64^3 model,
+    the module caches hold two float arrays of the full grid's size, both
+    read by the certificate: the convolver's (M+1)^N kernel spectrum and
+    |k|^2 on the rfftn layout.  The rearrangement's int32 order is the one
+    index array.  The Gaussian start, the kinetic norm and the order keep
+    no full-grid |x|^2 or weight array."""
+
+    SCRIPT = """
+import gc, json, sys
+import numpy as np
+import choquard as cq
+
+g = cq.GridSpec(3, 12.0, 64)
+params = cq.ModelParams(dim=3, alpha=2.0, p=2.0, q=2.0, mu1=5.0, mu2=5.0, xi=1.0, eta=1.0,
+                        coupling=cq.CouplingSpec("constant", 0.1))
+init = cq.StatePair(cq.gaussian_field(g, 1.5, mass=1.0), cq.gaussian_field(g, 1.6, mass=1.0))
+rep = cq.minimize_normalized(params, init, cq.FlowOptions(max_iters=800, symmetrize_every=10))
+assert rep.converged and rep.state.u.values.shape == g.shape
+del rep, init
+gc.collect()
+
+
+def arrays(obj, seen):
+    if id(obj) in seen or isinstance(obj, type) or callable(obj) and not hasattr(obj, "cache_info"):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    for ref in gc.get_referents(obj):
+        yield from arrays(ref, seen)
+
+
+cached = {id(f): (m.__name__ + "." + name, f) for m in list(sys.modules.values())
+          if m is not None and m.__name__.startswith("choquard")
+          for name, f in vars(m).items() if hasattr(f, "cache_info")}
+found = sorted({(name, a.shape, str(a.dtype)) for name, f in cached.values()
+                for a in arrays(f, set()) if a.size >= g.size // 2})
+print(json.dumps(found))
+"""
+
+    def test_only_certificate_arrays_stay_cached(self):
+        src = str(Path(cq.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        found = {(name.rsplit(".", 1)[1], tuple(shape), dtype)
+                 for name, shape, dtype in json.loads(proc.stdout.splitlines()[-1])}
+        assert found == {("build_convolver", (65, 65, 65), "float64"),
+                         ("_k_sq_rfft", (64, 64, 33), "float64"),
+                         ("_shell_order", (64**3,), "int32")}

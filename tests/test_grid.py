@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -427,6 +428,54 @@ class TestRearrangement:
         f = cq.ScalarField(g, np.abs(rng.standard_normal(g.shape)))
         r = cq.rearrange_radial_decreasing(f)
         assert np.allclose(np.sort(r.values), np.sort(f.values), rtol=0, atol=0)
+
+
+class TestNoFullGridCache:
+    """The Gaussian start, the rearrangement's order and the kinetic norm
+    cache no full-grid float array, and each is bitwise what the cached
+    full-grid form gave: the Gaussian from the octant's |x|^2, the order as
+    int32, and the Parseval sum from one |k|^2 per layout."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m", [16, 40])
+    def test_octant_gaussian_is_the_full_grid_formula(self, dim, m):
+        g = cq.GridSpec(dim, 7.0, m)
+        r2 = g.radius_sq()
+        assert np.array_equal(cq.grid._octant_radius_sq(g), cq.grid.fold(r2))
+        for sigma in (0.7, 1.9):
+            want = np.exp(-r2 / (2.0 * sigma**2))
+            assert np.array_equal(cq.gaussian_field(g, sigma).values, want)
+            m0 = g.cell_volume * np.sum(want * want)
+            scaled = cq.gaussian_field(g, sigma, mass=1.7).values
+            assert np.array_equal(scaled, want * math.sqrt(1.7 / m0))
+
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 24), (3, 16)])
+    def test_int32_order_rearranges_as_the_int64_order(self, dim, m):
+        g = cq.GridSpec(dim, 5.0, m)
+        order = cq.grid._shell_order(g)
+        r2 = g.radius_sq().ravel()
+        order64 = np.lexsort((np.arange(r2.size), r2))
+        assert order.dtype == np.int32 and np.array_equal(order, order64)
+        f = smooth_random_nonneg(g, np.random.default_rng(dim))
+        want = np.empty(g.size)
+        want[order64] = np.sort(f.values.ravel())[::-1]
+        assert np.array_equal(cq.rearrange_radial_decreasing(f).values, want.reshape(g.shape))
+
+    @pytest.mark.parametrize("dim,m,L", [(1, 64, 6.0), (2, 24, 5.0), (3, 16, 4.0), (3, 20, 9.0)])
+    def test_kinetic_norm_is_the_weighted_parseval_sum(self, dim, m, L):
+        g = cq.GridSpec(dim, L, m)
+        f = smooth_random_field(g, np.random.default_rng(m)).values
+        multiplicity = np.full(m // 2 + 1, 2.0)
+        multiplicity[0] = multiplicity[-1] = 1.0
+        spec = scipy.fft.rfftn(f)
+        weights = multiplicity * cq.grid._k_sq_rfft(g)
+        want = np.sum(weights * (spec.real**2 + spec.imag**2)) * g.cell_volume / g.size
+        assert cq.grid.grad_norm_sq_values(g, f) == float(want)
+        octant = cq.grid.fold(f)
+        spec = scipy.fft.dctn(octant, type=1)
+        weights = cq.grid.octant_weights(octant.shape) * cq.grid._k_sq_octant(g)
+        want = np.sum(weights * (spec * spec)) * g.cell_volume / g.size
+        assert cq.grid.grad_norm_sq_values(g, octant) == float(want)
 
 
 class TestLayoutIsTheShape:

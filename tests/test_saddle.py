@@ -487,6 +487,23 @@ class TestExhaustedLineSearch:
         assert ev_out is ev and iters == 1 and not descended
         assert tau == 1.0
 
+    def test_solve_reports_the_round_message(self, monkeypatch):
+        # every search runs dry within 10 grad_tol, so each of the six
+        # rounds ends with the message after one iteration; the solve
+        # reports it, not a budget or tolerance message
+        g = cq.GridSpec(3, 8.0, 16)
+        u = cq.gaussian_field(g, 1.6, mass=1.0)
+        v = cq.gaussian_field(g, 1.3, mass=1.0)
+        engine = cq.saddle._SaddleEngine(sup_params(), g)
+        ev, _, s_star = engine.measure(*engine.retract(*engine.enter_even_subspace(u.values,
+                                                                                  v.values)))
+        start_residual = engine.grad_norm(*engine.residual(ev, s_star)[:2])
+        monkeypatch.setattr(cq.flow, "_line_search", lambda engine, ev, *args: (None, 1e-19))
+        rep = cq.mountain_pass_solve(sup_params(), cq.StatePair(u, v),
+                                     cq.SaddleOptions(grad_tol=start_residual / 3.0))
+        assert not rep.converged and rep.iterations == 6
+        assert rep.message == "line search exhausted near the residual tolerance"
+
 
 class TestTabulatedCoupling:
     """The fiber solvers refuse a table; the s = 0 geometry check takes it."""
@@ -615,6 +632,27 @@ class TestMountainPass:
         bump = cq.gaussian_field(grid32, 1.0)
         with pytest.raises(cq.ZeroMass):
             cq.mountain_pass_solve(sup_params(eta=0.0), cq.StatePair(bump, bump.copy()))
+
+
+class TestNonPositiveLambda2:
+    """A converged coupled saddle whose lambda2 is not positive is reported
+    with a warning.  For a nonnegative v, summing the Euler-Lagrange equation
+    over the grid (the spectral Laplacian's sum is zero) gives lambda2 sum v =
+    mu2 sum (K * v^q) v^{q-1} + sum beta u > 0 up to the residual, so no
+    certified solve of a positive start has met it; the multiplier is forced
+    here."""
+
+    def test_converged_saddle_warns(self, monkeypatch):
+        g = cq.GridSpec(3, 10.0, 40)  # the saddle benchmark's model and start
+        params = cq.ModelParams(**SUP, coupling=cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0))
+        multipliers = cq.flow.multipliers_from_breakdown
+        monkeypatch.setattr(cq.flow, "multipliers_from_breakdown",
+                            lambda *args: dataclasses.replace(multipliers(*args), lambda2=0.0))
+        bump = cq.gaussian_field(g, 1.2, mass=1.0)
+        with pytest.warns(UserWarning, match="lambda2 <= 0 at a converged saddle"):
+            rep = cq.mountain_pass_solve(params, cq.StatePair(bump, bump.copy()),
+                                         cq.SaddleOptions(max_iters=400))
+        assert rep.converged and rep.multipliers.lambda2 == 0.0
 
 
 class TestGeometryFailures:
