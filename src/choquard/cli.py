@@ -50,7 +50,7 @@ from .model import (
     validate_coupling,
     validate_potential,
 )
-from .flow import FlowOptions, SolveReport, mass_scan, minimize_normalized
+from .flow import FlowOptions, SolveReport, check_scan_field, mass_scan, minimize_normalized
 from .riesz import build_convolver, riesz_convolve, riesz_convolve_oracle
 from .saddle import SaddleOptions, check_geometry, mountain_pass_solve
 
@@ -246,15 +246,13 @@ def parse_config(path: str | Path) -> RunConfig:
     eta_list = _mass_list(stab, "eta_list")
     n_starts = _expect(stab, "n_starts", int, "config.scan", default=3)
     if mode == "scan":
-        for name, lst in (("xi_list", xi_list), ("eta_list", eta_list)):
-            if len(lst) < 2:
-                raise SchemaError(f"config.scan.{name}", "need a list of at least two masses")
-            if lst[0] < 0 or any(b <= a for a, b in zip(lst, lst[1:])):
-                raise SchemaError(
-                    f"config.scan.{name}", "masses must be >= 0 and strictly increasing"
-                )
-        if not 1 <= n_starts <= _MAX_COUNT:
-            raise SchemaError("config.scan.n_starts", f"need 1 to {_MAX_COUNT} starts")
+        for name, value in (("xi_list", xi_list), ("eta_list", eta_list), ("n_starts", n_starts)):
+            try:
+                check_scan_field(name, value)
+            except ValueError as exc:
+                raise SchemaError(f"config.scan.{name}", str(exc)) from None
+        if n_starts > _MAX_COUNT:
+            raise SchemaError("config.scan.n_starts", f"need at most {_MAX_COUNT} starts")
 
     itab = _expect(raw, "init", dict, "config", default={})
     _check_known(itab, {"width_u", "width_v"}, "config.init")

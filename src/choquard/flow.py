@@ -474,6 +474,20 @@ def scalar_ground_state(
     return minimize_normalized(params, StatePair(bump[0], bump.pop()), opts)
 
 
+def check_scan_field(name: str, value) -> None:
+    """Raise ValueError unless a mass scan's input ``name`` keeps its rule:
+    n_starts >= 1, and a mass list holds two or more increasing masses >= 0."""
+    if name == "n_starts":
+        if value < 1:
+            raise ValueError("n_starts must be >= 1")
+    elif len(value) < 2:
+        raise ValueError(f"{name} needs at least two entries")
+    elif any(b <= a for a, b in zip(value, value[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    elif any(x < 0 for x in value):
+        raise ValueError(f"{name} must be nonnegative")
+
+
 def mass_scan(
     params: ModelParams,
     grid: GridSpec,
@@ -490,15 +504,8 @@ def mass_scan(
     the box scale; the lowest converged energy wins, so the table
     approximates the global infimum map rather than one basin.
     """
-    if len(xi_list) < 2 or len(eta_list) < 2:
-        raise ValueError("mass lists need at least two entries each")
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    for lst, name in ((xi_list, "xi_list"), (eta_list, "eta_list")):
-        if any(b <= a for a, b in zip(lst, lst[1:])):
-            raise ValueError(f"{name} must be strictly increasing")
-        if any(x < 0 for x in lst):
-            raise ValueError(f"{name} must be nonnegative")
+    for name, value in (("xi_list", xi_list), ("eta_list", eta_list), ("n_starts", n_starts)):
+        check_scan_field(name, value)
     rng = np.random.default_rng(seed)
     widths = np.exp(
         rng.uniform(math.log(0.4), math.log(max(grid.half_extent / 2.5, 0.4)), size=n_starts)

@@ -19,9 +19,10 @@ Field operations provided here:
   rearrangement: sort the values, refill concentric radius shells from the
   center outward.  The multiset of values is preserved exactly, hence every
   discrete L^t norm is too.
-* ``radial_shells`` / ``shell_sums`` -- the distinct radii of the grid,
-  each point's shell and a field's sum over each shell, so a radial weight
-  summed against a field costs one evaluation per shell.
+* ``radial_values`` / ``radial_shells`` / ``shell_sums`` -- the distinct
+  radii of the grid, each point's shell and a field's sum over each shell,
+  so a radial function sampled on the grid, or summed against a field,
+  costs one evaluation per shell.
 * ``is_even`` / ``even_part`` / ``fold`` / ``from_octant`` -- the
   reflection i <-> (M - i) mod M in every axis.  The coordinates are
   h (i - M/2), so x[M - i] = -x[i] bitwise, radial samples are even, and an
@@ -32,8 +33,9 @@ Field operations provided here:
 
 Fields live on the full M^N grid or, in a solver's even subspace, on the
 octant, and an array's shape is its layout (``on_octant``): (M/2 + 1)^N is
-not M^N for any admissible M.  The ``_values`` operators, ``grid_sum``,
-``shell_sums`` and ``layout_radius_sq`` take either layout.  ``grid_sum``
+not M^N for any admissible M.  The ``_values`` operators, ``grid_sum``
+and ``shell_sums`` take either layout, and ``radial_values`` and
+``radial_shells`` the layout of a field they are given.  ``grid_sum``
 weighs each octant point by its multiplicity on the full grid (per axis 1
 at offsets 0 and M/2, 2 elsewhere); on an even field the periodic spectral
 Laplacian is diagonal in the octant's type-1 DCT, with wavenumbers pi j / L
@@ -42,13 +44,11 @@ x . grad equal the full-grid operators of ``from_octant(f)`` to roundoff.
 
 This module caches per grid what a solve reads again: the 1-D coordinates
 and wavevectors, |k|^2 on the rfftn layout (the full-grid kinetic norm and
-Laplacian of the certificate read it), the octant's |k|^2, multiplicities
-and |x|^2 (the Gaussian start is built from it and expanded), the
-rearrangement's int32 order, and the radial shells of a layout that a
-radial coupling's fiber asks for.  The Gaussian start, the model's samples
-and the order compute the full grid's |x|^2 where they need it and keep
-none; only the full grid's shells, which a saddle's full-grid certificate
-of a non-constant coupling reads, hold it.
+Laplacian of the certificate read it), the octant's |k|^2 and
+multiplicities, the rearrangement's int32 order, and one radial table, the
+distinct values of |x|^2 and each octant point's shell (``_octant_shells``),
+from which every radial sample and shell sum is read.  No full-grid |x|^2
+or shell index is kept: the full grid's index is the octant's expanded.
 """
 
 from __future__ import annotations
@@ -276,9 +276,8 @@ def from_callable(grid: GridSpec, fn) -> ScalarField:
 
 def gaussian_field(grid: GridSpec, sigma: float, mass: float | None = None) -> ScalarField:
     """Centered Gaussian exp(-|x|^2 / (2 sigma^2)), optionally scaled to a
-    target mass.  It is evaluated on the octant and expanded, which is
-    bitwise the full grid's formula, since the octant's |x|^2 is."""
-    f = ScalarField(grid, from_octant(np.exp(-_octant_radius_sq(grid) / (2.0 * sigma**2))))
+    target mass.  It is evaluated once per radial shell (``radial_values``)."""
+    f = ScalarField(grid, radial_values(grid, lambda r2: np.exp(-r2 / (2.0 * sigma**2))))
     if mass is not None:
         m0 = f.mass
         if m0 <= 0:
@@ -498,56 +497,58 @@ def dilate(f: ScalarField, s: float) -> ScalarField:
 @lru_cache(maxsize=32)
 def _shell_order(grid: GridSpec) -> np.ndarray:
     """Flat indices sorted by radius, ties broken by index order, as int32,
-    which holds every index below the cap M^N <= _MAX_POINTS / 2^N."""
-    order = np.argsort(_radius_sq(grid).ravel(), kind="stable").astype(np.int32)
+    which holds every index below the cap M^N <= _MAX_POINTS / 2^N: a stable
+    argsort of the shell index, which orders as |x|^2 does."""
+    order = np.argsort(radial_shells(grid)[1], kind="stable").astype(np.int32)
     order.setflags(write=False)
     return order
 
 
-def radial_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=32)
+def _octant_shells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's radial table (cached, read-only): the distinct values of
+    |x|^2 in increasing order and each octant point's shell.  The full grid
+    has the same radii, since x[M - i] = -x[i] bitwise."""
+    shell_r2, shell_of = np.unique(fold(_radius_sq(grid)), return_inverse=True)
+    shell_of = shell_of.reshape((grid.points_per_axis // 2 + 1,) * grid.dim)
+    for a in (shell_r2, shell_of):
+        a.setflags(write=False)
+    return shell_r2, shell_of
+
+
+def radial_shells(grid: GridSpec, like: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(shell_r2, shell_of): the distinct values of |x|^2 in increasing
-    order, and the shell index of each point in flat (C) order, so that
-    ``shell_r2[shell_of]`` rebuilds ``grid.radius_sq().ravel()`` exactly.
+    order, and each point's shell in flat (C) order on the layout of ``like``
+    (the full grid, expanded on each call, when None), so that
+    ``shell_r2[shell_of]`` rebuilds |x|^2 there exactly.
 
     A radial function summed against a field, sum_i f(|x_i|^2) w_i, is then
     sum_k f(shell_r2[k]) W_k with W = bincount(shell_of, w) (``shell_sums``):
     f is evaluated once per shell instead of once per point.
     """
-    return _shells(grid, False)[1:]
+    shell_r2, shell_of = _octant_shells(grid)
+    if like is None or not on_octant(grid, like):
+        shell_of = from_octant(shell_of)
+        shell_of.setflags(write=False)
+    return shell_r2, shell_of.ravel()
 
 
-@lru_cache(maxsize=32)
-def _octant_radius_sq(grid: GridSpec) -> np.ndarray:
-    """|x|^2 on the octant (cached, read-only): the full grid's restriction,
-    since x[M - i] = -x[i] bitwise."""
-    r2 = fold(_radius_sq(grid))
-    r2.setflags(write=False)
-    return r2
-
-
-@lru_cache(maxsize=32)
-def _shells(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|x|^2 on the grid or on its octant, and its ``radial_shells``."""
-    r2 = _octant_radius_sq(grid) if octant else _radius_sq(grid)
-    shell_r2, shell_of = np.unique(r2, return_inverse=True)
-    for a in (r2, shell_r2, shell_of):
-        a.setflags(write=False)
-    return r2, shell_r2, shell_of.ravel()
+def radial_values(grid: GridSpec, f, like: np.ndarray | None = None) -> np.ndarray:
+    """f(|x|^2) on the layout of ``like`` (the full grid when None), with the
+    elementwise f evaluated once per shell and expanded from the octant:
+    bitwise f of the per-point |x|^2."""
+    shell_r2, shell_of = _octant_shells(grid)
+    values = f(shell_r2)[shell_of]
+    return values if like is not None and on_octant(grid, like) else from_octant(values)
 
 
 def shell_sums(grid: GridSpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(shell_r2, W): the grid's radial shells and a field's sum over each,
     an octant point counted with its multiplicity on the full grid."""
-    octant = on_octant(grid, values)
-    _, r2, shell_of = _shells(grid, octant)
-    if octant:
+    shell_r2, shell_of = radial_shells(grid, values)
+    if on_octant(grid, values):
         values = values * octant_weights(values.shape)
-    return r2, np.bincount(shell_of, weights=values.ravel(), minlength=r2.size)
-
-
-def layout_radius_sq(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """|x|^2 on the layout of ``values`` (cached, read-only)."""
-    return _shells(grid, on_octant(grid, values))[0]
+    return shell_r2, np.bincount(shell_of, weights=values.ravel(), minlength=shell_r2.size)
 
 
 def rearrange_radial_decreasing(f: ScalarField) -> ScalarField:

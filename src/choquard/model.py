@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AlphaOutOfRange, NotSupercritical, RangeError
-from .grid import GridSpec, layout_radius_sq, x_grad_values
+from .grid import GridSpec, radial_values, x_grad_values
 
 GN_SAFETY = 2.0  # headroom over the Gaussian-family Gagliardo-Nirenberg estimate
 ALPHA_FLOOR = 1e-6  # smallest alpha a model accepts, clear of the Gamma(alpha/2) pole
@@ -161,7 +161,7 @@ def coupling_radial_values(spec: CouplingSpec, r2: np.ndarray) -> np.ndarray:
     Every built-in family is radial, so this one formula per family serves
     the grid (``coupling_values``), the dilation fiber
     (``coupling_scaled_values``) and the fiber's shell sum in the saddle
-    solver, which evaluates it once per distinct grid radius."""
+    solver, each of which evaluates it once per distinct grid radius."""
     if spec.kind == "constant":
         return np.full(np.shape(r2), spec.beta0)
     if spec.kind == "rational_decay":
@@ -169,13 +169,20 @@ def coupling_radial_values(spec: CouplingSpec, r2: np.ndarray) -> np.ndarray:
     raise RangeError("tabulated couplings cannot be resampled analytically")
 
 
-def coupling_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
+def _grid_values(spec: CouplingSpec | PotentialSpec, grid: GridSpec, radial) -> np.ndarray:
+    """A coupling's or potential's samples on the grid: its table, or its
+    built-in kind's ``radial`` formula read once per radial shell."""
     if spec.kind != "tabulated":
-        return coupling_radial_values(spec, grid.radius_sq())
+        return radial_values(grid, lambda r2: radial(spec, r2))
     vals = np.asarray(spec.values, dtype=np.float64)
     if vals.shape != grid.shape:
-        raise RangeError(f"tabulated coupling shape {vals.shape} != grid {grid.shape}")
+        what = "coupling" if isinstance(spec, CouplingSpec) else "potential"
+        raise RangeError(f"tabulated {what} shape {vals.shape} != grid {grid.shape}")
     return vals
+
+
+def coupling_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
+    return _grid_values(spec, grid, coupling_radial_values)
 
 
 def coupling_x_grad_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
@@ -183,8 +190,8 @@ def coupling_x_grad_values(spec: CouplingSpec, grid: GridSpec) -> np.ndarray:
     if spec.kind == "constant":
         return np.zeros(grid.shape)
     if spec.kind == "rational_decay":
-        r2 = grid.radius_sq()
-        return -2.0 * spec.decay * spec.beta0 * r2 * (1.0 + r2) ** (-spec.decay - 1.0)
+        b, d = spec.beta0, spec.decay
+        return radial_values(grid, lambda r2: -2.0 * d * b * r2 * (1.0 + r2) ** (-d - 1.0))
     return x_grad_values(grid, coupling_values(spec, grid))
 
 
@@ -193,7 +200,7 @@ def coupling_scaled_values(
 ) -> np.ndarray:
     """beta(scale * x) for the built-in families (used along dilation fibers),
     on the layout of ``field``."""
-    return coupling_radial_values(spec, scale**2 * layout_radius_sq(grid, field))
+    return radial_values(grid, lambda r2: coupling_radial_values(spec, scale**2 * r2), field)
 
 
 def potential_radial_values(spec: PotentialSpec, r2: np.ndarray) -> np.ndarray:
@@ -210,12 +217,7 @@ def potential_radial_values(spec: PotentialSpec, r2: np.ndarray) -> np.ndarray:
 
 
 def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
-    if spec.kind != "tabulated":
-        return potential_radial_values(spec, grid.radius_sq())
-    vals = np.asarray(spec.values, dtype=np.float64)
-    if vals.shape != grid.shape:
-        raise RangeError(f"tabulated potential shape {vals.shape} != grid {grid.shape}")
-    return vals
+    return _grid_values(spec, grid, potential_radial_values)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +384,16 @@ def h_thresholds(c: float, p: float, dp: float) -> tuple[float, float, float]:
     return x0, x1, hmax
 
 
+def coupling_bound(params: ModelParams) -> tuple[float, float, float | None]:
+    """(k2, hmax, bound): the kinetic level x1 where the barrier profile h
+    peaks, its peak hmax, and the admissible coupling sup-norm
+    hmax / (2 xi eta), None unless both masses are positive."""
+    _, k2, hmax = h_thresholds(c_xi_eta(params), params.p, params.delta_p)
+    if params.xi > 0 and params.eta > 0:
+        return k2, hmax, hmax / (2.0 * params.xi * params.eta)
+    return k2, hmax, None
+
+
 # ---------------------------------------------------------------------------
 # validators
 
@@ -424,12 +436,10 @@ def validate_coupling(spec: CouplingSpec, params: ModelParams, grid: GridSpec) -
 
     sup_bound = sup_ok = cond3_min = cond3_ok = argmin = None
     if params.saddle_regime:
-        dp = params.delta_p
-        _, _, hmax = h_thresholds(c_xi_eta(params), params.p, dp)
-        if params.xi > 0 and params.eta > 0:
-            sup_bound = hmax / (2.0 * params.xi * params.eta)
+        sup_bound = coupling_bound(params)[2]
+        if sup_bound is not None:
             sup_ok = sup_beta < sup_bound
-        cond3 = 2.0 * beta + xg / dp
+        cond3 = 2.0 * beta + xg / params.delta_p
         cond3_min = float(np.min(cond3))
         cond3_ok = cond3_min >= -1e-12
         flat = int(np.argmin(cond3))
@@ -462,15 +472,8 @@ class PotentialReport:
 
 
 def _boundary_mask(grid: GridSpec) -> np.ndarray:
-    m = grid.points_per_axis
-    mask = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        sl0 = [slice(None)] * grid.dim
-        sl0[d] = 0
-        mask[tuple(sl0)] = True
-        sl1 = [slice(None)] * grid.dim
-        sl1[d] = m - 1
-        mask[tuple(sl1)] = True
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[(slice(1, -1),) * grid.dim] = False
     return mask
 
 
@@ -486,7 +489,7 @@ def validate_potential(spec: PotentialSpec, class_label: str, grid: GridSpec) ->
     vals = potential_values(spec, grid)
     bmask = _boundary_mask(grid)
     boundary = vals[bmask]
-    inner = vals[grid.radius_sq() <= (grid.half_extent / 2.0) ** 2]
+    inner = vals[radial_values(grid, lambda r2: r2 <= (grid.half_extent / 2.0) ** 2)]
     all_neg = bool(np.all(vals < 0.0))
     boundary_sup = float(np.max(np.abs(boundary)))
     interior_max = float(np.max(inner))

@@ -107,13 +107,7 @@ from .energy import (
 from .flow import (
     SolveReport, _SphereDescent, _descent_round, _report, _scalar_params, _sphere_tangent,
 )
-from .model import (
-    ModelParams,
-    c_xi_eta,
-    coupling_radial_values,
-    coupling_scaled_values,
-    h_thresholds,
-)
+from .model import ModelParams, coupling_bound, coupling_radial_values, coupling_scaled_values
 from .riesz import RieszConvolver, riesz_energy_rank_one
 
 _FIBER_BRACKET = (-4.0, 4.0)  # first bracket of the fiber maximizer, widened once
@@ -435,14 +429,11 @@ def check_geometry(params: ModelParams, grid: GridSpec, engine=None) -> Geometry
     _require_saddle_regime(params, "the mountain-pass geometry")
     if params.xi <= 0 or params.eta <= 0:
         raise ZeroMass("the mountain-pass geometry needs positive masses on both components")
-    dp = params.delta_p
-    _, x1, hmax = h_thresholds(c_xi_eta(params), params.p, dp)
-    k2 = x1
+    k2, hmax, beta_bound = coupling_bound(params)
     k1 = k2 / 100.0
     engine = engine or _SphereDescent(params, grid)
     beta = engine.sampled.beta
     beta_sup = 0.0 if beta is None else float(np.max(np.abs(beta)))
-    beta_bound = hmax / (2.0 * params.xi * params.eta)
     if beta_sup >= beta_bound:
         raise BetaTooLarge(
             f"coupling sup-norm {beta_sup:.4g} >= admissible bound {beta_bound:.4g}"

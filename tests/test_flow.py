@@ -666,23 +666,34 @@ class TestGaussianStartIsReleased:
 
 
 class TestCachesAfterAnEvenSolve:
-    """After a cold even solve of the ground_state benchmark's 64^3 model,
-    the module caches hold two float arrays of the full grid's size, both
-    read by the certificate: the convolver's (M+1)^N kernel spectrum and
-    |k|^2 on the rfftn layout.  The rearrangement's int32 order is the one
-    index array.  The Gaussian start, the kinetic norm and the order keep
-    no full-grid |x|^2 or weight array."""
+    """After a cold even solve of a benchmark model, the ground_state's at
+    64^3 or the saddle's at 40^3 (rational-decay coupling), the module
+    caches hold two float arrays of the full grid's size, both read by the
+    certificate: the convolver's (M+1)^N kernel spectrum and |k|^2 on the
+    rfftn layout.  The ground state's rearrangement keeps its int32 order,
+    the one index array.  The Gaussian start, the kinetic norm, the order
+    and the saddle's radial coupling keep no full-grid |x|^2, shell index or
+    weight array."""
 
-    SCRIPT = """
-import gc, json, sys
-import numpy as np
-import choquard as cq
-
+    SOLVES = {
+        "ground_state": (64, """
 g = cq.GridSpec(3, 12.0, 64)
 params = cq.ModelParams(dim=3, alpha=2.0, p=2.0, q=2.0, mu1=5.0, mu2=5.0, xi=1.0, eta=1.0,
                         coupling=cq.CouplingSpec("constant", 0.1))
 init = cq.StatePair(cq.gaussian_field(g, 1.5, mass=1.0), cq.gaussian_field(g, 1.6, mass=1.0))
 rep = cq.minimize_normalized(params, init, cq.FlowOptions(max_iters=800, symmetrize_every=10))
+"""),
+        "saddle": (40, """
+g = cq.GridSpec(3, 10.0, 40)
+params = cq.ModelParams(dim=3, alpha=2.0, p=3.0, q=3.0, mu1=60.0, mu2=60.0, xi=1.0, eta=1.0,
+                        coupling=cq.CouplingSpec("rational_decay", 0.015, 2.0 / 3.0))
+init = cq.StatePair(cq.gaussian_field(g, 1.2), cq.gaussian_field(g, 1.2))
+rep = cq.mountain_pass_solve(params, init, cq.SaddleOptions(max_iters=400, grad_tol=1e-5,
+                                                            pohozaev_rel_tol=1e-6))
+"""),
+    }
+
+    WALK = """
 assert rep.converged and rep.state.u.values.shape == g.shape
 del rep, init
 gc.collect()
@@ -707,12 +718,18 @@ found = sorted({(name, a.shape, str(a.dtype)) for name, f in cached.values()
 print(json.dumps(found))
 """
 
-    def test_only_certificate_arrays_stay_cached(self):
+    @pytest.mark.parametrize("workload", ["ground_state", "saddle"])
+    def test_only_certificate_arrays_stay_cached(self, workload):
+        m, solve = self.SOLVES[workload]
+        script = "import gc, json, sys\nimport numpy as np\nimport choquard as cq\n" + solve
+        script += self.WALK
         src = str(Path(cq.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         found = {(name.rsplit(".", 1)[1], tuple(shape), dtype)
                  for name, shape, dtype in json.loads(proc.stdout.splitlines()[-1])}
-        assert found == {("build_convolver", (65, 65, 65), "float64"),
-                         ("_k_sq_rfft", (64, 64, 33), "float64"),
-                         ("_shell_order", (64**3,), "int32")}
+        want = {("build_convolver", (m + 1,) * 3, "float64"),
+                ("_k_sq_rfft", (m, m, m // 2 + 1), "float64")}
+        if workload == "ground_state":
+            want.add(("_shell_order", (m**3,), "int32"))
+        assert found == want

@@ -433,7 +433,7 @@ class TestRearrangement:
 class TestNoFullGridCache:
     """The Gaussian start, the rearrangement's order and the kinetic norm
     cache no full-grid float array, and each is bitwise what the cached
-    full-grid form gave: the Gaussian from the octant's |x|^2, the order as
+    full-grid form gave: the Gaussian from the radial table, the order as
     int32, and the Parseval sum from one |k|^2 per layout."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -441,7 +441,8 @@ class TestNoFullGridCache:
     def test_octant_gaussian_is_the_full_grid_formula(self, dim, m):
         g = cq.GridSpec(dim, 7.0, m)
         r2 = g.radius_sq()
-        assert np.array_equal(cq.grid._octant_radius_sq(g), cq.grid.fold(r2))
+        shell_r2, shell_of = cq.grid._octant_shells(g)
+        assert np.array_equal(shell_r2[shell_of], cq.grid.fold(r2))
         for sigma in (0.7, 1.9):
             want = np.exp(-r2 / (2.0 * sigma**2))
             assert np.array_equal(cq.gaussian_field(g, sigma).values, want)

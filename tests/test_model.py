@@ -16,6 +16,7 @@ from choquard.model import (
     coupling_values,
     coupling_x_grad_values,
     h_function,
+    potential_values,
 )
 
 
@@ -271,6 +272,43 @@ class TestCouplingFormulas:
         spec = cq.CouplingSpec("tabulated", values=np.ones(grid3_small.shape))
         with pytest.raises(cq.RangeError, match="resampled"):
             coupling_scaled_values(spec, grid3_small, 0.5, grid3_small.radius_sq())
+
+
+class TestRadialTable:
+    """Every built-in coupling and potential, x . grad(beta) and beta at two
+    scales, each read once per radial shell of the octant
+    (``grid.radial_values``), is bitwise its per-point formula on the full
+    grid and on the octant."""
+
+    @pytest.mark.parametrize("dim, half_extent, m", [
+        (1, 4.0, 64), (2, 6.0, 32), (3, 10.0, 40),
+        (3, 10.0, 48),  # h = 5/12 is not dyadic
+    ])
+    def test_shell_samples_are_the_per_point_formula(self, dim, half_extent, m):
+        g = cq.GridSpec(dim, half_extent, m)
+        b, d, s1, s2 = 0.015, 2.0 / 3.0, math.exp(-0.3), math.exp(2.0)
+        decay, flat = cq.CouplingSpec("rational_decay", b, d), cq.CouplingSpec("constant", 0.1)
+        well = cq.PotentialSpec("gaussian_well", depth=0.7, width=1.3)
+        trap = cq.PotentialSpec("harmonic", stiffness=0.4)
+        formulas = {  # the per-point formula, and the model's samples on the full grid
+            "decay": (lambda r2: b * (1.0 + r2) ** (-d), coupling_values(decay, g)),
+            "constant": (lambda r2: np.full(r2.shape, 0.1), coupling_values(flat, g)),
+            "x_grad_decay": (lambda r2: -2.0 * d * b * r2 * (1.0 + r2) ** (-d - 1.0),
+                             coupling_x_grad_values(decay, g)),
+            "x_grad_constant": (np.zeros_like, coupling_x_grad_values(flat, g)),
+            "zero": (np.zeros_like, potential_values(cq.PotentialSpec("zero"), g)),
+            "gaussian_well": (lambda r2: -0.7 * np.exp(-r2 / 1.3**2), potential_values(well, g)),
+            "harmonic": (lambda r2: 0.4 * r2, potential_values(trap, g)),
+        }
+        r2 = g.radius_sq()
+        for layout in (r2, fold(r2)):
+            for name, (formula, full) in formulas.items():
+                got = cq.grid.radial_values(g, formula, layout)
+                assert got.shape == layout.shape and np.array_equal(got, formula(layout)), name
+                assert full.shape == g.shape and np.array_equal(full, formula(r2)), name
+            for scale in (s1, s2):
+                want = b * (1.0 + scale**2 * layout) ** (-d)
+                assert np.array_equal(coupling_scaled_values(decay, g, scale, layout), want)
 
 
 class TestPotentialValidator:

@@ -358,7 +358,8 @@ class TestOctantFiber:
                             lambda spec, r2: sizes.append(np.size(r2)) or radial(spec, r2))
         tangent = octant.fiber_tangent(ev_octant)
         gradient = octant.pulled_back_gradient(ev_octant, 0.3)
-        assert sizes == [17**3]  # beta(e^{-s} x) sampled on the octant only
+        # beta(e^{-s} x) evaluated once per shell of the octant, 464 of its 17^3 points
+        assert sizes == [cq.grid._octant_shells(grid32)[0].size] == [464]
         monkeypatch.undo()
         for got, want in zip(tangent + gradient,
                              full.fiber_tangent(ev) + full.pulled_back_gradient(ev, 0.3)):
