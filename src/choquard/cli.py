@@ -28,12 +28,16 @@ byte-identical output at a fixed thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -359,14 +363,59 @@ def _default_init(cfg: RunConfig) -> StatePair:
     return StatePair(ScalarField(cfg.grid, u), ScalarField(cfg.grid, v))
 
 
+@lru_cache(maxsize=1)
+def _blas_pool():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    through ctypes, or None where numpy links no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """numpy's bundled OpenBLAS pool at ``n`` threads, at most one per usable
+    core, for the block, then at its old size; a numpy without that library
+    is left alone.  OpenBLAS starts a thread per count and keeps it after the
+    size is restored, so a count above the cores would leave them spinning."""
+    pool = _blas_pool()
+    if pool is None:
+        yield
+        return
+    get, put = pool
+    old = get()
+    put(min(n, _usable_cores()))
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def run(cfg: RunConfig, out_dir: str | Path = ".") -> int:
-    """Execute the configured mode with ``cfg.threads`` FFT workers; write
-    artifacts; return the exit code.  The worker count holds for this run
-    only."""
+    """Execute the configured mode with ``cfg.threads`` FFT workers and
+    BLAS threads; write artifacts; return the exit code.  The thread counts
+    hold for this run only."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict = {"schema_version": _SCHEMA_VERSION, "mode": cfg.mode, "config": cfg.resolved}
-    with scipy.fft.set_workers(cfg.threads):
+    with scipy.fft.set_workers(cfg.threads), _blas_threads(cfg.threads):
         try:
             if cfg.mode in ("minimize", "saddle"):
                 solve, opts = (
@@ -464,7 +513,8 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--config", required=True, help="path to the JSON run config")
         sp.add_argument("--out", default=".", help="output directory (default: cwd)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None, help="override the FFT worker count")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="override the FFT worker and BLAS thread count")
     args = parser.parse_args(argv)
 
     try:

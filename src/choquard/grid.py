@@ -41,11 +41,16 @@ at offsets 0 and M/2, 2 elsewhere); on an even field the periodic spectral
 Laplacian is diagonal in the octant's type-1 DCT, with wavenumbers pi j / L
 (Martucci 1994), so the kinetic norm, -Delta, (sigma - Delta)^{-1} and
 x . grad equal the full-grid operators of ``from_octant(f)`` to roundoff.
+Up to M = 256 (``_DENSE_MAX_M``) each octant transform is a cached dense
+matrix, applied as one BLAS product per axis (``apply_along``), which at
+those sizes beats an FFT of M/2 + 1 or M + 1 points; finer 1-D and 2-D
+grids take scipy's type-1 DCT and DST.
 
 This module caches per grid what a solve reads again: the 1-D coordinates
 and wavevectors, |k|^2 on the rfftn layout (the full-grid kinetic norm and
 Laplacian of the certificate read it), the octant's |k|^2 and
-multiplicities, the rearrangement's int32 order, and one radial table, the
+multiplicities, its DCT-I and x . grad matrices ((M/2 + 1)^2 doubles
+each), the rearrangement's int32 order, and one radial table, the
 distinct values of |x|^2 and each octant point's shell (``_octant_shells``),
 from which every radial sample and shell sum is read.  No full-grid |x|^2
 or shell index is kept: the full grid's index is the octant's expanded.
@@ -74,6 +79,12 @@ from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, Ze
 # (0.13 GiB) once the complex passes have freed their workspace (32 MiB),
 # and one stripe of rows at a time of its real transforms
 _MAX_POINTS = 2**27
+# the finest M whose octant transforms (the kinetic norm, -Delta, the
+# resolvent, x . grad and the Riesz convolution) are cached dense matrices,
+# one BLAS product per axis: the largest is (M + 1) x (M/2 + 1) doubles,
+# 0.25 MiB at 256.  Every 3-D grid lies within it; finer 1-D and 2-D grids,
+# where the products cost more than an FFT, take scipy's type-1 transforms
+_DENSE_MAX_M = 256
 
 
 @dataclass(frozen=True)
@@ -309,6 +320,58 @@ def grad_norm_sq(f: ScalarField) -> float:
     return grad_norm_sq_values(f.grid, f.values)
 
 
+def apply_along(mat: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+    """``mat`` applied to every line of ``a`` along ``axis``, as one BLAS
+    product with no transposed copy: ``mat @ a`` on the first axis,
+    ``a @ mat.T`` on the last, and in 3-D a batched product on the middle
+    axis, one per index of the first."""
+    n = a.shape[axis]
+    shape = a.shape[:axis] + (mat.shape[0],) + a.shape[axis + 1 :]
+    if axis == 0:
+        return (mat @ a.reshape(n, -1)).reshape(shape)
+    if axis == a.ndim - 1:
+        return (a.reshape(-1, n) @ mat.T).reshape(shape)
+    return np.matmul(mat, a)
+
+
+def cosines(n: np.ndarray, period: int) -> np.ndarray:
+    """cos(2 pi n / period) of an integer array n, its argument reduced in
+    integers to [0, pi/2]: modulo the period, then by cos(-t) = cos t and
+    cos(pi - t) = -cos t, so the table is exact to within its rounding."""
+    n = n % period
+    n = np.minimum(n, period - n)
+    far = 4 * n > period
+    n = np.where(far, period // 2 - n, n)
+    return np.where(far, -1.0, 1.0) * np.cos((2.0 * np.pi / period) * n)
+
+
+def dense_octant(m: int) -> bool:
+    """Whether the octant transforms at M points per axis are dense products."""
+    return m <= _DENSE_MAX_M
+
+
+@lru_cache(maxsize=8)
+def _octant_dct_matrix(m: int) -> np.ndarray:
+    """scipy's type-1 ``dct`` of the octant's M/2 + 1 offsets as a matrix,
+    D[j, k] = w_k cos(pi j k / (M/2)) with w = 1, 2, ..., 2, 1; D D = M I."""
+    h = m // 2 + 1
+    mat = cosines(np.multiply.outer(np.arange(h), np.arange(h)), m) * octant_weights((h,))
+    mat.setflags(write=False)
+    return mat
+
+
+def _octant_dctn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """The N-D DCT-I of an octant, a new array; ``overwrite_x`` lets the FFT
+    side destroy ``values``."""
+    m = 2 * (values.shape[0] - 1)
+    if not dense_octant(m):
+        return scipy.fft.dctn(values, type=1, overwrite_x=overwrite_x)
+    mat = _octant_dct_matrix(m)
+    for ax in range(values.ndim):
+        values = apply_along(mat, values, ax)
+    return values
+
+
 def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
     """||grad f||^2 by Parseval, of full-grid values or of an octant: the sum
     of |k|^2 |F_k|^2 over the modes, each counted with its multiplicity, on
@@ -317,7 +380,7 @@ def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
     multiplicity is a power of two, so the power times it is exact and the
     product with |k|^2 rounds once, as (multiplicity |k|^2) |F_k|^2 would."""
     if on_octant(grid, values):
-        spec = scipy.fft.dctn(values, type=1)
+        spec = _octant_dctn(values)
         power, k2, weights = spec * spec, _k_sq_octant(grid), octant_weights(spec.shape)
     else:
         spec = scipy.fft.rfftn(values)
@@ -362,9 +425,9 @@ def _octant_multiply(grid: GridSpec, values: np.ndarray, multiplier: np.ndarray)
     """A Fourier multiplier (given on the octant of wavenumbers pi j / L) applied
     to an even field on its octant: a DCT-I, the product, and a second DCT-I,
     which inverts the first up to M per axis."""
-    spec = scipy.fft.dctn(values, type=1)
+    spec = _octant_dctn(values)
     spec *= multiplier
-    out = scipy.fft.dctn(spec, type=1, overwrite_x=True)
+    out = _octant_dctn(spec, overwrite_x=True)
     out /= grid.size
     return out
 
@@ -377,8 +440,13 @@ def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """x . grad f, with each partial derivative a periodic Fourier multiplier
     that drops the Nyquist mode, of full-grid values or of an octant, where
     d_k is a DCT-I along k, times pi j / L, and a DST-I over the modes and
-    offsets 1..M/2 - 1; offsets 0 and M/2 get zero, as on the grid."""
+    offsets 1..M/2 - 1; offsets 0 and M/2 get zero, as on the grid.  Up to
+    M = ``_DENSE_MAX_M`` that chain, times x_k, is one cached matrix per
+    axis (``_x_grad_matrix``), and x . grad f the sum of its N products."""
     if on_octant(grid, values):
+        if dense_octant(grid.points_per_axis):
+            mat = _x_grad_matrix(grid)
+            return sum(apply_along(mat, values, ax) for ax in range(grid.dim))
         half = grid.points_per_axis // 2
         j = np.arange(1, half)
         wavenumber, x_over_m = np.pi * j / grid.half_extent, grid.spacing * j / (2 * half)
@@ -395,6 +463,22 @@ def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     for x, k in zip(grid.coords(), _derivative_wavevectors(grid)):
         out += x * scipy.fft.irfftn(1j * k * spec, s=grid.shape)
     return out
+
+
+@lru_cache(maxsize=8)
+def _x_grad_matrix(grid: GridSpec) -> np.ndarray:
+    """x_k d_k on one axis of the octant as an (M/2 + 1)^2 matrix: the DCT-I,
+    the wavenumbers pi j / L of modes 1..M/2 - 1, scipy's DST-I back to
+    offsets 1..M/2 - 1 (2 sin(pi i j / (M/2))) and their coordinates
+    -h i; the rows of offsets 0 and M/2 are zero."""
+    m, half = grid.points_per_axis, grid.points_per_axis // 2
+    j = np.arange(1, half)
+    sines = 2.0 * cosines(m - 4 * np.multiply.outer(j, j), 4 * m)  # sin t = cos(pi/2 - t)
+    chain = (sines * (np.pi * j / grid.half_extent)) @ _octant_dct_matrix(m)[1:half]
+    mat = np.zeros((half + 1, half + 1))
+    mat[1:half] = -(grid.spacing * j / m)[:, None] * chain
+    mat.setflags(write=False)
+    return mat
 
 
 def from_octant(octant: np.ndarray) -> np.ndarray:

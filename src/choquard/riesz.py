@@ -59,7 +59,12 @@ M/2 is the x = -L face, which has no partner at +L, so its sample is split
 half at -L, half at +L: the sum runs over the closed grid k = 0..M with
 weight 1/2 per face axis.  That is the DCT-I of the (M + 1)^N zero-padded
 octant times the kernel's octant spectrum, inverted and cropped to the
-octant, pruned pass by pass as above.  The operator is symmetric on even
+octant.  Up to M = 256 (``grid._DENSE_MAX_M``, every 3-D grid) each of
+those transforms is a cached dense matrix applied as one BLAS product per
+axis: forward (M + 1) x (M/2 + 1), with the multiplicities and the face's
+1/2 folded in, and inverse (M/2 + 1) x (M + 1), cropped.  Finer 1-D and
+2-D grids take scipy's type-1 DCT pass by pass, padded forward and cropped
+inverse as above.  The operator is symmetric on even
 fields, so an energy built on it has the gradient built on it as its exact
 derivative; it equals the full-grid sum when the face is zero.  The solvers
 descend with it and certify their answer on the full grid.
@@ -84,7 +89,15 @@ import numpy as np
 import scipy.fft
 
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
-from .grid import GridSpec, ScalarField, on_octant
+from .grid import (
+    GridSpec,
+    ScalarField,
+    apply_along,
+    cosines,
+    dense_octant,
+    octant_weights,
+    on_octant,
+)
 
 _ORACLE_CAPS = {1: 1024, 2: 32, 3: 16}
 _WINDOW_CELLS = 32
@@ -214,12 +227,12 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
         for ax in range(lead):
             slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
             rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-            scipy.fft.fft(slab[rows], axis=ax + 1, overwrite_x=True)
+            _in_place(scipy.fft.fft, slab[rows], ax + 1)
         for dst, src in picks:
             slab[(slice(None),) + dst] *= kern[(block,) + src]
         for ax in range(lead - 1, -1, -1):
             rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-            scipy.fft.ifft(slab[rows], axis=ax + 1, overwrite_x=True)
+            _in_place(scipy.fft.ifft, slab[rows], ax + 1)
         front[block] = slab[core]
     del work, slab
     out = np.empty(values.shape)
@@ -229,12 +242,49 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     return out
 
 
+def _in_place(transform, rows: np.ndarray, axis: int) -> None:
+    """``transform`` of ``rows`` along ``axis``, stored in ``rows``: scipy may
+    transform a view in place under ``overwrite_x``, but it only promises
+    leave to destroy the input, so a result elsewhere is copied back."""
+    out = transform(rows, axis=axis, overwrite_x=True)
+    if out.ctypes.data != rows.ctypes.data or out.strides != rows.strides:
+        rows[...] = out
+
+
+@lru_cache(maxsize=4)
+def _padded_pair(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The octant convolution's transforms along one axis, read-only.
+    forward ((M + 1) x (M/2 + 1)): the DCT-I of the octant zero-padded to the
+    M + 1 offsets 0..M, cos(pi k j / M) times the octant's multiplicities
+    1, 2, ..., 2, 1, whose last entry is the x = -L face's 2 halved.
+    inverse ((M/2 + 1) x (M + 1)): the DCT-I of M + 1 points cropped to the
+    octant, end weights 1, 2, ..., 2, 1."""
+    h = m // 2 + 1
+    table = cosines(np.multiply.outer(np.arange(h), np.arange(m + 1)), 2 * m)
+    ends = np.full(m + 1, 2.0)
+    ends[0] = ends[-1] = 1.0
+    pair = table.T * octant_weights((h,)), table * ends
+    for mat in pair:
+        mat.setflags(write=False)
+    return pair
+
+
 def _convolve_octant(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
     """Kernel convolution of a reflection-even density given on its
     (M/2 + 1)^N octant, with the x = -L face split between -L and +L
     (module docstring); the result is the octant of an even field."""
     grid = conv.grid
     m, dim = grid.points_per_axis, grid.dim
+    if dense_octant(m):
+        forward, inverse = _padded_pair(m)
+        work = values
+        for ax in range(dim):
+            work = apply_along(forward, work, ax)
+        work *= conv.octant_spectrum
+        for ax in range(dim):
+            work = apply_along(inverse, work, ax)
+        work *= grid.cell_volume / (2 * m) ** dim
+        return work
     work = values.copy()
     for ax in range(dim):
         work[(slice(None),) * ax + (-1,)] *= 0.5

@@ -471,12 +471,14 @@ class TestDeterminism:
             assert a == b
 
     @pytest.mark.parametrize("widths, digest", [
-        ((1.5, 1.5), "2c959efc4fa56b1cf79047fda2ac823a091feb95fbc1b578ad5465a474d3474a"),
-        ((1.5, 1.2), "2138133899b4bd9ee5d8dc6a492df39d2ed85530148d214367de79811256c9aa"),
+        ((1.5, 1.5), "0ba5700120a87d2b0322961a0ab50cce47b51d9585b0b0db8eeb6d43cc0d98cc"),
+        ((1.5, 1.2), "93ed62041a807b0c865762e2f814855e2e3230a0d5e65f1dab430abd5de11527"),
     ], ids=["mirrored", "diagonal-rule"])
     def test_constant_coupling_report_is_unchanged(self, tmp_path, widths, digest):
-        # the sha256 of report.json recorded when beta = 0.1 was sampled on
-        # every grid point: holding it as its value changes no byte
+        # the sha256 of report.json: holding beta = 0.1 as its value changed
+        # no byte of the digest recorded when it was sampled on every grid
+        # point; recorded again when the octant transforms became dense
+        # products, which moved the last digits
         payload = tiny_minimize_config(init={"width_u": widths[0], "width_v": widths[1]})
         assert run(parse_config(write_config(tmp_path, payload)), tmp_path / "out") == 0
         data = (tmp_path / "out" / "report.json").read_bytes()
@@ -644,6 +646,34 @@ class TestThreads:
             totals.append(rep["result"]["energy"]["total"])
         assert inside == [1, 2]
         assert abs(totals[0] - totals[1]) <= 1e-10 * max(1.0, abs(totals[0]))
+
+    @pytest.mark.parametrize("threads", [2, 64])
+    def test_threads_set_the_blas_pool_for_the_run(self, tmp_path, monkeypatch, threads):
+        # the pool takes ``threads``, at most one per usable core, and is
+        # back at its old size after the run
+        pool = cq.cli._blas_pool()
+        if pool is None:
+            pytest.skip("numpy links no bundled OpenBLAS")
+        get, put = pool
+        path = write_config(tmp_path, tiny_minimize_config())
+        solve = cq.cli.minimize_normalized
+        inside = []
+        monkeypatch.setattr(cq.cli, "minimize_normalized",
+                            lambda *a: inside.append(get()) or solve(*a))
+        before = get()
+        try:
+            put(1)
+            assert main(["minimize", "--config", str(path), "--threads", str(threads),
+                         "--out", str(tmp_path / "out")]) == 0
+            assert inside == [min(threads, cq.cli._usable_cores())] and get() == 1
+        finally:
+            put(before)
+
+    def test_without_a_bundled_blas_the_pool_is_left_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cq.cli, "_blas_pool", lambda: None)
+        path = write_config(tmp_path, tiny_minimize_config())
+        assert main(["minimize", "--config", str(path), "--threads", "2",
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 class TestShippedConfigsUseEvenSubspace:

@@ -353,6 +353,76 @@ class TestOctantOperators:
         assert self.close(cq.grid.from_octant(got), want, rtol=1e-12)
 
 
+class TestDenseOctantTransforms:
+    """Up to M = ``_DENSE_MAX_M`` the octant transforms are cached dense
+    matrices, one BLAS product per axis, and above it scipy's type-1 FFTs;
+    both give the same operators to roundoff, on either side of the rule."""
+
+    CASES = [(1, 64, 6.0), (1, 512, 30.0), (2, 24, 5.0), (2, 300, 20.0), (3, 16, 4.0),
+             (3, 40, 9.0)]
+    SCIPY = ("fft", "ifft", "rfft", "irfft", "dct", "dst", "dctn", "idctn", "rfftn", "irfftn")
+
+    @staticmethod
+    def operators(g):
+        conv = cq.build_convolver(g, 0.5 * g.dim)
+        return {
+            "convolution": lambda f: cq.riesz.riesz_convolve_values(conv, f),
+            "neg_laplacian": lambda f: cq.grid.neg_laplacian_values(g, f),
+            "resolvent": lambda f: cq.grid.laplacian_resolvent_values(g, f, 1.7),
+            "kinetic_norm": lambda f: np.array(cq.grid.grad_norm_sq_values(g, f)),
+            "x_grad": lambda f: cq.grid.x_grad_values(g, f),
+        }
+
+    @pytest.mark.parametrize("dim,m,L", CASES)
+    def test_dense_equals_fft(self, dim, m, L, monkeypatch):
+        g = cq.GridSpec(dim, L, m)
+        f = TestOctantOperators.octant(g)
+        for name, op in self.operators(g).items():
+            monkeypatch.setattr(cq.grid, "_DENSE_MAX_M", 0)
+            fft = op(f)
+            monkeypatch.setattr(cq.grid, "_DENSE_MAX_M", 1024)
+            dense = op(f)
+            assert dense.shape == fft.shape
+            assert np.max(np.abs(dense - fft)) <= 1e-14 * np.max(np.abs(fft)), name
+
+    def test_dct_matrix_is_scipys(self):
+        for m in (8, 40, 64, 256):
+            mat = cq.grid._octant_dct_matrix(m)
+            assert not mat.flags.writeable
+            want = scipy.fft.dct(np.eye(m // 2 + 1), type=1, axis=0)
+            assert np.max(np.abs(mat - want)) <= 1e-15 * m
+            assert np.max(np.abs(mat @ mat - m * np.eye(m // 2 + 1))) <= 1e-13 * m
+
+    @pytest.mark.parametrize("dim,m", [(1, 256), (2, 64), (3, 40)])
+    def test_dense_side_calls_no_scipy_fft(self, dim, m, monkeypatch):
+        g = cq.GridSpec(dim, 7.0, m)
+        f = TestOctantOperators.octant(g)
+        ops = self.operators(g)  # the convolver is built before the spy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.fft called on the dense side")
+
+        for name in self.SCIPY:
+            monkeypatch.setattr(scipy.fft, name, refuse)
+        for op in ops.values():
+            op(f)
+
+    def test_finer_1d_grid_takes_the_fft(self, monkeypatch):
+        g = cq.GridSpec(1, 30.0, 512)
+        f = TestOctantOperators.octant(g)
+        ops = self.operators(g)
+        calls = []
+        for name in ("dct", "dst", "dctn"):
+            def spy(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, spy)
+        for name, op in ops.items():
+            calls.clear()
+            op(f)
+            assert calls, name
+
+
 class TestRadialShells:
     @pytest.mark.parametrize("dim, half_extent, m", [
         (1, 4.0, 64), (2, 4.0, 32), (3, 8.0, 32), (3, 10.0, 40),
@@ -473,10 +543,16 @@ class TestNoFullGridCache:
         want = np.sum(weights * (spec.real**2 + spec.imag**2)) * g.cell_volume / g.size
         assert cq.grid.grad_norm_sq_values(g, f) == float(want)
         octant = cq.grid.fold(f)
-        spec = scipy.fft.dctn(octant, type=1)
         weights = cq.grid.octant_weights(octant.shape) * cq.grid._k_sq_octant(g)
+        # the octant's spectrum is the dense DCT-I matrix applied per axis
+        spec = octant
+        for ax in range(dim):
+            spec = cq.grid.apply_along(cq.grid._octant_dct_matrix(m), spec, ax)
         want = np.sum(weights * (spec * spec)) * g.cell_volume / g.size
         assert cq.grid.grad_norm_sq_values(g, octant) == float(want)
+        spec = scipy.fft.dctn(octant, type=1)
+        fft = np.sum(weights * (spec * spec)) * g.cell_volume / g.size
+        assert cq.grid.grad_norm_sq_values(g, octant) == pytest.approx(fft, rel=1e-14, abs=0)
 
 
 class TestLayoutIsTheShape:

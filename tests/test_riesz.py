@@ -207,6 +207,22 @@ class TestOracle:
         slow = cq.riesz_convolve_oracle(g, alpha, rho).values
         assert np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) < 1e-8
 
+    @pytest.mark.parametrize("dim,m,L,alpha", [(2, 24, 6.0, 1.2), (3, 12, 4.0, 2.0)])
+    def test_transforms_that_return_new_arrays(self, dim, m, L, alpha, monkeypatch):
+        # overwrite_x only lets scipy destroy its input: a transform that
+        # leaves the slab alone and returns its result elsewhere must still
+        # give the oracle's sum
+        for name in ("fft", "ifft"):
+            def fresh(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+                kwargs["overwrite_x"] = False
+                return _fn(np.array(x), *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, fresh)
+        g = cq.GridSpec(dim, L, m)
+        rho = cq.ScalarField(g, np.random.default_rng(dim).standard_normal(g.shape))
+        fast = cq.riesz_convolve(cq.build_convolver(g, alpha), rho).values
+        slow = cq.riesz_convolve_oracle(g, alpha, rho).values
+        assert np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) < 1e-8
+
     def test_zero(self, grid1):
         out = cq.riesz_convolve_oracle(grid1, 0.5, cq.zero_field(grid1))
         assert np.all(out.values == 0.0)
