@@ -29,7 +29,7 @@ is no gain.  The convolution splits the x = -L face between -L and +L on
 the octant, so its difference is of the size of the fields there.  The output also
 records the host, the numpy and scipy versions and the thread settings.
 BLAS and OpenMP pools are pinned to one thread unless the environment
-sets them, and scipy.fft runs one worker.
+sets them; numpy's FFTs run on one thread.
 
 ``cold_solves`` holds, for the ``ground_state`` and ``saddle`` benchmark
 workloads, the tracemalloc peak of one certified solve of the benchmark's
@@ -62,7 +62,6 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-import scipy.fft  # noqa: E402
 
 import choquard as cq  # noqa: E402
 from choquard.energy import evaluate_state, gradient_values, sample_model  # noqa: E402
@@ -233,8 +232,7 @@ def main(argv=None) -> int:
                  "python": platform.python_version()},
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "threads": {**{var: os.environ.get(var) for var in THREAD_VARS},
-                    "fft_workers": scipy.fft.get_workers()},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "settings": {"repeats": args.repeats, "sample_s": SAMPLE_S, "min_calls": MIN_CALLS,
                      "sigma": SIGMA, "solve_seed": SOLVE_SEED},
         "cases": [],

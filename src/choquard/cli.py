@@ -41,7 +41,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
+import numpy.random  # numpy 2 loads it on first use; load it before a run is traced
 
 from .errors import ChoquardError, RangeError, SchemaError
 from .grid import GridSpec, ScalarField, StatePair, gaussian_field, radial_profile
@@ -60,7 +60,7 @@ from .saddle import SaddleOptions, check_geometry, mountain_pass_solve
 
 _MODES = ("minimize", "saddle", "scan", "check", "oracle")
 _SCHEMA_VERSION = 1
-_MAX_COUNT = 1024  # most FFT workers or scan starts a config may ask for
+_MAX_COUNT = 1024  # most BLAS threads or scan starts a config may ask for
 
 # the model's numbers with their defaults; None marks a required one
 _MODEL_NUMBERS = {
@@ -409,13 +409,14 @@ def _blas_threads(n: int):
 
 
 def run(cfg: RunConfig, out_dir: str | Path = ".") -> int:
-    """Execute the configured mode with ``cfg.threads`` FFT workers and
-    BLAS threads; write artifacts; return the exit code.  The thread counts
-    hold for this run only."""
+    """Execute the configured mode with ``cfg.threads`` BLAS threads, which
+    run the octant transforms' dense products; write artifacts; return the
+    exit code.  The thread count holds for this run only.  The FFTs are
+    numpy's (``grid``), which run on one thread."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict = {"schema_version": _SCHEMA_VERSION, "mode": cfg.mode, "config": cfg.resolved}
-    with scipy.fft.set_workers(cfg.threads), _blas_threads(cfg.threads):
+    with _blas_threads(cfg.threads):
         try:
             if cfg.mode in ("minimize", "saddle"):
                 solve, opts = (
@@ -514,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--out", default=".", help="output directory (default: cwd)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--threads", type=int, default=None,
-                        help="override the FFT worker and BLAS thread count")
+                        help="override the BLAS thread count")
     args = parser.parse_args(argv)
 
     try:

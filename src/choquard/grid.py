@@ -44,7 +44,17 @@ x . grad equal the full-grid operators of ``from_octant(f)`` to roundoff.
 Up to M = 256 (``_DENSE_MAX_M``) each octant transform is a cached dense
 matrix, applied as one BLAS product per axis (``apply_along``), which at
 those sizes beats an FFT of M/2 + 1 or M + 1 points; finer 1-D and 2-D
-grids take scipy's type-1 DCT and DST.
+grids take the type-1 DCT and DST (``dct1``, ``dst1``).
+
+Every FFT is numpy's (``numpy.fft``, pocketfft), taken in the order scipy's
+``scipy.fft`` takes it, so each transform is bitwise scipy's: ``rfftn``
+and ``irfftn`` run their complex passes on axes 0, 1, ... around the real
+pass on the last axis, and ``dct1`` and ``dst1`` are the real FFTs of the
+even and odd extensions that scipy's type-1 transforms compute.  numpy
+rounds its 1/n normalization in double and scipy in long double; the two
+agree at every n below 2731, so at every 3-D size, and the first grid
+where a transform can differ in its last bit is a 1-D or 2-D grid of
+thousands of points per axis.
 
 This module caches per grid what a solve reads again: the 1-D coordinates
 and wavevectors, |k|^2 on the rfftn layout (the full-grid kinetic norm and
@@ -64,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
+import numpy.fft  # numpy 2 loads its fft module on first use; load it with the package
 
 from .errors import DilationOutOfBox, GridMismatch, NegativeInput, NonFinite, ZeroMass
 
@@ -83,7 +93,7 @@ _MAX_POINTS = 2**27
 # resolvent, x . grad and the Riesz convolution) are cached dense matrices,
 # one BLAS product per axis: the largest is (M + 1) x (M/2 + 1) doubles,
 # 0.25 MiB at 256.  Every 3-D grid lies within it; finer 1-D and 2-D grids,
-# where the products cost more than an FFT, take scipy's type-1 transforms
+# where the products cost more than an FFT, take the type-1 FFTs (dct1, dst1)
 _DENSE_MAX_M = 256
 
 
@@ -334,6 +344,54 @@ def apply_along(mat: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(mat, a)
 
 
+def rfftn(values: np.ndarray) -> np.ndarray:
+    """The N-D real FFT: ``rfft`` on the last axis, then ``fft`` on axes 0,
+    1, ... in place, scipy's order (numpy's ``rfftn`` takes the axes in
+    reverse and differs by roundoff)."""
+    spec = np.fft.rfft(values)
+    for ax in range(values.ndim - 1):
+        np.fft.fft(spec, axis=ax, out=spec)
+    return spec
+
+
+def irfftn(spec: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The inverse of ``rfftn`` onto ``shape``, scipy's way: unscaled
+    ``ifft`` on axes 0, 1, ..., ``irfft`` on the last axis, and one multiply
+    by 1/prod(shape).  ``spec`` is destroyed."""
+    for ax in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
+    out = np.fft.irfft(spec, n=shape[-1], norm="forward")
+    out *= 1.0 / math.prod(shape)
+    return out
+
+
+def dct1(values: np.ndarray, axis: int, n: int | None = None) -> np.ndarray:
+    """The type-1 DCT along ``axis`` of ``values``, zero-padded to ``n``
+    entries when given: the real part of the ``rfft`` of the even extension
+    [x, x_{n-2}, ..., x_1], which is scipy's ``dct(type=1)``.  A new
+    C-contiguous array."""
+    lead = (slice(None),) * axis
+    if n is not None:
+        pad = np.zeros(values.shape[:axis] + (n - values.shape[axis],) + values.shape[axis + 1 :])
+        values = np.concatenate((values, pad), axis=axis)
+    mirror = values[lead + (slice(-2, 0, -1),)]
+    spec = np.fft.rfft(np.concatenate((values, mirror), axis=axis), axis=axis)
+    return np.ascontiguousarray(spec.real)
+
+
+def dst1(values: np.ndarray, axis: int) -> np.ndarray:
+    """The type-1 DST along ``axis``: minus the imaginary part of entries
+    1..n of the ``rfft`` of the odd extension [0, x, 0, -reverse(x)], which
+    is scipy's ``dst(type=1)`` (its zeros are x_0 * 0, as scipy's are).  A
+    new C-contiguous array."""
+    lead = (slice(None),) * axis
+    n = values.shape[axis]
+    zero = values[lead + (slice(0, 1),)] * 0.0
+    odd = np.concatenate((zero, values, zero, -values[lead + (slice(None, None, -1),)]), axis=axis)
+    spec = np.fft.rfft(odd, axis=axis)
+    return np.negative(spec.imag[lead + (slice(1, n + 1),)], order="C")
+
+
 def cosines(n: np.ndarray, period: int) -> np.ndarray:
     """cos(2 pi n / period) of an integer array n, its argument reduced in
     integers to [0, pi/2]: modulo the period, then by cos(-t) = cos t and
@@ -352,7 +410,7 @@ def dense_octant(m: int) -> bool:
 
 @lru_cache(maxsize=8)
 def _octant_dct_matrix(m: int) -> np.ndarray:
-    """scipy's type-1 ``dct`` of the octant's M/2 + 1 offsets as a matrix,
+    """The type-1 DCT (``dct1``) of the octant's M/2 + 1 offsets as a matrix,
     D[j, k] = w_k cos(pi j k / (M/2)) with w = 1, 2, ..., 2, 1; D D = M I."""
     h = m // 2 + 1
     mat = cosines(np.multiply.outer(np.arange(h), np.arange(h)), m) * octant_weights((h,))
@@ -360,15 +418,14 @@ def _octant_dct_matrix(m: int) -> np.ndarray:
     return mat
 
 
-def _octant_dctn(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """The N-D DCT-I of an octant, a new array; ``overwrite_x`` lets the FFT
-    side destroy ``values``."""
+def _octant_dctn(values: np.ndarray) -> np.ndarray:
+    """The N-D DCT-I of an octant, axis 0 first, a new array."""
     m = 2 * (values.shape[0] - 1)
-    if not dense_octant(m):
-        return scipy.fft.dctn(values, type=1, overwrite_x=overwrite_x)
-    mat = _octant_dct_matrix(m)
     for ax in range(values.ndim):
-        values = apply_along(mat, values, ax)
+        if dense_octant(m):
+            values = apply_along(_octant_dct_matrix(m), values, ax)
+        else:
+            values = dct1(values, ax)
     return values
 
 
@@ -383,7 +440,7 @@ def grad_norm_sq_values(grid: GridSpec, values: np.ndarray) -> float:
         spec = _octant_dctn(values)
         power, k2, weights = spec * spec, _k_sq_octant(grid), octant_weights(spec.shape)
     else:
-        spec = scipy.fft.rfftn(values)
+        spec = rfftn(values)
         power, k2 = spec.real**2 + spec.imag**2, _k_sq_rfft(grid)
         weights = octant_weights(spec.shape[-1:])
     power *= weights
@@ -395,11 +452,16 @@ def rank_one_grad_norm_sq(grid: GridSpec, line: np.ndarray) -> float:
     """||grad u||^2 of u = a f (x) ... (x) f, f = 1 at the centre, from its
     central line a f: N a^2 (sum k^2 |F_k|^2)(sum |F_k|^2)^{N-1} h^N / M^N
     with F the 1-D FFT of f.  This is ``grad_norm_sq_values``'s Parseval sum
-    factored (the same wavenumbers, Nyquist included), with no N-D transform."""
+    factored (the same wavenumbers, Nyquist included), with no N-D transform.
+    |F|^2 is the ``rfft``'s, mirrored onto modes M/2 + 1..M - 1: the FFT of a
+    real line is its rfft with the conjugate half mirrored, as scipy's
+    ``fft`` returns it (numpy's ``fft`` of a real array differs by
+    roundoff)."""
     m = grid.points_per_axis
     a = line[m // 2]
-    spec = scipy.fft.fft(line / a)
-    power = spec.real**2 + spec.imag**2
+    half = np.fft.rfft(line / a)
+    half = half.real**2 + half.imag**2
+    power = np.concatenate((half, half[-2:0:-1]))
     k = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
     scale = grid.spacing / m
     kinetic, mass = scale * np.dot(k * k, power), scale * np.sum(power)
@@ -411,14 +473,14 @@ def neg_laplacian_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     of grad_norm_sq/2."""
     if on_octant(grid, values):
         return _octant_multiply(grid, values, _k_sq_octant(grid))
-    return scipy.fft.irfftn(_k_sq_rfft(grid) * scipy.fft.rfftn(values), s=grid.shape)
+    return irfftn(_k_sq_rfft(grid) * rfftn(values), grid.shape)
 
 
 def laplacian_resolvent_values(grid: GridSpec, values: np.ndarray, sigma: float) -> np.ndarray:
     """(sigma - Delta)^{-1} f, spectrally, on the layout of ``values``."""
     if on_octant(grid, values):
         return _octant_multiply(grid, values, 1.0 / (sigma + _k_sq_octant(grid)))
-    return scipy.fft.irfftn(scipy.fft.rfftn(values) / (sigma + _k_sq_rfft(grid)), s=grid.shape)
+    return irfftn(rfftn(values) / (sigma + _k_sq_rfft(grid)), grid.shape)
 
 
 def _octant_multiply(grid: GridSpec, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -427,7 +489,7 @@ def _octant_multiply(grid: GridSpec, values: np.ndarray, multiplier: np.ndarray)
     which inverts the first up to M per axis."""
     spec = _octant_dctn(values)
     spec *= multiplier
-    out = _octant_dctn(spec, overwrite_x=True)
+    out = _octant_dctn(spec)
     out /= grid.size
     return out
 
@@ -454,21 +516,20 @@ def x_grad_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
         for ax in range(grid.dim):
             inner = (slice(None),) * ax + (slice(1, half),)
             along = (-1,) + (1,) * (grid.dim - ax - 1)
-            spec = scipy.fft.dct(values, type=1, axis=ax)[inner] * wavenumber.reshape(along)
-            d_k = scipy.fft.dst(spec, type=1, axis=ax, overwrite_x=True)
-            out[inner] -= x_over_m.reshape(along) * d_k
+            spec = dct1(values, ax)[inner] * wavenumber.reshape(along)
+            out[inner] -= x_over_m.reshape(along) * dst1(spec, ax)
         return out
-    spec = scipy.fft.rfftn(values)
+    spec = rfftn(values)
     out = np.zeros(grid.shape)
     for x, k in zip(grid.coords(), _derivative_wavevectors(grid)):
-        out += x * scipy.fft.irfftn(1j * k * spec, s=grid.shape)
+        out += x * irfftn(1j * k * spec, grid.shape)
     return out
 
 
 @lru_cache(maxsize=8)
 def _x_grad_matrix(grid: GridSpec) -> np.ndarray:
     """x_k d_k on one axis of the octant as an (M/2 + 1)^2 matrix: the DCT-I,
-    the wavenumbers pi j / L of modes 1..M/2 - 1, scipy's DST-I back to
+    the wavenumbers pi j / L of modes 1..M/2 - 1, the DST-I (``dst1``) back to
     offsets 1..M/2 - 1 (2 sin(pi i j / (M/2))) and their coordinates
     -h i; the rows of offsets 0 and M/2 are zero."""
     m, half = grid.points_per_axis, grid.points_per_axis // 2

@@ -63,8 +63,8 @@ octant.  Up to M = 256 (``grid._DENSE_MAX_M``, every 3-D grid) each of
 those transforms is a cached dense matrix applied as one BLAS product per
 axis: forward (M + 1) x (M/2 + 1), with the multiplicities and the face's
 1/2 folded in, and inverse (M/2 + 1) x (M + 1), cropped.  Finer 1-D and
-2-D grids take scipy's type-1 DCT pass by pass, padded forward and cropped
-inverse as above.  The operator is symmetric on even
+2-D grids take the type-1 DCT (``grid.dct1``) pass by pass, padded forward
+and cropped inverse as above.  The operator is symmetric on even
 fields, so an energy built on it has the gradient built on it as its exact
 derivative; it equals the full-grid sum when the face is zero.  The solvers
 descend with it and certify their answer on the full grid.
@@ -72,6 +72,11 @@ descend with it and certify their answer on the full grid.
 A density that is the outer product of N copies of one 1-D factor has its
 quadratic form sum (K * rho) rho without an N-D transform
 (``riesz_energy_rank_one``).
+
+Every FFT is numpy's, in scipy's order (``grid``): the kernel's DCT-I is
+``grid.dct1`` in place on the octant, one axis at a time, on _SLAB rows of
+another axis per call, and the complex passes write into their slab
+through ``out=``.
 
 ``build_convolver`` keeps its last result: every solve, geometry check,
 scan cell and fiber call on one (grid, alpha) shares one read-only octant
@@ -86,7 +91,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
+import numpy.fft  # numpy 2 loads these modules on first use; load them with the package
+import numpy.polynomial
 
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
 from .grid import (
@@ -94,6 +100,7 @@ from .grid import (
     ScalarField,
     apply_along,
     cosines,
+    dct1,
     dense_octant,
     octant_weights,
     on_octant,
@@ -178,10 +185,18 @@ def build_convolver(grid: GridSpec, alpha: float) -> RieszConvolver:
         kern = r2 ** ((alpha - grid.dim) / 2.0)
     del r2
     kern[(0,) * grid.dim] = sing
-    octant = scipy.fft.dctn(kern, type=1)
-    del kern
-    octant.setflags(write=False)
-    return RieszConvolver(grid, alpha, octant, sing)
+    # the DCT-I in place, axis 0 first, on _SLAB rows of another axis per
+    # call, so no second array of the octant's size is allocated
+    if grid.dim == 1:
+        kern = dct1(kern, 0)
+    else:
+        for ax in range(grid.dim):
+            lead = (slice(None),) if ax == 0 else ()
+            for i0 in range(0, m + 1, _SLAB):
+                stripe = lead + (slice(i0, i0 + _SLAB),)
+                kern[stripe] = dct1(kern[stripe], ax)
+    kern.setflags(write=False)
+    return RieszConvolver(grid, alpha, kern, sing)
 
 
 def riesz_convolve(conv: RieszConvolver, rho: ScalarField) -> ScalarField:
@@ -200,16 +215,16 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
     m, n = grid.points_per_axis, 2 * grid.points_per_axis
     lead = grid.dim - 1
     if lead == 0:
-        spec = scipy.fft.rfft(values, n=n)
+        spec = np.fft.rfft(values, n=n)
         spec *= conv.octant_spectrum
-        return scipy.fft.irfft(spec, n=n)[:m] * grid.cell_volume
+        return np.fft.irfft(spec, n=n)[:m] * grid.cell_volume
     # the last axis's real transforms run on _SLAB rows of the first axis at
     # a time, so no padded real copy of the data and no padded real inverse
     # of the whole grid is allocated
     stripes = [slice(i0, i0 + _SLAB) for i0 in range(0, m, _SLAB)]
     spec = np.empty(values.shape[:-1] + (m + 1,), dtype=np.complex128)
     for stripe in stripes:
-        spec[stripe] = scipy.fft.rfft(values[stripe], n=n, axis=-1)
+        np.fft.rfft(values[stripe], n=n, out=spec[stripe])
     # blocks of last-axis frequencies, that axis first, pass through one
     # workspace; every complex pass runs in place on a view of it
     front = np.moveaxis(spec, -1, 0)
@@ -227,28 +242,19 @@ def riesz_convolve_values(conv: RieszConvolver, values: np.ndarray) -> np.ndarra
         for ax in range(lead):
             slab[(slice(None),) * (ax + 1) + (slice(m, None),) + core[ax + 2 :]] = 0.0
             rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-            _in_place(scipy.fft.fft, slab[rows], ax + 1)
+            np.fft.fft(slab[rows], axis=ax + 1, out=slab[rows])
         for dst, src in picks:
             slab[(slice(None),) + dst] *= kern[(block,) + src]
         for ax in range(lead - 1, -1, -1):
             rows = (slice(None),) * (ax + 2) + core[ax + 2 :]
-            _in_place(scipy.fft.ifft, slab[rows], ax + 1)
+            np.fft.ifft(slab[rows], axis=ax + 1, out=slab[rows])
         front[block] = slab[core]
     del work, slab
     out = np.empty(values.shape)
     for stripe in stripes:
-        np.multiply(scipy.fft.irfft(spec[stripe], n=n, axis=-1)[..., :m], grid.cell_volume,
+        np.multiply(np.fft.irfft(spec[stripe], n=n)[..., :m], grid.cell_volume,
                     out=out[stripe])
     return out
-
-
-def _in_place(transform, rows: np.ndarray, axis: int) -> None:
-    """``transform`` of ``rows`` along ``axis``, stored in ``rows``: scipy may
-    transform a view in place under ``overwrite_x``, but it only promises
-    leave to destroy the input, so a result elsewhere is copied back."""
-    out = transform(rows, axis=axis, overwrite_x=True)
-    if out.ctypes.data != rows.ctypes.data or out.strides != rows.strides:
-        rows[...] = out
 
 
 @lru_cache(maxsize=4)
@@ -292,10 +298,10 @@ def _convolve_octant(conv: RieszConvolver, values: np.ndarray) -> np.ndarray:
     # transformed; inverse (a DCT-I is its own inverse up to 1/(2M) per
     # axis): each pass crops its axis to M/2 + 1 before the next one
     for ax in range(dim):
-        work = scipy.fft.dct(work, type=1, n=m + 1, axis=ax)
+        work = dct1(work, ax, n=m + 1)
     work *= conv.octant_spectrum
     for ax in range(dim - 1, -1, -1):
-        work = scipy.fft.dct(work, type=1, axis=ax, overwrite_x=True)
+        work = dct1(work, ax)
         work = work[(slice(None),) * ax + (slice(0, m // 2 + 1),)]
     return work * (grid.cell_volume / (2 * m) ** dim)
 
@@ -309,7 +315,7 @@ def riesz_energy_rank_one(conv: RieszConvolver, factor: np.ndarray) -> float:
     ``octant_spectrum`` (weight 1 at 0 and M, 2 elsewhere), axis by axis."""
     grid = conv.grid
     m = grid.points_per_axis
-    spec = scipy.fft.rfft(factor, n=2 * m)
+    spec = np.fft.rfft(factor, n=2 * m)
     power = spec.real**2 + spec.imag**2
     power[1:m] *= 2.0
     total = conv.octant_spectrum

@@ -26,7 +26,8 @@ def test_smoke_at_m16(tmp_path, monkeypatch):
     assert load_script().main(["--out", str(out), "--cases", "3:16", "--repeats", "2"]) == 0
     data = json.loads(out.read_text())
     assert data["numpy"] and data["scipy"] and data["host"]["cpus"]
-    assert data["threads"]["fft_workers"] == 1
+    assert data["threads"] == {var: "1" for var in
+                               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     assert data["settings"]["min_calls"] == 3
     solves = data["cold_solves"]
     assert {name: (s["points_per_axis"], s["rc"]) for name, s in solves.items()} == {

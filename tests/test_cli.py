@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 import choquard as cq
@@ -33,6 +35,7 @@ def tiny_minimize_config(**overrides):
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -411,13 +414,17 @@ class TestRunMinimize:
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_override_below_one(self, tmp_path, capsys, threads):
+        pool = cq.cli._blas_pool()
+        if pool is None:
+            pytest.skip("numpy links no bundled OpenBLAS")
+        before = pool[0]()
         path = write_config(tmp_path, tiny_minimize_config())
         code = main(["minimize", "--config", str(path), "--threads", threads,
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error: --threads" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
-        assert scipy.fft.get_workers() == 1
+        assert pool[0]() == before
 
     def test_error_record_on_solver_exception(self, tmp_path):
         payload = tiny_minimize_config()
@@ -629,22 +636,30 @@ class TestScanMode:
 
 class TestThreads:
     def test_energies_agree_across_worker_counts(self, tmp_path, monkeypatch):
+        pool = cq.cli._blas_pool()
+        if pool is None:
+            pytest.skip("numpy links no bundled OpenBLAS")
+        get, put = pool
         path = write_config(tmp_path, tiny_minimize_config())
         solve = cq.cli.minimize_normalized
         inside = []
         monkeypatch.setattr(
-            cq.cli, "minimize_normalized",
-            lambda *a: inside.append(scipy.fft.get_workers()) or solve(*a),
+            cq.cli, "minimize_normalized", lambda *a: inside.append(get()) or solve(*a),
         )
         totals = []
-        for threads, name in ((1, "t1"), (2, "t2")):
-            code = main(["minimize", "--config", str(path), "--threads", str(threads),
-                         "--out", str(tmp_path / name)])
-            assert code == 0
-            assert scipy.fft.get_workers() == 1
-            rep = json.loads((tmp_path / name / "report.json").read_text())
-            totals.append(rep["result"]["energy"]["total"])
-        assert inside == [1, 2]
+        before = get()
+        try:
+            put(1)
+            for threads, name in ((1, "t1"), (2, "t2")):
+                code = main(["minimize", "--config", str(path), "--threads", str(threads),
+                             "--out", str(tmp_path / name)])
+                assert code == 0
+                assert get() == 1
+                rep = json.loads((tmp_path / name / "report.json").read_text())
+                totals.append(rep["result"]["energy"]["total"])
+        finally:
+            put(before)
+        assert inside == [1, min(2, cq.cli._usable_cores())]
         assert abs(totals[0] - totals[1]) <= 1e-10 * max(1.0, abs(totals[0]))
 
     @pytest.mark.parametrize("threads", [2, 64])
@@ -674,6 +689,36 @@ class TestThreads:
         path = write_config(tmp_path, tiny_minimize_config())
         assert main(["minimize", "--config", str(path), "--threads", "2",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+class TestWithoutScipy:
+    """scipy is a test dependency only: with every ``scipy`` import made to
+    fail, a small minimize and a small saddle run end to end."""
+
+    def test_minimize_and_saddle_run(self, tmp_path):
+        saddle = tiny_minimize_config(
+            mode="saddle", grid={"dim": 3, "half_extent": 10.0, "points_per_axis": 40},
+            model={"alpha": 2.0, "p": 3.0, "q": 3.0, "mu1": 60.0, "mu2": 60.0,
+                   "coupling": {"kind": "constant", "beta0": 0.015}},
+            saddle={"max_iters": 300, "grad_tol": 2e-5, "pohozaev_rel_tol": 1e-6},
+            init={"width_u": 1.2, "width_v": 1.2},
+        )
+        del saddle["flow"]
+        for payload in (tiny_minimize_config(), saddle):
+            mode = payload["mode"]
+            path = write_config(tmp_path, payload, name=f"{mode}.json")
+            code = (
+                "import sys; sys.modules['scipy'] = None; "
+                "from choquard.cli import main; "
+                f"sys.exit(main([{mode!r}, '--config', {str(path)!r}, "
+                f"'--out', {str(tmp_path / mode)!r}]))"
+            )
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, (mode, proc.stderr[-2000:])
+            assert (tmp_path / mode / "report.json").exists()
 
 
 class TestShippedConfigsUseEvenSubspace:

@@ -6,14 +6,17 @@ int int e^{-x^2} e^{-y^2} / |x-y| = sqrt(2) pi^{5/2}, derived from the
 erf potential and cross-checked against the direct-sum convolution below.
 """
 
+import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import choquard as cq
+import choquard.cli
 from choquard.riesz import riesz_convolve_oracle
 from conftest import smooth_random_field, smooth_random_nonneg
 
@@ -591,3 +594,81 @@ class TestEvenSubspaceEnergy:
             norm = math.sqrt(g.cell_volume * cq.grid.grid_sum(g, gval * gval))
             scale = max(abs(fd), norm)
             assert abs(fd - ip) < 1e-7 * scale, f"direction {k}"
+
+
+class TestExactInvariances:
+    """The discrete problem keeps the continuum's exact structure: every
+    relation below holds on the grid to roundoff, not to discretization
+    error, on the ``configs/minimize.json`` model (N = 3, alpha = 2,
+    p = q = 2, mu = 5, constant beta = 0.1, V = 0, L = 12) at 32^3."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def model(**changes):
+        cfg = cq.cli.parse_config(Path(__file__).resolve().parents[1] / "configs" / "minimize.json")
+        return dataclasses.replace(cfg.params, **changes), cq.GridSpec(3, cfg.grid.half_extent, 32)
+
+    @staticmethod
+    def pair(grid, seed=5):
+        rng = np.random.default_rng(seed)
+        u, v = (smooth_random_nonneg(grid, rng).values for _ in range(2))
+        return u, v
+
+    @staticmethod
+    def energy(grid, u, v, params):
+        state = cq.StatePair(cq.ScalarField(grid, u), cq.ScalarField(grid, v))
+        return cq.energy_total(state, params).total
+
+    @pytest.mark.parametrize("lam", [2.0, 0.75, 1.6])
+    def test_box_scaling(self, lam):
+        # E on the box L/lam at lam^{N/2} u, with (mu, beta), is lam^2 times E
+        # on the box L at u, with (mu lam^{2 p delta_p - 2}, beta / lam^2):
+        # the spectral Laplacian and the kernel (K(0) in lattice units) are
+        # homogeneous in h
+        params, grid = self.model()
+        u, v = self.pair(grid)
+        small = cq.GridSpec(3, grid.half_extent / lam, grid.points_per_axis)
+        scale = lam ** (3 / 2)
+        want = self.energy(small, scale * u, scale * v, params)
+        mu = params.mu1 * lam ** (2 * params.p * params.delta_p - 2)
+        big = dataclasses.replace(params, mu1=mu, mu2=mu, coupling=cq.CouplingSpec(
+            "constant", params.coupling.beta0 / lam**2))
+        got = lam**2 * self.energy(grid, u, v, big)
+        assert got == pytest.approx(want, rel=self.RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("changes", [{}, {"q": 2.4, "mu2": 3.0}])
+    def test_component_swap(self, changes):
+        params, grid = self.model(**changes)
+        u, v = self.pair(grid)
+        swapped = dataclasses.replace(params, p=params.q, q=params.p, mu1=params.mu2,
+                                      mu2=params.mu1, v1=params.v2, v2=params.v1)
+        want = self.energy(grid, u, v, params)
+        assert self.energy(grid, v, u, swapped) == pytest.approx(want, rel=self.RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("axes", [(1, 0, 2), (2, 0, 1), (0, 2, 1)])
+    def test_axis_permutation(self, axes):
+        params, grid = self.model()
+        u, v = self.pair(grid)
+        want = self.energy(grid, u, v, params)
+        got = self.energy(grid, np.transpose(u, axes).copy(), np.transpose(v, axes).copy(), params)
+        assert got == pytest.approx(want, rel=self.RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, None])
+    def test_reflection(self, axis):
+        # i -> M - 1 - i keeps every periodic and every free-space distance
+        params, grid = self.model()
+        u, v = self.pair(grid)
+        want = self.energy(grid, u, v, params)
+        got = self.energy(grid, np.flip(u, axis).copy(), np.flip(v, axis).copy(), params)
+        assert got == pytest.approx(want, rel=self.RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("c", [0.7, 1.9])
+    def test_mass_scaling_without_coupling(self, c):
+        # beta = 0: E(c u, c v) with mu c^{2 - 2p} is c^2 E(u, v) with mu
+        params, grid = self.model(coupling=cq.CouplingSpec("constant", 0.0))
+        u, v = self.pair(grid)
+        mu = params.mu1 * c ** (2 - 2 * params.p)
+        want = c**2 * self.energy(grid, u, v, params)
+        got = self.energy(grid, c * u, c * v, dataclasses.replace(params, mu1=mu, mu2=mu))
+        assert got == pytest.approx(want, rel=self.RTOL, abs=0.0)

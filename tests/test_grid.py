@@ -355,12 +355,12 @@ class TestOctantOperators:
 
 class TestDenseOctantTransforms:
     """Up to M = ``_DENSE_MAX_M`` the octant transforms are cached dense
-    matrices, one BLAS product per axis, and above it scipy's type-1 FFTs;
+    matrices, one BLAS product per axis, and above it the type-1 FFTs;
     both give the same operators to roundoff, on either side of the rule."""
 
     CASES = [(1, 64, 6.0), (1, 512, 30.0), (2, 24, 5.0), (2, 300, 20.0), (3, 16, 4.0),
              (3, 40, 9.0)]
-    SCIPY = ("fft", "ifft", "rfft", "irfft", "dct", "dst", "dctn", "idctn", "rfftn", "irfftn")
+    NUMPY = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "hfft")
 
     @staticmethod
     def operators(g):
@@ -400,10 +400,10 @@ class TestDenseOctantTransforms:
         ops = self.operators(g)  # the convolver is built before the spy
 
         def refuse(*args, **kwargs):
-            raise AssertionError("scipy.fft called on the dense side")
+            raise AssertionError("numpy.fft called on the dense side")
 
-        for name in self.SCIPY:
-            monkeypatch.setattr(scipy.fft, name, refuse)
+        for name in self.NUMPY:
+            monkeypatch.setattr(np.fft, name, refuse)
         for op in ops.values():
             op(f)
 
@@ -412,15 +412,99 @@ class TestDenseOctantTransforms:
         f = TestOctantOperators.octant(g)
         ops = self.operators(g)
         calls = []
-        for name in ("dct", "dst", "dctn"):
-            def spy(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, spy)
+
+        def spy(*args, _fn=np.fft.rfft, **kwargs):
+            calls.append(np.shape(args[0]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
         for name, op in ops.items():
             calls.clear()
             op(f)
             assert calls, name
+
+
+class TestTransformsAreScipys:
+    """Every FFT is numpy's, taken in scipy's order, and bitwise
+    ``scipy.fft``'s: the N-D real pair, the type-1 DCT (also zero-padded)
+    and DST along every axis, the 1-D real pair at n = 2M and the complex
+    pair in place, at even, odd and prime sizes in 1-D to 3-D."""
+
+    SIZES = (8, 17, 20, 21, 33, 40, 41, 64, 65, 80, 128, 129)
+    CASES = [(dim, n) for n in SIZES for dim in (1, 2, 3)]
+
+    @staticmethod
+    def data(dim, n):
+        return np.random.default_rng(1000 * dim + n).standard_normal((n,) * dim)
+
+    @pytest.mark.parametrize("dim,n", CASES)
+    def test_real_nd_pair(self, dim, n):
+        x = self.data(dim, n)
+        spec = cq.grid.rfftn(x)
+        assert np.array_equal(spec, scipy.fft.rfftn(x))
+        noise = np.random.default_rng(n).standard_normal(spec.shape + (2,))
+        spec = noise[..., 0] + 1j * noise[..., 1]
+        assert np.array_equal(cq.grid.irfftn(spec.copy(), x.shape),
+                              scipy.fft.irfftn(spec, s=x.shape))
+
+    @pytest.mark.parametrize("dim,n", CASES)
+    def test_type_one_transforms_along_every_axis(self, dim, n):
+        x = self.data(dim, n)
+        nd = x
+        for ax in range(dim):
+            for got, want in (
+                (cq.grid.dct1(x, ax), scipy.fft.dct(x, type=1, axis=ax)),
+                (cq.grid.dct1(x, ax, n=2 * n - 1), scipy.fft.dct(x, type=1, n=2 * n - 1, axis=ax)),
+                (cq.grid.dst1(x, ax), scipy.fft.dst(x, type=1, axis=ax)),
+            ):
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want), ax
+            nd = cq.grid.dct1(nd, ax)
+        assert np.array_equal(nd, scipy.fft.dctn(x, type=1))
+
+    @pytest.mark.parametrize("dim,n", CASES)
+    def test_one_dimensional_passes(self, dim, n):
+        # the convolution's passes: rfft and irfft at n = 2M on the last
+        # axis, fft and ifft in place along every axis
+        x = self.data(dim, n)
+        spec = np.fft.rfft(x, n=2 * n)
+        assert np.array_equal(spec, scipy.fft.rfft(x, n=2 * n))
+        assert np.array_equal(np.fft.irfft(spec, n=2 * n), scipy.fft.irfft(spec, n=2 * n))
+        z = x + 1j * self.data(dim, n)[::-1]
+        for ax in range(dim):
+            for numpy_fn, scipy_fn in ((np.fft.fft, scipy.fft.fft), (np.fft.ifft, scipy.fft.ifft)):
+                rows = z.copy()
+                numpy_fn(rows, axis=ax, out=rows)
+                assert np.array_equal(rows, scipy_fn(z, axis=ax)), (ax, scipy_fn.__name__)
+
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 40), (3, 16), (3, 20)])
+    def test_kernel_spectrum_is_scipys_dctn(self, dim, m):
+        # the build's in-place, striped DCT-I is the N-D transform of the
+        # kernel's octant (m + 1 = 17 and 21 leave a partial stripe)
+        g = cq.GridSpec(dim, 6.0, m)
+        alpha = 0.6 * dim
+        conv = cq.riesz.build_convolver.__wrapped__(g, alpha)
+        off = np.arange(m + 1) * g.spacing
+        r2 = sum(off.reshape((1,) * d + (-1,) + (1,) * (dim - d - 1)) ** 2 for d in range(dim))
+        with np.errstate(divide="ignore"):
+            kern = r2 ** ((alpha - dim) / 2.0)
+        kern[(0,) * dim] = conv.singular_value
+        assert np.array_equal(conv.octant_spectrum, scipy.fft.dctn(kern, type=1))
+
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 40), (3, 20), (3, 64)])
+    def test_rank_one_kinetic_sum_is_scipys(self, dim, m):
+        # numpy's fft of a real line differs from scipy's by roundoff; the
+        # rfft with its power mirrored is bitwise scipy's full spectrum
+        g = cq.GridSpec(dim, 8.0, m)
+        line = np.exp(-g.axis() ** 2 / 3.0) * 1.7
+        a = line[m // 2]
+        spec = scipy.fft.fft(line / a)
+        power = spec.real**2 + spec.imag**2
+        k = 2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing)
+        scale = g.spacing / m
+        kinetic, mass = scale * np.dot(k * k, power), scale * np.sum(power)
+        want = float(dim * a * a * kinetic * mass ** (dim - 1))
+        assert cq.grid.rank_one_grad_norm_sq(g, line) == want
 
 
 class TestRadialShells:

@@ -13,7 +13,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.special import erf
 
 import choquard as cq
@@ -172,28 +171,6 @@ class TestPruned:
         ref = dense_padded_convolution(conv, vals)
         assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) < 1e-13
 
-    def test_worker_count_reaches_transforms(self, monkeypatch):
-        g = cq.GridSpec(3, 6.0, 24)
-        conv = cq.build_convolver(g, 2.0)
-        rho = cq.ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
-        one = cq.riesz_convolve(conv, rho).values
-        workers = []
-        for name in ("rfft", "fft", "ifft", "irfft"):
-            fn = getattr(scipy.fft, name)
-
-            def call(*args, _fn=fn, **kwargs):
-                workers.append(kwargs.get("workers") or scipy.fft.get_workers())
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, call)
-        with scipy.fft.set_workers(2):
-            two = cq.riesz_convolve(conv, rho).values
-        m, slab = g.points_per_axis, choquard.riesz._SLAB
-        blocks, stripes = -(-(m + 1) // slab), -(-m // slab)
-        assert len(workers) == 2 * stripes + 2 * (g.dim - 1) * blocks and set(workers) == {2}
-        assert scipy.fft.get_workers() == 1
-        assert np.max(np.abs(two - one)) <= 1e-13 * np.max(np.abs(one))
-
 
 class TestOracle:
     @pytest.mark.parametrize(
@@ -209,14 +186,17 @@ class TestOracle:
 
     @pytest.mark.parametrize("dim,m,L,alpha", [(2, 24, 6.0, 1.2), (3, 12, 4.0, 2.0)])
     def test_transforms_that_return_new_arrays(self, dim, m, L, alpha, monkeypatch):
-        # overwrite_x only lets scipy destroy its input: a transform that
-        # leaves the slab alone and returns its result elsewhere must still
-        # give the oracle's sum
+        # a complex pass that computes from a copy of its input and stores
+        # its result only where ``out`` says must still give the oracle's
+        # sum: a pass whose result the convolution dropped would fail here
         for name in ("fft", "ifft"):
-            def fresh(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
-                kwargs["overwrite_x"] = False
-                return _fn(np.array(x), *args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, fresh)
+            def fresh(x, *args, _fn=getattr(np.fft, name), out=None, **kwargs):
+                result = _fn(np.array(x), *args, **kwargs)
+                if out is None:
+                    return result
+                out[...] = result
+                return out
+            monkeypatch.setattr(np.fft, name, fresh)
         g = cq.GridSpec(dim, L, m)
         rho = cq.ScalarField(g, np.random.default_rng(dim).standard_normal(g.shape))
         fast = cq.riesz_convolve(cq.build_convolver(g, alpha), rho).values
@@ -246,7 +226,7 @@ class TestLean:
     def test_import_loads_no_optimize_or_integrate(self):
         code = (
             "import sys, choquard, choquard.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
