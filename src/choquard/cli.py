@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-import numpy.random  # numpy 2 loads it on first use; load it before a run is traced
+import numpy as np  # numpy.random loads on first use: only to draw a width, a scan or an oracle
 
 from .errors import ChoquardError, RangeError, SchemaError
 from .grid import GridSpec, ScalarField, StatePair, gaussian_field, radial_profile
@@ -353,10 +352,14 @@ def _write_profiles(path: Path, cfg: RunConfig, state: StatePair) -> None:
 
 
 def _default_init(cfg: RunConfig) -> StatePair:
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = math.log(0.5), math.log(max(cfg.grid.half_extent / 3.0, 1.0))
-    wu = cfg.init_width_u or float(np.exp(rng.uniform(lo, hi)))
-    wv = cfg.init_width_v or float(np.exp(rng.uniform(lo, hi)))
+    wu, wv = cfg.init_width_u, cfg.init_width_v
+    if not (wu and wv):
+        # a missing width is drawn, u's first; a run with both widths set
+        # builds no generator
+        rng = np.random.default_rng(cfg.seed)
+        lo, hi = math.log(0.5), math.log(max(cfg.grid.half_extent / 3.0, 1.0))
+        wu = wu or float(np.exp(rng.uniform(lo, hi)))
+        wv = wv or float(np.exp(rng.uniform(lo, hi)))
     zero = np.zeros(cfg.grid.shape)
     u = gaussian_field(cfg.grid, wu).values if cfg.params.xi > 0 else zero
     v = gaussian_field(cfg.grid, wv).values if cfg.params.eta > 0 else zero

@@ -44,9 +44,11 @@ integral over a smoothly windowed neighborhood of the singularity,
     K(0) := h^{-N} [ int K(y) chi(|y|/R) dy  -  h^N sum_{d != 0} K(dh) chi(|dh|/R) ],
 
 computed once per (dim, alpha) in lattice units (R = 32 h, chi a C^3
-cutoff).  Away from the singular cell the midpoint sum of a smooth decaying
-integrand is spectrally accurate, so this local correction removes the
-leading error entirely; for alpha = 2, N = 3 the convolution of a Gaussian
+cutoff), the lattice sum from one table of its summand per integer |d|^2,
+the integral by a 32-point Gauss-Legendre rule held as literals.  Away
+from the singular cell the midpoint sum of a smooth decaying integrand is
+spectrally accurate, so this local correction removes the leading error
+entirely; for alpha = 2, N = 3 the convolution of a Gaussian
 converges at fourth order (the corrected value reproduces the classical
 simple-cubic lattice constant 2.8372975 / h).  A direct double-sum oracle
 evaluates the identical quadrature for cross-checks.
@@ -91,8 +93,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import numpy.fft  # numpy 2 loads these modules on first use; load them with the package
-import numpy.polynomial
+import numpy.fft  # numpy 2 loads it on first use; load it with the package
 
 from .errors import AlphaOutOfRange, GridMismatch, TooLarge
 from .grid import (
@@ -110,6 +111,24 @@ _ORACLE_CAPS = {1: 1024, 2: 32, 3: 16}
 _WINDOW_CELLS = 32
 # last-axis frequencies per block of the pruned transform's complex passes
 _SLAB = 8
+# the 32-point Gauss-Legendre rule on [-1, 1], mirrored from its positive
+# half: numpy.polynomial.legendre.leggauss(32) symmetrizes its nodes and
+# weights exactly, so this is that rule bitwise, without loading
+# numpy.polynomial or its LAPACK eigensolver
+_GAUSS_HALF_NODES = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+])
+_GAUSS_NODES = np.concatenate((-_GAUSS_HALF_NODES[::-1], _GAUSS_HALF_NODES))
+_GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS[::-1], _GAUSS_HALF_WEIGHTS))
 
 
 def _cutoff(t: np.ndarray | float):
@@ -121,33 +140,34 @@ def _cutoff(t: np.ndarray | float):
 def _window_integral(alpha: float) -> float:
     """int_0^1 t^(alpha - 1) chi(t) dt: exact on [0, 1/2], where chi = 1, and
     32-point Gauss-Legendre on [1/2, 1], where the integrand is smooth."""
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    t = 0.75 + 0.25 * nodes
-    return 0.5**alpha / alpha + 0.25 * float(np.sum(weights * t ** (alpha - 1.0) * _cutoff(t)))
+    t = 0.75 + 0.25 * _GAUSS_NODES
+    return 0.5**alpha / alpha + 0.25 * float(np.sum(_GAUSS_WEIGHTS * t ** (alpha - 1.0) * _cutoff(t)))
 
 
 @lru_cache(maxsize=32)
 def _singular_coefficient(dim: int, alpha: float) -> float:
     """K(0) h^{N - alpha}: windowed kernel integral minus the punctured
-    lattice sum, in lattice units (scale-invariant)."""
+    lattice sum, in lattice units (scale-invariant).
+
+    A summand depends on its offset d only through the integer |d|^2 < m^2,
+    so it is evaluated once per value, in a table over sqrt(0..m^2 - 1), and
+    gathered in the (2m + 1)^N cube's order from an int16 cube of |d|^2.
+    sqrt is correctly rounded and 0 < |d| < m iff 0 < |d|^2 < m^2, so the sum
+    adds the terms of the masked float cube of distances, bitwise, in its
+    order; no float cube is built."""
     m = _WINDOW_CELLS
     surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
     integral = surf * m**alpha * _window_integral(alpha)
-    axis = np.arange(-m, m + 1, dtype=np.float64)
-    rest = np.zeros((2 * m + 1,) * (dim - 1))
-    for d in range(dim - 1):
-        rest = rest + axis.reshape((1,) * d + (-1,) + (1,) * (dim - d - 2)) ** 2
-    # the distances inside the window, _SLAB rows of the first axis at a
-    # time in the cube's order: squared integer offsets are exact and sqrt
-    # is correctly rounded, so this is the masked cube bitwise
-    pieces = []
-    for k0 in range(0, 2 * m + 1, _SLAB):
-        dist = np.sqrt(axis[k0 : k0 + _SLAB].reshape((-1,) + (1,) * (dim - 1)) ** 2 + rest)
-        pieces.append(dist[(dist > 0.0) & (dist < m)])
-    dist = np.concatenate(pieces)
-    del pieces
-    lattice = float(np.sum(dist ** (alpha - dim) * _cutoff(dist / m)))
-    return integral - lattice
+    dist = np.sqrt(np.arange(m * m, dtype=np.float64))
+    with np.errstate(divide="ignore"):
+        table = dist ** (alpha - dim) * _cutoff(dist / m)
+    sq = np.arange(-m, m + 1, dtype=np.int16) ** 2
+    d2 = sq
+    for _ in range(dim - 1):
+        d2 = d2[..., None] + sq
+    inside = d2[(d2 > 0) & (d2 < m * m)]
+    del d2
+    return integral - float(np.sum(table[inside]))
 
 
 def _singular_value(dim: int, alpha: float, h: float) -> float:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -501,6 +502,22 @@ class TestDeterminism:
                   "--out", str(tmp_path / name)])
             outs.append(json.loads((tmp_path / name / "report.json").read_text()))
         assert outs[0]["config"]["seed"] == 1 and outs[1]["config"]["seed"] == 2
+
+    @pytest.mark.parametrize("widths", [(None, None), (1.3, None), (None, 1.3), (1.3, 1.4)],
+                             ids=["none", "u-set", "v-set", "both"])
+    def test_default_init_widths(self, tmp_path, widths):
+        # the widths of the formula that always built a generator: a missing
+        # width is drawn log-uniformly, u's draw first
+        payload = tiny_minimize_config(seed=7)
+        payload["init"] = {k: w for k, w in zip(("width_u", "width_v"), widths) if w is not None}
+        cfg = parse_config(write_config(tmp_path, payload))
+        rng = np.random.default_rng(7)
+        lo, hi = math.log(0.5), math.log(max(cfg.grid.half_extent / 3.0, 1.0))
+        wu = widths[0] or float(np.exp(rng.uniform(lo, hi)))
+        wv = widths[1] or float(np.exp(rng.uniform(lo, hi)))
+        start = cq.cli._default_init(cfg)
+        assert np.array_equal(start.u.values, cq.gaussian_field(cfg.grid, wu).values)
+        assert np.array_equal(start.v.values, cq.gaussian_field(cfg.grid, wv).values)
 
 
 class TestCheckMode:

@@ -6,6 +6,7 @@ pi^{3/2} erf(r)/r (value 2 pi at r = 0), derived from the error-function
 integral; it anchors the alpha = 2 case.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -231,6 +232,46 @@ class TestLean:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_runs_with_set_widths_load_no_random_or_polynomial(self, tmp_path):
+        # K(0)'s quadrature rule is a literal and a start whose widths are
+        # both set draws none, so neither module is loaded by a solve
+        model = {"alpha": 2.0, "xi": 1.0, "eta": 1.0}
+        configs = {
+            "minimize": {
+                "grid": {"dim": 3, "half_extent": 8.0, "points_per_axis": 16},
+                "model": {**model, "p": 2.0, "q": 2.0, "mu1": 5.0, "mu2": 5.0,
+                          "coupling": {"kind": "constant", "beta0": 0.1}},
+                "flow": {"max_iters": 400, "grad_tol": 1e-4, "symmetrize_every": 10},
+                "init": {"width_u": 1.5, "width_v": 1.5},
+            },
+            "saddle": {
+                "grid": {"dim": 3, "half_extent": 10.0, "points_per_axis": 40},
+                "model": {**model, "p": 3.0, "q": 3.0, "mu1": 60.0, "mu2": 60.0,
+                          "coupling": {"kind": "constant", "beta0": 0.015}},
+                "saddle": {"max_iters": 300, "grad_tol": 2e-5, "pohozaev_rel_tol": 1e-6},
+                "init": {"width_u": 1.2, "width_v": 1.2},
+            },
+        }
+        runs = []
+        for mode, cfg in configs.items():
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps({"mode": mode, **cfg}))
+            runs.append(f"cli.run(cli.parse_config({str(path)!r}), {str(tmp_path / mode)!r})")
+        code = (
+            "import sys, choquard, choquard.cli as cli; "
+            f"codes = [{', '.join(runs)}]; "
+            "print(codes, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[0, 0] False False"
+
+    def test_gauss_legendre_rule_is_leggauss(self):
+        import numpy.polynomial.legendre
+
+        nodes, weights = numpy.polynomial.legendre.leggauss(32)
+        assert np.array_equal(choquard.riesz._GAUSS_NODES, nodes)
+        assert np.array_equal(choquard.riesz._GAUSS_WEIGHTS, weights)
+
     def test_fiber_maximum_loads_no_optimize(self):
         code = (
             "import sys, choquard as cq; "
@@ -278,10 +319,11 @@ class TestLean:
         peak = self.traced_peak(choquard.riesz.riesz_convolve_values, conv, vals)
         assert peak <= 7 * 2**20
 
-    def test_singular_coefficient_peak_below_eight_mib(self):
-        # no (2 R / h + 1)^N cube of distances is built
+    def test_singular_coefficient_peak_below_three_mib(self):
+        # no (2 R / h + 1)^N cube of float distances is built: the summands
+        # are gathered from a table by an int16 cube of squared offsets
         choquard.riesz._singular_coefficient.cache_clear()
-        assert self.traced_peak(choquard.riesz._singular_coefficient, 3, 2.0) <= 8 * 2**20
+        assert self.traced_peak(choquard.riesz._singular_coefficient, 3, 2.0) <= 3 * 2**20
 
     @pytest.mark.parametrize("dim,alpha", [(1, 0.5), (2, 1.2), (3, 0.5), (3, 2.0), (3, 2.9)])
     def test_singular_coefficient_equals_the_full_cube(self, dim, alpha):
